@@ -84,11 +84,14 @@ def end_to_end(args, deadline: float) -> tuple[dict, dict]:
     if not lat_ms:
         raise BenchError("no op completed: " + " | ".join(main["problems"]))
     values = {
+        "cmd_p50_rel": statistics.median(main["relative"]),
+        "cmd_p90_rel": quantile(main["relative"], 90),
+        "setup_s": statistics.median(r["setup_s"] for r in runs),
+        "peak_rss_mb": main["peak_rss_mb"],
         "reps_per_s": main["reps_per_op"] * len(lat_ms) / (sum(lat_ms) / 1e3),
         "cmd_p50_ms": statistics.median(lat_ms),
         "cmd_p90_ms": quantile(lat_ms, 90),
-        "setup_s": statistics.median(r["setup_s"] for r in runs),
-        "peak_rss_mb": main["peak_rss_mb"],
+        "calibration_p50_ms": 1e3 * statistics.median(main["calibrations_s"]),
     }
     metrics = {k: {"value": values[k], "unit": u} for k, u in END_TO_END.items()}
     report = {
