@@ -25,6 +25,7 @@ from .errors import (
 )
 from .estimators import (
     AsymptoticVariance,
+    FittedDrm,
     QuantileEstimate,
     WeightedCdf,
     avar_g1_at,

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 import numpy as np
+from scipy.special import ndtri
 
 from .basis import BasisSpec
 from .errors import DrmError, InvalidArgumentError
-from .estimators import drm_quantile_estimate
+from .estimators import FittedDrm, QuantileEstimate, drm_quantile_estimate
 from .fit import SolverOptions, TwoSampleData, fit_mele
 from .nonparametric import (
     Ecdf,
@@ -32,6 +34,16 @@ from .simulate import (
 )
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout when it is None."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
 def _parse_levels(text: str):
     return tuple(float(v) for v in text.split(",") if v)
 
@@ -50,43 +62,33 @@ def _load_two_samples(args):
 def _cmd_estimate(args) -> int:
     x0, x1 = _load_two_samples(args)
     data = TwoSampleData(x0=x0, x1=x1)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    levels, ci = _parse_levels(args.levels), args.ci_level
+    with _output(args.out) as out:
         out.write("level,method,point,std_error,ci_low,ci_high\n")
         if args.method == "drm":
             spec = BasisSpec.from_name(args.basis)
             fit = fit_mele(data, spec, SolverOptions(tol_grad=args.tol_grad, max_iter=args.max_iter))
-            for p in _parse_levels(args.levels):
-                est = drm_quantile_estimate(fit, data, spec, p, args.ci_level)
-                out.write(
-                    f"{p:g},drm,{est.point:.10g},{est.std_error:.10g},"
-                    f"{est.ci_low:.10g},{est.ci_high:.10g}\n"
-                )
+            model = FittedDrm(data, spec, fit)
+            estimates = (drm_quantile_estimate(model, data, spec, p, ci) for p in levels)
         elif args.method == "empirical":
-            from scipy.stats import norm as _norm
-
             ecdf = Ecdf.from_sample(x1)
             kde = KdeModel(sample=x1, bandwidth=silverman_bandwidth(x1))
-            z = float(_norm.ppf(0.5 + args.ci_level / 2.0))
-            for p in _parse_levels(args.levels):
+            z = float(ndtri(0.5 + ci / 2.0))
+
+            def empirical(p):
                 point = empirical_quantile(ecdf, p)
-                g = kde_density(kde, point)
-                se = float(np.sqrt(empirical_quantile_avar(p, g) / x1.size))
-                out.write(
-                    f"{p:g},empirical,{point:.10g},{se:.10g},"
-                    f"{point - z * se:.10g},{point + z * se:.10g}\n"
-                )
+                se = float(np.sqrt(empirical_quantile_avar(p, kde_density(kde, point)) / x1.size))
+                return QuantileEstimate(p, point, se, point - z * se, point + z * se, "empirical")
+
+            estimates = map(empirical, levels)
         else:
             family = fit_parametric(data, args.method)
-            for p in _parse_levels(args.levels):
-                est = parametric_quantile(family, p, args.ci_level)
-                out.write(
-                    f"{p:g},{est.method},{est.point:.10g},{est.std_error:.10g},"
-                    f"{est.ci_low:.10g},{est.ci_high:.10g}\n"
-                )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            estimates = (parametric_quantile(family, p, ci) for p in levels)
+        for est in estimates:
+            out.write(
+                f"{est.level:g},{est.method},{est.point:.10g},{est.std_error:.10g},"
+                f"{est.ci_low:.10g},{est.ci_high:.10g}\n"
+            )
     return 0
 
 
@@ -118,12 +120,8 @@ def _cmd_simulate(args) -> int:
     with open(args.scenario) as fh:
         scenario = scenario_from_json(json.load(fh))
     table = run_scenario(scenario, workers=args.workers)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         table.to_csv(out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -137,14 +135,10 @@ def _cmd_kde(args) -> int:
     model = KdeModel(sample=sample, bandwidth=h)
     grid = np.linspace(sample.min() - 3 * h, sample.max() + 3 * h, args.grid_points)
     dens = kde_density(model, grid)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         out.write("x,density\n")
         for x, g in zip(grid, dens):
             out.write(f"{x:.10g},{g:.10g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -168,12 +162,8 @@ def _cmd_study(args) -> int:
         seed=args.seed,
     )
     table = run_resample_study(study, populations, workers=args.workers)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         table.to_csv(out, include_abs_bias=True)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -9,10 +9,11 @@ asymptotic variances are plug-in versions of the limiting-normal variances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .basis import BasisSpec, evaluate_matrix
 from .errors import (
@@ -22,11 +23,13 @@ from .errors import (
     NotConvergedError,
     SingularMomentError,
 )
-from .fit import DrmFit, TwoSampleData, _tilt_fraction
+from .fit import DrmFit, TwoSampleData, _kernel
+from .nonparametric import KdeModel, kde_density, silverman_bandwidth
 
 __all__ = [
     "WeightedCdf",
     "QuantileEstimate",
+    "FittedDrm",
     "AsymptoticVariance",
     "estimate_g0",
     "estimate_g1",
@@ -82,33 +85,106 @@ class AsymptoticVariance:
     ingredients: dict[str, Any] = field(default_factory=dict)
 
 
-def _check_converged(fit: DrmFit):
-    if not fit.converged:
-        raise NotConvergedError("fit did not converge; estimators unavailable")
+class FittedDrm:
+    """A converged fit together with its data and basis, caching what the
+    estimators share.
 
-
-def _tilted_mass(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> tuple:
-    """Target-sample masses p_kj * exp(theta' q_kj) and the basis matrix.
-
-    Computed as a logistic fraction over n1 so extreme tilts cannot overflow.
+    The pooled sort order, the support, both CDFs, the basis matrix, the
+    plug-in target moments of q and the KDE bandwidth are each computed on
+    first use and then kept. Every estimator below accepts a FittedDrm in
+    place of its ``fit`` argument, so estimates at any number of levels cost
+    one sort. The sort need not be stable: tied points share q(x) and so
+    carry equal masses, which makes the CDF independent of their order.
     """
-    q = evaluate_matrix(spec, data.pooled())
-    u = q @ fit.theta_hat
-    mass = _tilt_fraction(u, data.n0, data.n1) / data.n1
-    return mass, q
+
+    def __init__(self, data: TwoSampleData, spec: BasisSpec, fit: DrmFit):
+        if not fit.converged:
+            raise NotConvergedError("fit did not converge; estimators unavailable")
+        if fit.weights.size != data.n:
+            raise InvalidArgumentError(f"fit has {fit.weights.size} masses for {data.n} points")
+        self.data, self.spec, self.fit = data, spec, fit
+        self._pooled = data.pooled()
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return np.argsort(self._pooled)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return self._pooled[self._order]
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Basis matrix of the pooled sample, in pooled (not sorted) order."""
+        return evaluate_matrix(self.spec, self._pooled)
+
+    @cached_property
+    def tilted_weights(self) -> np.ndarray:
+        """Target masses p_kj * exp(theta' q_kj) in pooled order."""
+        if self.fit.tilted_weights is not None:
+            return self.fit.tilted_weights
+        return _kernel(self.q, self.fit.theta_hat, self.data.n0, self.data.n1)[2] / self.data.n1
+
+    def _cdf(self, mass: np.ndarray) -> WeightedCdf:
+        mass = mass[self._order]
+        return WeightedCdf(support=self.support, mass=mass, cumulative=np.cumsum(mass))
+
+    @cached_property
+    def g0(self) -> WeightedCdf:
+        return self._cdf(self.fit.weights)
+
+    @cached_property
+    def g1(self) -> WeightedCdf:
+        return self._cdf(self.tilted_weights)
+
+    @cached_property
+    def target_moments(self) -> tuple:
+        """Plug-in target moments of q: (support-ordered q_minus rows,
+        E1[q_minus], inverse of Var1[q_minus])."""
+        mass = self.g1.mass
+        q_minus = self.q[self._order, 1:]
+        mean_q = mass @ q_minus
+        second = (q_minus * mass[:, None]).T @ q_minus
+        var_q = second - np.outer(mean_q, mean_q)
+        var_q = (var_q + var_q.T) / 2.0
+        try:
+            np.linalg.cholesky(var_q)
+        except np.linalg.LinAlgError:
+            raise SingularMomentError(
+                "plug-in variance of the non-constant basis components "
+                "is not positive definite"
+            ) from None
+        return q_minus, mean_q, np.linalg.inv(var_q)
+
+    @cached_property
+    def bandwidth(self) -> float:
+        """Silverman bandwidth of the target sample, for the density plug-in."""
+        return silverman_bandwidth(self.data.x1)
+
+    def _bracket_at(self, x: float) -> tuple[np.ndarray, float]:
+        """Partial moment Q_hat(x) = sum mass*q_minus*1(support<=x) and G1_hat(x)."""
+        mass, q_minus = self.g1.mass, self.target_moments[0]
+        idx = int(np.searchsorted(self.support, x, side="right"))
+        return mass[:idx] @ q_minus[:idx], float(np.sum(mass[:idx]))
+
+
+def _fitted(fit: DrmFit | FittedDrm, data: TwoSampleData, spec: BasisSpec) -> FittedDrm:
+    """``fit`` itself when it is a FittedDrm of this data and basis, else a new one."""
+    if isinstance(fit, FittedDrm):
+        if fit.data is data and fit.spec == spec:
+            return fit
+        fit = fit.fit
+    return FittedDrm(data, spec, fit)
 
 
 def estimate_g1(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> WeightedCdf:
     """Estimated target CDF: mass p_kj * exp(theta' q(x_kj)) at each pooled point."""
-    _check_converged(fit)
-    mass, _ = _tilted_mass(fit, data, spec)
-    return WeightedCdf.from_points(data.pooled(), mass)
+    return _fitted(fit, data, spec).g1
 
 
 def estimate_g0(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> WeightedCdf:
     """Estimated base CDF: mass p_kj at each pooled point."""
-    _check_converged(fit)
-    return WeightedCdf.from_points(data.pooled(), fit.weights)
+    return _fitted(fit, data, spec).g0
 
 
 def drm_quantile(cdf: WeightedCdf, p: float) -> float:
@@ -120,74 +196,35 @@ def drm_quantile(cdf: WeightedCdf, p: float) -> float:
     return float(cdf.support[idx])
 
 
-def _target_moments(fit: DrmFit, data: TwoSampleData, spec: BasisSpec):
-    """Plug-in moments of q under the estimated target CDF.
-
-    Returns (support-ordered mass, support, q_minus rows, E1[q_minus],
-    Var1[q_minus] inverse).
-    """
-    mass, q = _tilted_mass(fit, data, spec)
-    pooled = data.pooled()
-    order = np.argsort(pooled, kind="stable")
-    mass = mass[order]
-    support = pooled[order]
-    q_minus = q[order, 1:]
-
-    mean_q = mass @ q_minus
-    second = (q_minus * mass[:, None]).T @ q_minus
-    var_q = second - np.outer(mean_q, mean_q)
-    var_q = (var_q + var_q.T) / 2.0
-    try:
-        np.linalg.cholesky(var_q)
-    except np.linalg.LinAlgError:
-        raise SingularMomentError(
-            "plug-in variance of the non-constant basis components "
-            "is not positive definite"
-        ) from None
-    var_inv = np.linalg.inv(var_q)
-    return mass, support, q_minus, mean_q, var_inv
-
-
 def avar_theta(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> np.ndarray:
     """Plug-in asymptotic variance matrix of sqrt(n1)*(theta_hat - theta).
 
     Computed in the block form built from E1[q_minus] and Var1[q_minus];
     algebraically identical to :func:`avar_theta_inverse_form`.
     """
-    _check_converged(fit)
-    _, _, _, mean_q, var_inv = _target_moments(fit, data, spec)
-    dm = mean_q.size
-    m = np.vstack([-mean_q, np.eye(dm)])
+    _, mean_q, var_inv = _fitted(fit, data, spec).target_moments
+    m = np.vstack([-mean_q, np.eye(mean_q.size)])
     return m @ var_inv @ m.T
 
 
 def avar_theta_inverse_form(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> np.ndarray:
     """Same matrix as :func:`avar_theta`, via inv(E1[q q']) minus the (1,1) unit."""
-    _check_converged(fit)
-    mass, q = _tilted_mass(fit, data, spec)
-    second = (q * mass[:, None]).T @ q
+    model = _fitted(fit, data, spec)
+    q = model.q
+    second = (q * model.tilted_weights[:, None]).T @ q
     try:
         inv = np.linalg.inv(second)
     except np.linalg.LinAlgError:
         raise SingularMomentError("plug-in second moment of q is singular") from None
-    e11 = np.zeros_like(inv)
-    e11[0, 0] = 1.0
-    return inv - e11
-
-
-def _bracket_at(mass, support, q_minus, x: float) -> tuple[np.ndarray, float]:
-    """Partial moment Q_hat(x) = sum mass*q_minus*1(support<=x) and G1_hat(x)."""
-    idx = int(np.searchsorted(support, x, side="right"))
-    partial = mass[:idx] @ q_minus[:idx]
-    g1_at = float(np.sum(mass[:idx]))
-    return partial, g1_at
+    inv[0, 0] -= 1.0
+    return inv
 
 
 def avar_g1_at(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, x: float) -> float:
     """Plug-in asymptotic variance of sqrt(n1)*(G1_hat(x) - G1(x))."""
-    _check_converged(fit)
-    mass, support, q_minus, mean_q, var_inv = _target_moments(fit, data, spec)
-    partial, g1_at = _bracket_at(mass, support, q_minus, x)
+    model = _fitted(fit, data, spec)
+    _, mean_q, var_inv = model.target_moments
+    partial, g1_at = model._bracket_at(x)
     bracket = partial - mean_q * g1_at
     return float(bracket @ var_inv @ bracket)
 
@@ -204,15 +241,14 @@ def avar_quantile(
     ``density_at`` is an estimate of the target density at the estimated
     quantile, typically from a kernel density estimator.
     """
-    _check_converged(fit)
+    model = _fitted(fit, data, spec)
     if not 0.0 < p < 1.0:
         raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
     if not density_at > 0:
         raise NonpositiveDensityError(f"density plug-in must be positive, got {density_at}")
-    mass, support, q_minus, mean_q, var_inv = _target_moments(fit, data, spec)
-    cdf = WeightedCdf(support=support, mass=mass, cumulative=np.cumsum(mass))
-    xi = drm_quantile(cdf, p)
-    partial, g1_at = _bracket_at(mass, support, q_minus, xi)
+    _, mean_q, var_inv = model.target_moments
+    xi = drm_quantile(model.g1, p)
+    partial, g1_at = model._bracket_at(xi)
     bracket = partial - p * mean_q
     value = float(bracket @ var_inv @ bracket) / density_at**2
     return AsymptoticVariance(
@@ -246,27 +282,20 @@ def corollary_variance(k: float, p: float, density_at: float, parametric_avar: f
     return empirical / (k + 1.0) + parametric_avar * k / (k + 1.0)
 
 
-def drm_quantile_estimate(
-    fit: DrmFit,
-    data: TwoSampleData,
-    spec: BasisSpec,
-    p: float,
-    ci_level: float = 0.95,
-) -> QuantileEstimate:
+def drm_quantile_estimate(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, p: float,
+                          ci_level: float = 0.95) -> QuantileEstimate:
     """Point estimate, standard error and normal CI for the target p-quantile.
 
     The density plug-in for the variance is a Gaussian KDE on the target
-    sample with Silverman's rule-of-thumb bandwidth.
+    sample with Silverman's rule-of-thumb bandwidth. For several levels,
+    pass one :class:`FittedDrm` as ``fit`` to every call.
     """
-    from .nonparametric import KdeModel, kde_density, silverman_bandwidth
-
-    cdf = estimate_g1(fit, data, spec)
-    point = drm_quantile(cdf, p)
-    kde = KdeModel(sample=data.x1, bandwidth=silverman_bandwidth(data.x1))
-    g_hat = kde_density(kde, point)
-    avar = avar_quantile(fit, data, spec, p, g_hat)
+    model = _fitted(fit, data, spec)
+    point = drm_quantile(estimate_g1(model, data, spec), p)
+    g_hat = kde_density(KdeModel(sample=data.x1, bandwidth=model.bandwidth), point)
+    avar = avar_quantile(model, data, spec, p, g_hat)
     se = float(np.sqrt(avar.value / data.n1))
-    z = float(norm.ppf(0.5 + ci_level / 2.0))
+    z = float(ndtri(0.5 + ci_level / 2.0))
     return QuantileEstimate(
         level=p,
         point=point,

@@ -11,10 +11,10 @@ analytic gradient and Hessian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .basis import BasisSpec, evaluate_matrix
 from .errors import NonConvergenceError, SingularBasisError
@@ -86,46 +86,46 @@ class DrmFit:
     iterations: int
     converged: bool
     final_gradient_norm: float
+    # fitted target masses p_kj * exp(theta' q_kj) over the pooled sample;
+    # None on a hand-built fit, and estimators then recompute them
+    tilted_weights: np.ndarray | None = None
 
 
-def _log_denom(u: np.ndarray, n0: int, n1: int) -> np.ndarray:
-    """log(n0 + n1*exp(u)) without overflow for any u."""
-    out = np.empty_like(u)
-    neg = u <= 0
-    pos = ~neg
-    out[neg] = np.log(n0) + np.log1p((n1 / n0) * np.exp(u[neg]))
-    out[pos] = u[pos] + np.log(n1) + np.log1p((n0 / n1) * np.exp(-u[pos]))
-    return out
+def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int) -> tuple:
+    """Dual log-EL at theta and its per-point parts, in one overflow-safe pass.
+
+    Returns (value, L, w) where L = log(n0 + n1*exp(u)) for u = q @ theta,
+    computed by logaddexp so that no u overflows, and w is the tilt fraction
+    n1*exp(u) / (n0 + n1*exp(u)) = exp(log n1 + u - L). The fitted base
+    weights are exp(-L) and the tilted target masses w / n1.
+    """
+    u = q @ theta
+    log_tilt = math.log(n1) + u
+    log_den = np.logaddexp(math.log(n0), log_tilt)
+    value = float(-np.sum(log_den) + np.sum(u[n0:]))
+    return value, log_den, np.exp(log_tilt - log_den)
 
 
-def _tilt_fraction(u: np.ndarray, n0: int, n1: int) -> np.ndarray:
-    """w = n1*exp(u) / (n0 + n1*exp(u)), computed as a logistic."""
-    return expit(u + np.log(n1 / n0))
+def _oracle(data: TwoSampleData, spec: BasisSpec, theta) -> tuple:
+    """Basis matrix of the pooled sample and the kernel at theta."""
+    q = evaluate_matrix(spec, data.pooled())
+    return q, _kernel(q, np.asarray(theta, dtype=float), data.n0, data.n1)
 
 
 def dual_log_el(data: TwoSampleData, spec: BasisSpec, theta) -> float:
     """Value of the dual profile log-EL at theta."""
-    theta = np.asarray(theta, dtype=float)
-    q = evaluate_matrix(spec, data.pooled())
-    u = q @ theta
-    return float(-np.sum(_log_denom(u, data.n0, data.n1)) + np.sum(u[data.n0:]))
+    return _oracle(data, spec, theta)[1][0]
 
 
 def score(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
     """Analytic gradient of :func:`dual_log_el` with respect to theta."""
-    theta = np.asarray(theta, dtype=float)
-    q = evaluate_matrix(spec, data.pooled())
-    u = q @ theta
-    w = _tilt_fraction(u, data.n0, data.n1)
+    q, (_, _, w) = _oracle(data, spec, theta)
     return q[data.n0:].sum(axis=0) - q.T @ w
 
 
 def hessian(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
     """Analytic Hessian of :func:`dual_log_el`; symmetric negative semidefinite."""
-    theta = np.asarray(theta, dtype=float)
-    q = evaluate_matrix(spec, data.pooled())
-    u = q @ theta
-    w = _tilt_fraction(u, data.n0, data.n1)
+    q, (_, _, w) = _oracle(data, spec, theta)
     h = -(q * (w * (1.0 - w))[:, None]).T @ q
     return (h + h.T) / 2.0
 
@@ -138,8 +138,9 @@ def fit_mele(
     """Maximize the dual profile log-EL by damped Newton from theta = 0.
 
     Raises :class:`SingularBasisError` when the basis is collinear on the
-    pooled sample and :class:`NonConvergenceError` when the iteration
-    budget is exhausted.
+    pooled sample and :class:`NonConvergenceError` when the gradient test
+    fails after the iteration budget, a failed line search or a singular
+    Newton system.
     """
     opts = options or SolverOptions()
     n0, n1 = data.n0, data.n1
@@ -154,21 +155,13 @@ def fit_mele(
         )
 
     q1_sum = q[n0:].sum(axis=0)
-
-    def value_and_parts(theta):
-        u = q @ theta
-        val = float(-np.sum(_log_denom(u, n0, n1)) + np.sum(u[n0:]))
-        return val, u
-
     theta = np.zeros(d)
-    val, u = value_and_parts(theta)
+    val, log_den, w = _kernel(q, theta, n0, n1)
     grad_tol = n1 * opts.tol_grad
     converged = False
     it = 0
-    grad_norm = np.inf
 
     for it in range(1, opts.max_iter + 1):
-        w = _tilt_fraction(u, n0, n1)
         grad = q1_sum - q.T @ w
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= grad_tol:
@@ -184,7 +177,16 @@ def fit_mele(
         if step is None or grad @ step <= 0:
             # ridge to restore an ascent direction
             ridge = opts.ridge_scale * np.trace(neg_hess)
-            step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
+            try:
+                step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
+            except np.linalg.LinAlgError:
+                # every curvature weight w(1-w) underflowed, so the ridge is 0
+                raise NonConvergenceError(
+                    f"singular Newton system at iteration {it} "
+                    f"(gradient sup-norm {grad_norm:.3e})",
+                    iterations=it,
+                    gradient_norm=grad_norm,
+                ) from None
 
         # backtracking line search, Armijo condition; skipped once the
         # predicted gain is below the rounding error of the objective
@@ -193,23 +195,20 @@ def fit_mele(
         t = 1.0
         while True:
             cand = theta + t * step
-            cand_val, cand_u = value_and_parts(cand)
-            if cand_val >= val + opts.armijo * t * slope - noise:
+            cand_parts = _kernel(q, cand, n0, n1)
+            if cand_parts[0] >= val + opts.armijo * t * slope - noise:
                 break
             t *= 0.5
             if t < 1e-14:
+                cand_parts = None
                 break
-        theta, val, u = cand, cand_val, cand_u
-
+        if cand_parts is None:
+            break  # no acceptable step: keep theta, the gradient test decides
+        theta, (val, log_den, w) = cand, cand_parts
         if float(np.max(np.abs(t * step))) <= opts.tol_step:
-            w = _tilt_fraction(u, n0, n1)
-            grad = q1_sum - q.T @ w
-            grad_norm = float(np.max(np.abs(grad)))
-            converged = grad_norm <= grad_tol
             break
 
     if not converged:
-        w = _tilt_fraction(u, n0, n1)
         grad_norm = float(np.max(np.abs(q1_sum - q.T @ w)))
         if grad_norm > grad_tol:
             raise NonConvergenceError(
@@ -220,12 +219,12 @@ def fit_mele(
             )
         converged = True
 
-    weights = np.exp(-_log_denom(u, n0, n1))
     return DrmFit(
         theta_hat=theta,
-        weights=weights,
+        weights=np.exp(-log_den),
         log_el_at_max=val,
         iterations=it,
         converged=converged,
         final_gradient_norm=grad_norm,
+        tilted_weights=w / n1,
     )

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import expon, norm
 
 from .errors import (
@@ -94,7 +95,7 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
 def _target_quantile(family: ParametricFamily, p: float) -> float:
     if family.tag == EXPONENTIAL:
         return -family.mu1 * math.log1p(-p)
-    return family.mu1 + float(norm.ppf(p)) * family.sigma1
+    return family.mu1 + float(ndtri(p)) * family.sigma1
 
 
 def parametric_quantile_avar(family: ParametricFamily, p: float) -> float:
@@ -109,7 +110,7 @@ def parametric_quantile_avar(family: ParametricFamily, p: float) -> float:
         raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
     if family.tag == EXPONENTIAL:
         return family.mu1**2 * math.log1p(-p) ** 2
-    z = float(norm.ppf(p))
+    z = float(ndtri(p))
     if family.tag == NORMAL_FREE:
         return family.sigma1**2 * (1.0 + z**2 / 2.0)
     n = family.n0 + family.n1
@@ -124,7 +125,7 @@ def parametric_quantile(
         raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
     point = _target_quantile(family, p)
     se = math.sqrt(parametric_quantile_avar(family, p) / family.n1)
-    z = float(norm.ppf(0.5 + ci_level / 2.0))
+    z = float(ndtri(0.5 + ci_level / 2.0))
     return QuantileEstimate(
         level=p,
         point=point,

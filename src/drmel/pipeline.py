@@ -24,11 +24,17 @@ from .errors import (
     InvalidArgumentError,
     InvalidLevelError,
 )
-from .estimators import drm_quantile, estimate_g1
-from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, empirical_quantile
-from .parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, fit_parametric, _target_quantile
-from .simulate import SimulationRow, SimulationTable, replicate_rng
+from .simulate import (
+    _PARAMETRIC_TAGS,
+    METHOD_DRM,
+    METHOD_EMPIRICAL,
+    SimulationRow,
+    SimulationTable,
+    method_estimates,
+    replicate_rng,
+    scaled_errors,
+)
 
 __all__ = [
     "ColumnSpec",
@@ -39,17 +45,9 @@ __all__ = [
     "STUDY_METHODS",
 ]
 
-_DRM_METHODS = {
-    "drm-linear": "linear",
-    "drm-quadratic": "quadratic",
-    "drm-linear-log": "linear-log",
-}
-_PARAMETRIC_METHODS = {
-    "parametric-normal": NORMAL_FREE,
-    "parametric-normal-common": NORMAL_COMMON,
-    "parametric-exponential": EXPONENTIAL,
-}
-STUDY_METHODS = tuple(_DRM_METHODS) + tuple(_PARAMETRIC_METHODS) + ("empirical",)
+# DRM study methods by name, each with its basis
+_DRM_METHODS = {f"drm-{b}": BasisSpec.from_name(b) for b in ("linear", "quadratic", "linear-log")}
+STUDY_METHODS = tuple(_DRM_METHODS) + tuple(_PARAMETRIC_TAGS) + (METHOD_EMPIRICAL,)
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,21 @@ class IngestReport:
     rows_dropped: int
 
 
+def _column_index(header, name: str) -> int:
+    """Index of the last header cell named ``name``: the cell a csv.DictReader
+    row would hold under that key."""
+    found = [i for i, cell in enumerate(header or ()) if cell == name]
+    if not found:
+        raise CsvParseError(f"missing column {name!r}")
+    return found[-1]
+
+
 def ingest_csv(path, spec: ColumnSpec):
     """Read per-group value vectors from a CSV file.
 
-    Rows with an empty value cell, or a nonpositive value under the log
-    transform, are dropped and counted. A malformed (nonempty,
+    Blank lines are skipped and not numbered; a short row reads its missing
+    cells as empty. Rows with an empty value cell, or a nonpositive value
+    under the log transform, are dropped and counted. A malformed (nonempty,
     non-numeric) cell raises :class:`CsvParseError` with its row number.
 
     Returns (populations, report) where populations maps group label to a
@@ -83,32 +91,29 @@ def ingest_csv(path, spec: ColumnSpec):
     groups: dict[str, list[float]] = {}
     rows_in = dropped = 0
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or spec.value_column not in reader.fieldnames:
-            raise CsvParseError(f"missing column {spec.value_column!r}")
-        if spec.group_column not in reader.fieldnames:
-            raise CsvParseError(f"missing column {spec.group_column!r}")
-        for i, row in enumerate(reader, start=2):  # row 1 is the header
-            rows_in += 1
-            raw = (row.get(spec.value_column) or "").strip()
-            if not raw:
-                dropped += 1
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        vi = _column_index(header, spec.value_column)
+        gi = _column_index(header, spec.group_column)
+        for row in reader:
+            if not row:  # blank line: neither counted nor numbered
                 continue
+            rows_in += 1
+            raw = row[vi].strip() if vi < len(row) else ""
             try:
-                value = float(raw)
+                value = float(raw) if raw else math.nan
             except ValueError:
+                i = rows_in + 1  # row 1 is the header
                 raise CsvParseError(
                     f"malformed numeric value {raw!r} in row {i}", row=i
                 ) from None
+            if spec.transform == "log":
+                value = math.log(value) if value > 0 else math.nan
             if not math.isfinite(value):
                 dropped += 1
                 continue
-            if spec.transform == "log":
-                if value <= 0:
-                    dropped += 1
-                    continue
-                value = math.log(value)
-            groups.setdefault((row.get(spec.group_column) or "").strip(), []).append(value)
+            label = row[gi].strip() if gi < len(row) else ""
+            groups.setdefault(label, []).append(value)
 
     populations = {g: np.asarray(v, dtype=float) for g, v in groups.items() if v}
     if not populations:
@@ -145,23 +150,6 @@ class ResampleStudy:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-def _method_estimates(method: str, x0, x1, levels):
-    """Quantile estimates for one method on one drawn sample pair."""
-    if method in _DRM_METHODS:
-        spec = BasisSpec.from_name(_DRM_METHODS[method])
-        data = TwoSampleData(x0=x0, x1=x1)
-        fit = fit_mele(data, spec)
-        cdf = estimate_g1(fit, data, spec)
-        return {p: drm_quantile(cdf, p) for p in levels}
-    if method in _PARAMETRIC_METHODS:
-        family = fit_parametric(TwoSampleData(x0=x0, x1=x1), _PARAMETRIC_METHODS[method])
-        return {p: _target_quantile(family, p) for p in levels}
-    if method == "empirical":
-        ecdf = Ecdf.from_sample(x1)
-        return {p: empirical_quantile(ecdf, p) for p in levels}
-    raise InvalidArgumentError(f"unknown method {method!r}")
-
-
 def _study_replicate(args):
     """One replicate of one (n0, n) combination across all targets."""
     study, base_pop, target_pops, n0, n, stream_index, r = args
@@ -172,9 +160,12 @@ def _study_replicate(args):
     for target, pop in target_pops.items():
         x1 = pop[rng.integers(0, pop.size, n)]
         for method in study.methods:
+            basis = _DRM_METHODS.get(method)
             try:
-                for p, est in _method_estimates(method, x0, x1, study.levels).items():
-                    out[(target, p, method)] = est
+                found = method_estimates(
+                    METHOD_DRM if basis is not None else method, x0, x1, study.levels, basis
+                )
+                out.update(((target, p, method), est) for p, est in found.items())
             except DrmError:
                 failed.add((target, method))
     return out, failed
@@ -230,22 +221,11 @@ def run_resample_study(
         scenario_id = f"n0={n0},n={n}"
         for p in study.levels:
             for m in study.methods:
-                per_target = []
-                for t in study.targets:
-                    v = np.asarray(values[(t, p, m)], dtype=float)
-                    if v.size == 0:
-                        per_target.append((math.nan,) * 4 + (1.0,))
-                        continue
-                    err = v - truths[(t, p)]
-                    per_target.append(
-                        (
-                            math.sqrt(n) * float(np.mean(err)),
-                            math.sqrt(n) * float(np.mean(np.abs(err))),
-                            n * float(np.var(err)),
-                            n * float(np.mean(err**2)),
-                            fail_counts[(t, m)] / study.reps,
-                        )
-                    )
+                per_target = [
+                    scaled_errors(values[(t, p, m)], truths[(t, p)], n,
+                                  fail_counts[(t, m)] / study.reps)
+                    for t in study.targets
+                ]
                 agg = [float(np.mean(col)) for col in zip(*per_target)]
                 rows.append(SimulationRow(scenario_id, p, m, *agg))
     return SimulationTable(rows=tuple(rows))

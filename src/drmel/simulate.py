@@ -21,6 +21,7 @@ from .basis import BasisSpec
 from .errors import DrmError, InvalidArgumentError, InvalidLevelError
 from .estimators import corollary_variance, drm_quantile, estimate_g1
 from .fit import SolverOptions, TwoSampleData, fit_mele
+from .nonparametric import Ecdf, empirical_quantile
 from .parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, fit_parametric, _target_quantile
 
 __all__ = [
@@ -88,7 +89,7 @@ def true_quantile(gen, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
     if isinstance(gen, Normal):
-        return gen.mu + gen.sigma * float(norm.ppf(p))
+        return gen.mu + gen.sigma * float(ndtri(p))
     if isinstance(gen, Exponential):
         return -gen.mean * math.log1p(-p)
     raise InvalidArgumentError(f"unknown generator {gen!r}")
@@ -97,7 +98,7 @@ def true_quantile(gen, p: float) -> float:
 def quantile_density(gen, p: float) -> float:
     """Population density evaluated at the p-quantile."""
     if isinstance(gen, Normal):
-        return float(norm.pdf(norm.ppf(p))) / gen.sigma
+        return float(norm.pdf(ndtri(p))) / gen.sigma
     if isinstance(gen, Exponential):
         return (1.0 - p) / gen.mean
     raise InvalidArgumentError(f"unknown generator {gen!r}")
@@ -108,7 +109,7 @@ def parametric_avar(gen, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
     if isinstance(gen, Normal):
-        z = float(norm.ppf(p))
+        z = float(ndtri(p))
         return gen.sigma**2 * (1.0 + z**2 / 2.0)
     if isinstance(gen, Exponential):
         return gen.mean**2 * math.log1p(-p) ** 2
@@ -221,6 +222,38 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=mix_seed(seed, index)))
 
 
+def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
+    """(bias, mean |error|, variance, MSE, fail_frac) of estimates of truth, scaled
+    by sqrt(n) or n; NaNs and a fail_frac of 1 when there are no estimates."""
+    err = np.asarray(estimates, dtype=float) - truth
+    if err.size == 0:
+        return (math.nan,) * 4 + (1.0,)
+    return (
+        math.sqrt(n) * float(np.mean(err)),
+        math.sqrt(n) * float(np.mean(np.abs(err))),
+        n * float(np.var(err)),
+        n * float(np.mean(err**2)),
+        fail_frac,
+    )
+
+
+def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None,
+                     solver: SolverOptions | None = None) -> dict[float, float]:
+    """Quantile estimates {level: estimate} of one method on one sample pair;
+    ``basis`` and ``solver`` serve the DRM method."""
+    if method == METHOD_DRM:
+        data = TwoSampleData(x0=x0, x1=x1)
+        cdf = estimate_g1(fit_mele(data, basis, solver), data, basis)
+        return {p: drm_quantile(cdf, p) for p in levels}
+    if method in _PARAMETRIC_TAGS:
+        family = fit_parametric(TwoSampleData(x0=x0, x1=x1), _PARAMETRIC_TAGS[method])
+        return {p: _target_quantile(family, p) for p in levels}
+    if method == METHOD_EMPIRICAL:
+        ecdf = Ecdf.from_sample(x1)
+        return {p: empirical_quantile(ecdf, p) for p in levels}
+    raise InvalidArgumentError(f"unknown method {method!r}")
+
+
 def _replicate_estimates(scenario: Scenario, r: int):
     """One replicate: returns ({(p, method): estimate}, {failed methods})."""
     rng = replicate_rng(scenario.seed, r)
@@ -228,33 +261,14 @@ def _replicate_estimates(scenario: Scenario, r: int):
     x1 = sample(scenario.generator1, scenario.n1, rng)
     estimates: dict[tuple[float, str], float] = {}
     failed: set[str] = set()
-
-    if METHOD_DRM in scenario.methods:
+    for method in scenario.methods:
         try:
-            data = TwoSampleData(x0=x0, x1=x1)
-            fit = fit_mele(data, scenario.basis, scenario.solver)
-            cdf = estimate_g1(fit, data, scenario.basis)
-            for p in scenario.levels:
-                estimates[(p, METHOD_DRM)] = drm_quantile(cdf, p)
-        except DrmError:
-            failed.add(METHOD_DRM)
-
-    for method, tag in _PARAMETRIC_TAGS.items():
-        if method not in scenario.methods:
-            continue
-        try:
-            family = fit_parametric(TwoSampleData(x0=x0, x1=x1), tag)
-            for p in scenario.levels:
-                estimates[(p, method)] = _target_quantile(family, p)
+            found = method_estimates(
+                method, x0, x1, scenario.levels, scenario.basis, scenario.solver
+            )
+            estimates.update(((p, method), est) for p, est in found.items())
         except DrmError:
             failed.add(method)
-
-    if METHOD_EMPIRICAL in scenario.methods:
-        s = np.sort(x1)
-        for p in scenario.levels:
-            idx = max(int(math.ceil(scenario.n1 * p)) - 1, 0)
-            estimates[(p, METHOD_EMPIRICAL)] = float(s[idx])
-
     return estimates, failed
 
 
@@ -297,24 +311,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationTable:
     for p in scenario.levels:
         truth = true_quantile(scenario.generator1, p)
         for m in scenario.methods:
-            v = np.asarray(values[(p, m)], dtype=float)
-            if v.size == 0:
-                rows.append(
-                    SimulationRow(scenario.scenario_id, p, m, math.nan, math.nan,
-                                  math.nan, math.nan, 1.0)
-                )
-                continue
-            err = v - truth
-            rows.append(
-                SimulationRow(
-                    scenario_id=scenario.scenario_id,
-                    p=p,
-                    method=m,
-                    scaled_bias=math.sqrt(scenario.n1) * float(np.mean(err)),
-                    abs_bias=math.sqrt(scenario.n1) * float(np.mean(np.abs(err))),
-                    scaled_var=scenario.n1 * float(np.var(err)),
-                    scaled_mse=scenario.n1 * float(np.mean(err**2)),
-                    fail_frac=fail_counts[m] / scenario.reps,
-                )
-            )
+            rows.append(SimulationRow(
+                scenario.scenario_id, p, m,
+                *scaled_errors(values[(p, m)], truth, scenario.n1, fail_counts[m] / scenario.reps),
+            ))
     return SimulationTable(rows=tuple(rows))

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from drmel import (
     BasisSpec,
     DrmFit,
+    FittedDrm,
     InvalidArgumentError,
     InvalidLevelError,
     NonpositiveDensityError,
@@ -231,3 +232,58 @@ def test_quantile_estimate_interface(rng):
     z = float(norm.ppf(0.975))
     assert est.ci_high - est.ci_low == pytest.approx(2 * z * est.std_error, rel=1e-10)
     assert est.method == "drm"
+
+
+def test_quantiles_do_not_depend_on_tie_order():
+    # resampling a coarsely rounded population gives heavy ties across and
+    # within both samples
+    gen = np.random.default_rng(29)
+    pop = np.round(gen.normal(0.0, 1.0, 60), 1)
+    data = TwoSampleData(x0=gen.choice(pop, 3000), x1=gen.choice(pop, 300) + 0.2)
+    spec = BasisSpec.quadratic()
+    fit = fit_mele(data, spec)
+    stable = WeightedCdf.from_points(data.pooled(), fit.tilted_weights)
+    default = FittedDrm(data, spec, fit).g1
+    assert np.unique(data.pooled()).size < 150
+    np.testing.assert_array_equal(default.support, stable.support)
+    for p in np.linspace(0.005, 0.995, 199):
+        assert drm_quantile(default, p) == drm_quantile(stable, p)
+
+
+def test_fitted_model_matches_separate_calls(rng):
+    levels = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
+    for _ in range(5):
+        data = random_two_sample(rng)
+        spec = random_basis(rng)
+        fit = fit_mele(data, spec)
+        model = FittedDrm(data, spec, fit)
+        for p in levels:
+            shared = drm_quantile_estimate(model, data, spec, p, 0.9)
+            assert shared == drm_quantile_estimate(fit, data, spec, p, 0.9)
+        np.testing.assert_array_equal(avar_theta(model, data, spec), avar_theta(fit, data, spec))
+        g1 = estimate_g1(fit, data, spec)
+        np.testing.assert_array_equal(model.g1.cumulative, g1.cumulative)
+        # a model is reused only with the data and basis it was built on
+        other = BasisSpec.linear() if spec.kind == "quadratic" else BasisSpec.quadratic()
+        np.testing.assert_array_equal(avar_theta(model, data, other), avar_theta(fit, data, other))
+
+
+def test_hand_built_fit_recomputes_tilted_masses(rng):
+    data = random_two_sample(rng)
+    spec = BasisSpec.quadratic()
+    fit = fit_mele(data, spec)
+    bare = DrmFit(fit.theta_hat, fit.weights, fit.log_el_at_max, fit.iterations,
+                  fit.converged, fit.final_gradient_norm)
+    np.testing.assert_allclose(
+        FittedDrm(data, spec, bare).g1.mass, estimate_g1(fit, data, spec).mass, rtol=1e-12
+    )
+
+
+def test_fit_of_another_sample_size_rejected(rng):
+    data = random_two_sample(rng)
+    spec = BasisSpec.linear()
+    fit = fit_mele(data, spec)
+    other = TwoSampleData(x0=data.x0[1:], x1=data.x1)
+    for estimator in (estimate_g0, estimate_g1):
+        with pytest.raises(InvalidArgumentError):
+            estimator(fit, other, spec)

@@ -205,3 +205,67 @@ def test_non_convergence_reports_diagnostics(rng):
         fit_mele(data, BasisSpec.linear(), SolverOptions(max_iter=1, tol_grad=1e-16, tol_step=1e-16))
     assert err.value.iterations == 1
     assert err.value.gradient_norm is not None
+
+
+def two_branch_log_denom(u, n0, n1):
+    """log(n0 + n1*exp(u)) split at u = 0 so that neither exp overflows."""
+    out = np.empty_like(u)
+    neg = u <= 0
+    out[neg] = math.log(n0) + np.log1p((n1 / n0) * np.exp(u[neg]))
+    pos = ~neg
+    out[pos] = u[pos] + math.log(n1) + np.log1p((n0 / n1) * np.exp(-u[pos]))
+    return out
+
+
+def test_kernel_matches_two_branch_log_denominator():
+    from drmel.fit import _kernel
+
+    u = np.concatenate([np.linspace(-745.0, 745.0, 20_001), [-1e-300, 0.0, 1e-300]])
+    for n0, n1 in ((100_000, 1_000), (3, 7), (1, 1)):
+        value, log_den, w = _kernel(u[:, None], np.array([1.0]), n0, n1)
+        expected = two_branch_log_denom(u, n0, n1)
+        assert np.isfinite(log_den).all() and np.isfinite(value)
+        assert np.all(np.abs(log_den - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+        np.testing.assert_allclose(w, np.exp(math.log(n1) + u - expected), rtol=1e-12, atol=1e-300)
+        assert np.all((w >= 0) & (w <= 1))
+
+
+def test_fit_carries_normalized_weights_and_tilted_masses(rng):
+    for _ in range(20):
+        data = random_two_sample(rng)
+        fit = fit_mele(data, random_basis(rng))
+        # both sums miss 1 by the constant component of the final gradient
+        slack = fit.final_gradient_norm + 1e-13
+        assert abs(fit.weights.sum() - 1.0) <= slack / data.n0
+        assert abs(fit.tilted_weights.sum() - 1.0) <= slack / data.n1
+
+
+def test_exhausted_line_search_keeps_theta():
+    # An Armijo constant no step can meet: the search runs out at the first
+    # iteration, theta stays at 0 and the gradient test there decides.
+    data = TwoSampleData(x0=[0.0, 0.5, 1.0, 1.5], x1=[0.2, 0.9, 1.7])
+    spec = BasisSpec.linear()
+    with pytest.raises(NonConvergenceError) as err:
+        fit_mele(data, spec, SolverOptions(armijo=1e8, tol_step=0.0, max_iter=20))
+    assert err.value.iterations == 1
+    at_zero = float(np.max(np.abs(score(data, spec, np.zeros(2)))))
+    assert err.value.gradient_norm == pytest.approx(at_zero, rel=1e-12)
+
+
+def test_vanished_curvature_raises_typed_error(monkeypatch):
+    # Tilt fractions that all round to 0 or 1 make every w(1-w), and so the
+    # ridge, zero: the Newton system is singular even after ridging.
+    import drmel.fit
+
+    kernel = drmel.fit._kernel
+
+    def saturated(q, theta, n0, n1):
+        value, log_den, w = kernel(q, theta, n0, n1)
+        return value, log_den, np.round(w)
+
+    monkeypatch.setattr(drmel.fit, "_kernel", saturated)
+    data = TwoSampleData(x0=[0.0, 1.0, 2.0, 3.0], x1=[1.5, 2.5])
+    with pytest.raises(NonConvergenceError) as err:
+        fit_mele(data, BasisSpec.linear())
+    assert err.value.iterations == 1
+    assert err.value.gradient_norm == pytest.approx(4.0)  # |sum of x1| with w = 0

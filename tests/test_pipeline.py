@@ -64,6 +64,39 @@ def test_ingest_empty(csv_file):
         ingest_csv(path, ColumnSpec("revenue", "year"))
 
 
+def test_ingest_blank_lines_are_skipped_and_not_numbered(csv_file):
+    path = csv_file(["2015,1.0", "", "2016,2.0", "", ""])
+    pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
+    assert report.rows_in == 2 and report.rows_dropped == 0
+    path = csv_file(["", "2015,1.0", "", "2015,x"])
+    with pytest.raises(CsvParseError) as err:
+        ingest_csv(path, ColumnSpec("revenue", "year"))
+    assert err.value.row == 3
+
+
+def test_ingest_short_rows_read_empty_cells(csv_file):
+    path = csv_file(["2015,1.0,a", "2015", "2016,2.0", " 2016 ,3.0,b,extra"], header="year,revenue,note")
+    pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
+    assert report.rows_in == 4 and report.rows_dropped == 1
+    np.testing.assert_array_equal(pops["2016"], [2.0, 3.0])
+    path = csv_file(["1.0", "2.0,2016"], header="revenue,year")
+    pops, _ = ingest_csv(path, ColumnSpec("revenue", "year"))
+    np.testing.assert_array_equal(pops[""], [1.0])
+
+
+def test_ingest_malformed_row_number_counts_dropped_rows(csv_file):
+    path = csv_file(["2015,", "2015,0", "2015,nan", "2015,1e400x"])
+    with pytest.raises(CsvParseError) as err:
+        ingest_csv(path, ColumnSpec("revenue", "year", transform="log"))
+    assert err.value.row == 5
+
+
+def test_ingest_duplicate_header_reads_last_column(csv_file):
+    path = csv_file(["2015,1.0,2.0"], header="year,revenue,revenue")
+    pops, _ = ingest_csv(path, ColumnSpec("revenue", "year"))
+    np.testing.assert_array_equal(pops["2015"], [2.0])
+
+
 def synthetic_populations(seed=5, n_base=4000, n_target=1500):
     gen = np.random.default_rng(seed)
     return {
