@@ -167,7 +167,7 @@ def _cmd_study(args) -> int:
     return 0
 
 
-def _add_csv_args(p, with_groups=True):
+def _add_csv_args(p):
     p.add_argument("--data", required=True, help="input CSV file")
     p.add_argument("--value-col", required=True)
     p.add_argument("--group-col", required=True)
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["drm", "normal", "normal-common", "exponential", "empirical"],
         default="drm",
     )
-    p.add_argument("--family", dest="method", help=argparse.SUPPRESS)
     p.add_argument("--basis", choices=["linear", "quadratic", "linear-log"], default="quadratic")
     p.add_argument("--levels", default="0.05,0.5,0.95")
     p.add_argument("--ci-level", type=float, default=0.95)

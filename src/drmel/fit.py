@@ -140,7 +140,7 @@ def fit_mele(
     Raises :class:`SingularBasisError` when the basis is collinear on the
     pooled sample and :class:`NonConvergenceError` when the gradient test
     fails after the iteration budget, a failed line search or a singular
-    Newton system.
+    Newton system, or when the basis separates the samples.
     """
     opts = options or SolverOptions()
     n0, n1 = data.n0, data.n1
@@ -218,6 +218,15 @@ def fit_mele(
                 gradient_norm=grad_norm,
             )
         converged = True
+    # l(theta) < -n0 log n0 - n1 log n1, and only theta -> infinity on samples
+    # the basis separates comes this close: no finite maximizer exists
+    if val >= -n0 * math.log(n0) - n1 * math.log(n1) - 1e-6 * data.n:
+        raise NonConvergenceError(
+            f"the basis separates the samples, so no finite maximizer exists "
+            f"(log-EL {val:.6g} at its supremum after {it} iterations)",
+            iterations=it,
+            gradient_norm=grad_norm,
+        )
 
     return DrmFit(
         theta_hat=theta,

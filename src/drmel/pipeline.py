@@ -11,29 +11,24 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .basis import BasisSpec
 from .errors import (
     CsvParseError,
-    DrmError,
     EmptyGroupError,
     InvalidArgumentError,
     InvalidLevelError,
 )
 from .nonparametric import Ecdf, empirical_quantile
 from .simulate import (
-    _PARAMETRIC_TAGS,
-    METHOD_DRM,
-    METHOD_EMPIRICAL,
-    SimulationRow,
+    _METHOD_BASES,
     SimulationTable,
-    method_estimates,
+    _resolve_methods,
+    _run_replicates,
     replicate_rng,
-    scaled_errors,
 )
 
 __all__ = [
@@ -45,9 +40,7 @@ __all__ = [
     "STUDY_METHODS",
 ]
 
-# DRM study methods by name, each with its basis
-_DRM_METHODS = {f"drm-{b}": BasisSpec.from_name(b) for b in ("linear", "quadratic", "linear-log")}
-STUDY_METHODS = tuple(_DRM_METHODS) + tuple(_PARAMETRIC_TAGS) + (METHOD_EMPIRICAL,)
+STUDY_METHODS = tuple(_METHOD_BASES)
 
 
 @dataclass(frozen=True)
@@ -140,35 +133,24 @@ class ResampleStudy:
         for p in self.levels:
             if not 0.0 < p < 1.0:
                 raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-        for m in self.methods:
-            if m not in STUDY_METHODS:
-                raise InvalidArgumentError(f"unknown method {m!r}")
+        _resolve_methods(self.methods)
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "n0_grid", tuple(int(v) for v in self.n0_grid))
         object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
+        for n in (*self.n0_grid, *self.n_grid):
+            if n < 1:
+                raise InvalidArgumentError(f"grid sample sizes must be >= 1, got {n}")
         object.__setattr__(self, "levels", tuple(float(p) for p in self.levels))
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-def _study_replicate(args):
-    """One replicate of one (n0, n) combination across all targets."""
-    study, base_pop, target_pops, n0, n, stream_index, r = args
-    rng = replicate_rng(study.seed, stream_index * study.reps + r)
+def _draw_study(seed: int, reps: int, cells, base_pop, target_pops, key):
+    """Replicate r of grid cell ``cell``: x0 first, then each target in order."""
+    cell, r = key
+    n0, n = cells[cell]
+    rng = replicate_rng(seed, cell * reps + r)
     x0 = base_pop[rng.integers(0, base_pop.size, n0)]
-    out: dict[tuple[str, float, str], float] = {}
-    failed: set[tuple[str, str]] = set()
-    for target, pop in target_pops.items():
-        x1 = pop[rng.integers(0, pop.size, n)]
-        for method in study.methods:
-            basis = _DRM_METHODS.get(method)
-            try:
-                found = method_estimates(
-                    METHOD_DRM if basis is not None else method, x0, x1, study.levels, basis
-                )
-                out.update(((target, p, method), est) for p, est in found.items())
-            except DrmError:
-                failed.add((target, method))
-    return out, failed
+    return x0, {t: pop[rng.integers(0, pop.size, n)] for t, pop in target_pops.items()}
 
 
 def run_resample_study(
@@ -183,49 +165,12 @@ def run_resample_study(
     for label in (study.base, *study.targets):
         if label not in populations:
             raise EmptyGroupError(f"population {label!r} not found in the data")
-    base_pop = populations[study.base]
-    target_pops = {t: populations[t] for t in study.targets}
-    truths = {
-        (t, p): empirical_quantile(Ecdf.from_sample(pop), p)
-        for t, pop in target_pops.items()
-        for p in study.levels
-    }
-
-    rows = []
-    for stream_index, (n0, n) in enumerate(
-        (a, b) for a in study.n0_grid for b in study.n_grid
-    ):
-        tasks = [
-            (study, base_pop, target_pops, n0, n, stream_index, r)
-            for r in range(study.reps)
-        ]
-        if workers <= 1:
-            results = [_study_replicate(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_study_replicate, tasks, chunksize=8))
-
-        values: dict[tuple[str, float, str], list[float]] = {
-            (t, p, m): []
-            for t in study.targets
-            for p in study.levels
-            for m in study.methods
-        }
-        fail_counts = {(t, m): 0 for t in study.targets for m in study.methods}
-        for out, failed in results:
-            for key in failed:
-                fail_counts[key] += 1
-            for key, v in out.items():
-                values[key].append(v)
-
-        scenario_id = f"n0={n0},n={n}"
-        for p in study.levels:
-            for m in study.methods:
-                per_target = [
-                    scaled_errors(values[(t, p, m)], truths[(t, p)], n,
-                                  fail_counts[(t, m)] / study.reps)
-                    for t in study.targets
-                ]
-                agg = [float(np.mean(col)) for col in zip(*per_target)]
-                rows.append(SimulationRow(scenario_id, p, m, *agg))
-    return SimulationTable(rows=tuple(rows))
+    truths = {t: {p: empirical_quantile(Ecdf.from_sample(populations[t]), p) for p in study.levels}
+              for t in study.targets}
+    cells = [(n0, n) for n0 in study.n0_grid for n in study.n_grid]
+    sampler = partial(_draw_study, study.seed, study.reps, cells, populations[study.base],
+                      {t: populations[t] for t in study.targets})
+    return _run_replicates(
+        sampler, [(f"n0={n0},n={n}", n) for n0, n in cells], study.reps,
+        _resolve_methods(study.methods), truths, study.levels, None, workers,
+    )

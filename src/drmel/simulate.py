@@ -10,8 +10,10 @@ reproducibility.
 from __future__ import annotations
 
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -53,6 +55,23 @@ _PARAMETRIC_TAGS = {
     METHOD_NORMAL_COMMON: NORMAL_COMMON,
     METHOD_EXPONENTIAL: EXPONENTIAL,
 }
+# the DRM basis of each method name, None for the others; "drm" alone takes
+# the basis of its scenario
+_METHOD_BASES = {
+    **{f"drm-{b}": BasisSpec.from_name(b) for b in ("linear", "quadratic", "linear-log")},
+    **dict.fromkeys(_PARAMETRIC_TAGS),
+    METHOD_EMPIRICAL: None,
+}
+
+
+def _resolve_methods(names, drm_basis: BasisSpec | None = None) -> tuple:
+    """(name, DRM basis or None) per method name; ``drm`` is known only with
+    a ``drm_basis``. Raises :class:`InvalidArgumentError` on an unknown name."""
+    bases = _METHOD_BASES if drm_basis is None else {METHOD_DRM: drm_basis, **_METHOD_BASES}
+    for name in names:
+        if not isinstance(name, str) or name not in bases:
+            raise InvalidArgumentError(f"unknown method {name!r}")
+    return tuple((name, bases[name]) for name in names)
 
 
 @dataclass(frozen=True)
@@ -151,12 +170,11 @@ class Scenario:
         for p in self.levels:
             if not 0.0 < p < 1.0:
                 raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-        if METHOD_EXPONENTIAL in self.methods:
-            for gen in (self.generator0, self.generator1):
-                if not isinstance(gen, Exponential):
-                    raise InvalidArgumentError(
-                        "the exponential MLE method needs exponential generators"
-                    )
+        _resolve_methods(self.methods, self.basis)
+        if METHOD_EXPONENTIAL in self.methods and not all(
+            isinstance(gen, Exponential) for gen in (self.generator0, self.generator1)
+        ):
+            raise InvalidArgumentError("the exponential MLE method needs exponential generators")
         object.__setattr__(self, "levels", tuple(float(p) for p in self.levels))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -240,8 +258,8 @@ def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
 def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None,
                      solver: SolverOptions | None = None) -> dict[float, float]:
     """Quantile estimates {level: estimate} of one method on one sample pair;
-    ``basis`` and ``solver`` serve the DRM method."""
-    if method == METHOD_DRM:
+    a method with a ``basis`` is a DRM fit, which ``solver`` serves."""
+    if basis is not None:
         data = TwoSampleData(x0=x0, x1=x1)
         cdf = estimate_g1(fit_mele(data, basis, solver), data, basis)
         return {p: drm_quantile(cdf, p) for p in levels}
@@ -254,26 +272,79 @@ def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None,
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
-def _replicate_estimates(scenario: Scenario, r: int):
-    """One replicate: returns ({(p, method): estimate}, {failed methods})."""
-    rng = replicate_rng(scenario.seed, r)
-    x0 = sample(scenario.generator0, scenario.n0, rng)
-    x1 = sample(scenario.generator1, scenario.n1, rng)
-    estimates: dict[tuple[float, str], float] = {}
-    failed: set[str] = set()
-    for method in scenario.methods:
-        try:
-            found = method_estimates(
-                method, x0, x1, scenario.levels, scenario.basis, scenario.solver
-            )
-            estimates.update(((p, method), est) for p, est in found.items())
-        except DrmError:
-            failed.add(method)
+def _replicate(state, key):
+    """One replicate: ({(target, p, method): estimate}, {(target, method) failed})."""
+    sampler, methods, levels, solver = state
+    x0, samples = sampler(key)
+    estimates: dict[tuple[str, float, str], float] = {}
+    failed: set[tuple[str, str]] = set()
+    for target, x1 in samples.items():
+        for method, basis in methods:
+            try:
+                found = method_estimates(method, x0, x1, levels, basis, solver)
+            except DrmError:
+                failed.add((target, method))
+            else:
+                estimates.update(((target, p, method), est) for p, est in found.items())
     return estimates, failed
 
 
-def _replicate_batch(scenario: Scenario, indices):
-    return [_replicate_estimates(scenario, r) for r in indices]
+_worker_state = None  # in a pool worker, the state of the run it serves
+
+
+def _init_worker(blob: bytes) -> None:
+    global _worker_state
+    _worker_state = pickle.loads(blob)
+
+
+def _worker_replicate(key):
+    return _replicate(_worker_state, key)
+
+
+def _run_replicates(sampler, cells, reps: int, methods, truths, levels,
+                    solver: SolverOptions | None, workers: int) -> SimulationTable:
+    """The replicate engine: rows of scaled errors per cell, level and method.
+
+    ``sampler((cell, r))`` draws replicate r of cell number ``cell`` as
+    ``(x0, {target: x1})``; ``cells`` holds each cell's ``(scenario_id, n)``,
+    ``methods`` the ``(name, DRM basis or None)`` pairs and ``truths`` the
+    ``{target: {level: true quantile}}``. A row averages the scaled errors
+    of the targets, unweighted. Results are collected in key order, so the
+    table does not depend on the worker count.
+    """
+    state = (sampler, methods, levels, solver)
+    keys = [(c, r) for c in range(len(cells)) for r in range(reps)]
+    if workers <= 1:
+        results = [_replicate(state, key) for key in keys]
+    else:
+        try:  # pickled once, so each worker receives it once
+            blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise InvalidArgumentError(
+                f"cannot send the run to worker processes ({exc}); use workers=1"
+            ) from None
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
+            results = list(pool.map(_worker_replicate, keys,
+                                    chunksize=max(1, len(keys) // (4 * workers))))
+    rows = []
+    for c, (scenario_id, n) in enumerate(cells):
+        cell = results[c * reps:(c + 1) * reps]
+        for p in levels:
+            for m, _ in methods:
+                per_target = [
+                    scaled_errors([est[(t, p, m)] for est, _ in cell if (t, p, m) in est],
+                                  truth[p], n, sum((t, m) in failed for _, failed in cell) / reps)
+                    for t, truth in truths.items()
+                ]
+                agg = [float(np.mean(col)) for col in zip(*per_target)]
+                rows.append(SimulationRow(scenario_id, p, m, *agg))
+    return SimulationTable(rows=tuple(rows))
+
+
+def _draw_scenario(scenario: Scenario, key):
+    rng = replicate_rng(scenario.seed, key[1])
+    x0 = sample(scenario.generator0, scenario.n0, rng)
+    return x0, {scenario.scenario_id: sample(scenario.generator1, scenario.n1, rng)}
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationTable:
@@ -284,35 +355,10 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationTable:
     depend only on (seed, replicate index) and aggregation is ordered by
     replicate index.
     """
-    indices = list(range(scenario.reps))
-    if workers <= 1:
-        results = _replicate_batch(scenario, indices)
-    else:
-        chunks = [indices[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replicate_batch, [scenario] * len(chunks), chunks))
-        merged: dict[int, tuple] = {}
-        for chunk, part in zip(chunks, parts):
-            for r, res in zip(chunk, part):
-                merged[r] = res
-        results = [merged[r] for r in indices]
-
-    fail_counts = {m: 0 for m in scenario.methods}
-    values: dict[tuple[float, str], list[float]] = {
-        (p, m): [] for p in scenario.levels for m in scenario.methods
-    }
-    for estimates, failed in results:
-        for m in failed:
-            fail_counts[m] += 1
-        for key, v in estimates.items():
-            values[key].append(v)
-
-    rows = []
-    for p in scenario.levels:
-        truth = true_quantile(scenario.generator1, p)
-        for m in scenario.methods:
-            rows.append(SimulationRow(
-                scenario.scenario_id, p, m,
-                *scaled_errors(values[(p, m)], truth, scenario.n1, fail_counts[m] / scenario.reps),
-            ))
-    return SimulationTable(rows=tuple(rows))
+    truths = {scenario.scenario_id: {p: true_quantile(scenario.generator1, p)
+                                     for p in scenario.levels}}
+    return _run_replicates(
+        partial(_draw_scenario, scenario), [(scenario.scenario_id, scenario.n1)], scenario.reps,
+        _resolve_methods(scenario.methods, scenario.basis), truths, scenario.levels,
+        scenario.solver, workers,
+    )

@@ -145,3 +145,16 @@ def test_study_end_to_end(data_csv, tmp_path):
     )
     # 2 levels x 4 default methods
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("flag, value", [("--n", 0), ("--n", -3), ("--n0", 0)])
+def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
+    args = [
+        "study", "--data", data_csv, "--value-col", "revenue",
+        "--group-col", "year", "--base", "2015", "--targets", "2016", "--reps", 2,
+    ]
+    for name, size in {"--n0": 300, "--n": 60, flag: value}.items():
+        args += [name, size]
+    code = run_cli(args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

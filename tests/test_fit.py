@@ -207,6 +207,24 @@ def test_non_convergence_reports_diagnostics(rng):
     assert err.value.gradient_norm is not None
 
 
+@pytest.mark.parametrize(
+    "x0, x1, spec",
+    [
+        (np.linspace(0, 1, 50), np.linspace(2, 3, 20), BasisSpec.linear()),
+        # x1 between two blocks of x0: the square term separates them
+        (np.r_[np.linspace(-3, -2, 30), np.linspace(2, 3, 30)], np.linspace(-0.5, 0.5, 20),
+         BasisSpec.quadratic()),
+    ],
+    ids=["linear", "quadratic"],
+)
+def test_separated_samples_raise_typed_error(x0, x1, spec):
+    # No finite maximizer exists; the gradient only underflows as theta grows.
+    with pytest.raises(NonConvergenceError, match="separates") as err:
+        fit_mele(TwoSampleData(x0=x0, x1=x1), spec)
+    assert err.value.iterations > 0
+    assert err.value.gradient_norm is not None
+
+
 def two_branch_log_denom(u, n0, n1):
     """log(n0 + n1*exp(u)) split at u = 0 so that neither exp overflows."""
     out = np.empty_like(u)

@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from drmel import (
     ColumnSpec,
     CsvParseError,
     EmptyGroupError,
+    InvalidArgumentError,
     ResampleStudy,
     ingest_csv,
     run_resample_study,
@@ -151,6 +154,43 @@ def test_study_determinism_across_workers():
     t1 = run_resample_study(study, pops)
     t2 = run_resample_study(study, pops, workers=2)
     assert t1.rows == t2.rows
+
+
+def test_study_grid_runs_in_one_pool(monkeypatch):
+    import drmel.simulate
+
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(drmel.simulate, "ProcessPoolExecutor", CountingPool)
+    pops = synthetic_populations(n_base=400, n_target=200)
+    study = ResampleStudy(
+        base="base",
+        targets=("t1", "t2"),
+        n0_grid=(100, 200),
+        n_grid=(20, 40),
+        levels=(0.5,),
+        methods=("drm-linear", "empirical"),
+        reps=6,
+        seed=4,
+    )
+    pooled = run_resample_study(study, pops, workers=2)
+    assert len(opened) == 1
+    # the populations travel once per worker, in the initializer's arguments
+    assert pops["base"].tobytes() in opened[0]["initargs"][0]
+    assert pooled.rows == run_resample_study(study, pops).rows
+    assert len({r.scenario_id for r in pooled.rows}) == 4
+
+
+def test_study_rejects_grid_sizes_below_one():
+    for grids in (((0,), (5,)), ((10,), (5, 0)), ((10,), (-3,))):
+        with pytest.raises(InvalidArgumentError):
+            ResampleStudy(base="b", targets=("t",), n0_grid=grids[0], n_grid=grids[1],
+                          levels=(0.5,), reps=1)
 
 
 def test_identical_populations_center_tilt_near_zero():

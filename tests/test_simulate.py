@@ -102,6 +102,18 @@ def test_exponential_method_requires_exponential_generators():
         small_scenario(methods=("parametric-exponential",))
 
 
+def test_unknown_method_rejected_at_construction():
+    with pytest.raises(InvalidArgumentError, match="emprical"):
+        small_scenario(methods=("drm", "emprical"))
+
+
+def test_unpicklable_basis_with_workers_raises_typed_error():
+    scenario = small_scenario(basis=BasisSpec.custom([lambda x: x]), methods=("drm",), reps=2)
+    assert run_scenario(scenario, workers=1).row(0.5, "drm").fail_frac == 0.0
+    with pytest.raises(InvalidArgumentError, match="workers=1"):
+        run_scenario(scenario, workers=2)
+
+
 def test_scenario_validation():
     with pytest.raises(InvalidArgumentError):
         small_scenario(reps=0)
