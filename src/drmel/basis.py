@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidArgumentError
 
 __all__ = ["BasisSpec", "evaluate", "evaluate_matrix"]
 
@@ -53,15 +53,9 @@ class BasisSpec:
 
     @classmethod
     def from_name(cls, name: str) -> "BasisSpec":
-        table = {
-            "linear": cls.linear,
-            "quadratic": cls.quadratic,
-            "linear-log": cls.linear_log,
-        }
-        try:
-            return table[name]()
-        except KeyError:
-            raise ValueError(f"unknown basis name {name!r}") from None
+        if name not in ("linear", "quadratic", "linear-log"):
+            raise InvalidArgumentError(f"unknown basis name {name!r}")
+        return cls(kind=name)
 
     @property
     def dimension(self) -> int:
@@ -75,42 +69,36 @@ class BasisSpec:
         raise ValueError(f"unknown basis kind {self.kind!r}")
 
 
-def evaluate_matrix(spec: BasisSpec, xs) -> np.ndarray:
-    """Row i is q(xs[i]); shape (n, spec.dimension).
-
-    Raises :class:`DomainError` naming the first offending index when a
-    transform is undefined at some xs[i].
+def evaluate_matrix(spec: BasisSpec, *xs) -> np.ndarray:
+    """Row i is q(x_i) for the points of ``xs`` (one array, or several pooled
+    in order); shape (n, spec.dimension), the transpose of a C-ordered (d, n)
+    block. Raises :class:`DomainError` naming the first offending index when
+    a transform is undefined at some point.
     """
-    x = np.asarray(xs, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
-    n = x.size
-    ones = np.ones(n)
-
-    if spec.kind == "linear":
-        return np.column_stack([ones, x])
+    parts = [np.ravel(np.asarray(x, dtype=float)) for x in xs]
+    n = sum(x.size for x in parts)
+    block = np.empty((spec.dimension, n))
+    block[0] = 1.0
+    x = np.concatenate(parts, out=np.empty(n) if spec.kind == "custom" else block[1])
     if spec.kind == "quadratic":
-        return np.column_stack([ones, x, x * x])
-    if spec.kind == "linear-log":
+        np.multiply(x, x, out=block[2])
+    elif spec.kind == "linear-log":
         bad = np.flatnonzero(~(x > 0))
         if bad.size:
             i = int(bad[0])
             raise DomainError(f"log undefined at index {i} (x={x[i]!r})", index=i)
-        return np.column_stack([ones, x, np.log(x)])
-    if spec.kind == "custom":
-        cols = [ones]
-        for t in spec.transforms:
+        np.log(x, out=block[2])
+    elif spec.kind == "custom":
+        for row, t in zip(block[1:], spec.transforms):
             with np.errstate(all="ignore"):
-                col = np.asarray(t(x), dtype=float)
-            bad = np.flatnonzero(~np.isfinite(col))
+                row[:] = np.asarray(t(x), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(row))
             if bad.size:
                 i = int(bad[0])
                 raise DomainError(
                     f"custom transform undefined at index {i} (x={x[i]!r})", index=i
                 )
-            cols.append(col)
-        return np.column_stack(cols)
-    raise ValueError(f"unknown basis kind {spec.kind!r}")
+    return block.T
 
 
 def evaluate(spec: BasisSpec, x: float) -> np.ndarray:

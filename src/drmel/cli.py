@@ -102,18 +102,21 @@ def _generator_from_json(obj):
 
 
 def scenario_from_json(obj) -> Scenario:
-    return Scenario(
-        generator0=_generator_from_json(obj["generator0"]),
-        generator1=_generator_from_json(obj["generator1"]),
-        n1=int(obj["n1"]),
-        k=float(obj["k"]),
-        basis=BasisSpec.from_name(obj.get("basis", "quadratic")),
-        levels=tuple(float(p) for p in obj.get("levels", [0.5])),
-        reps=int(obj.get("reps", 1000)),
-        seed=int(obj.get("seed", 0)),
-        methods=tuple(obj.get("methods", [METHOD_DRM, METHOD_EMPIRICAL])),
-        scenario_id=str(obj.get("scenario_id", "scenario")),
-    )
+    try:
+        return Scenario(
+            generator0=_generator_from_json(obj["generator0"]),
+            generator1=_generator_from_json(obj["generator1"]),
+            n1=int(obj["n1"]),
+            k=float(obj["k"]),
+            basis=BasisSpec.from_name(obj.get("basis", "quadratic")),
+            levels=tuple(float(p) for p in obj.get("levels", [0.5])),
+            reps=int(obj.get("reps", 1000)),
+            seed=int(obj.get("seed", 0)),
+            methods=tuple(obj.get("methods", [METHOD_DRM, METHOD_EMPIRICAL])),
+            scenario_id=str(obj.get("scenario_id", "scenario")),
+        )
+    except KeyError as exc:
+        raise InvalidArgumentError(f"scenario JSON lacks the key {exc.args[0]!r}") from None
 
 
 def _cmd_simulate(args) -> int:

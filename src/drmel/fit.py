@@ -5,8 +5,11 @@ The dual profile log-EL for two samples is
     l(theta) = - sum_{k,j} log[n0 + n1 * exp(theta' q(x_kj))]
                + sum_{j<=n1} theta' q(x_1j),
 
-a smooth concave function maximized by a damped Newton iteration with
-analytic gradient and Hessian.
+a smooth concave function maximized by a damped Newton iteration. With
+z = theta' q(x) + log(n1/n0) and e = exp(-|z|), each row's log-denominator is
+L = log n0 + max(z, 0) + log1p(e) and its tilt fraction is w = n1 exp(theta' q - L)
+= (1 if z > 0 else e) / (1 + e): two transcendentals, no overflow. q is the (n, d)
+view of a C-ordered (d, n) block; Hessian row i is -q.T @ (q.T[i] * w(1 - w)).
 """
 
 from __future__ import annotations
@@ -92,23 +95,36 @@ class DrmFit:
 
 
 def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int) -> tuple:
-    """Dual log-EL at theta and its per-point parts, in one overflow-safe pass.
+    """Dual log-EL at theta and its per-point parts (value, L, w), where
+    L = log(n0 + n1 exp(u)) and w = n1 exp(u - L) for u = q @ theta, by the
+    module docstring's formulas. The base weights are exp(-L), the tilted
+    target masses w / n1."""
+    if not theta.any():  # every fit opens at theta = 0, where u = 0 on every row
+        _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
+        L, w = np.full(q.shape[0], L[0]), np.full(q.shape[0], w[0])
+        return float(-np.sum(L)), L, w
+    z = q @ theta
+    value = float(np.sum(z[n0:]))
+    z += math.log(n1 / n0)
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    w = np.where(z > 0, 1.0, e)
+    w /= 1.0 + e
+    np.maximum(z, 0.0, out=z)
+    z += math.log(n0)
+    z += np.log1p(e, out=e)
+    return value - float(np.sum(z)), z, w
 
-    Returns (value, L, w) where L = log(n0 + n1*exp(u)) for u = q @ theta,
-    computed by logaddexp so that no u overflows, and w is the tilt fraction
-    n1*exp(u) / (n0 + n1*exp(u)) = exp(log n1 + u - L). The fitted base
-    weights are exp(-L) and the tilted target masses w / n1.
-    """
-    u = q @ theta
-    log_tilt = math.log(n1) + u
-    log_den = np.logaddexp(math.log(n0), log_tilt)
-    value = float(-np.sum(log_den) + np.sum(u[n0:]))
-    return value, log_den, np.exp(log_tilt - log_den)
+
+def _neg_hessian(qT: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """q' diag(w(1-w)) q from the rows of qT, one row at a time through buf."""
+    s = w * (1.0 - w)
+    return np.array([qT @ np.multiply(row, s, out=buf) for row in qT])
 
 
 def _oracle(data: TwoSampleData, spec: BasisSpec, theta) -> tuple:
     """Basis matrix of the pooled sample and the kernel at theta."""
-    q = evaluate_matrix(spec, data.pooled())
+    q = evaluate_matrix(spec, data.x0, data.x1)
     return q, _kernel(q, np.asarray(theta, dtype=float), data.n0, data.n1)
 
 
@@ -126,7 +142,7 @@ def score(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
 def hessian(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
     """Analytic Hessian of :func:`dual_log_el`; symmetric negative semidefinite."""
     q, (_, _, w) = _oracle(data, spec, theta)
-    h = -(q * (w * (1.0 - w))[:, None]).T @ q
+    h = -_neg_hessian(q.T, w, np.empty(data.n))
     return (h + h.T) / 2.0
 
 
@@ -144,32 +160,34 @@ def fit_mele(
     """
     opts = options or SolverOptions()
     n0, n1 = data.n0, data.n1
-    q = evaluate_matrix(spec, data.pooled())
-    d = q.shape[1]
+    q = evaluate_matrix(spec, data.x0, data.x1)
+    qT, d = q.T, q.shape[1]
 
-    gram = q.T @ q
-    if np.linalg.cond(gram) > opts.max_condition:
+    gram = qT @ q  # not finite when the basis overflows: then as good as singular
+    cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.inf
+    if cond > opts.max_condition:
         raise SingularBasisError(
             "basis components are collinear on the pooled sample "
-            f"(Gram condition number {np.linalg.cond(gram):.3e})"
+            f"(Gram condition number {cond:.3e})"
         )
 
     q1_sum = q[n0:].sum(axis=0)
     theta = np.zeros(d)
     val, log_den, w = _kernel(q, theta, n0, n1)
+    buf = np.empty(data.n)
     grad_tol = n1 * opts.tol_grad
     converged = False
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        grad = q1_sum - q.T @ w
+        grad = q1_sum - qT @ w
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= grad_tol:
             converged = True
             it -= 1
             break
 
-        neg_hess = (q * (w * (1.0 - w))[:, None]).T @ q
+        neg_hess = _neg_hessian(qT, w, buf)
         try:
             step = np.linalg.solve(neg_hess, grad)
         except np.linalg.LinAlgError:
@@ -209,7 +227,7 @@ def fit_mele(
             break
 
     if not converged:
-        grad_norm = float(np.max(np.abs(q1_sum - q.T @ w)))
+        grad_norm = float(np.max(np.abs(q1_sum - qT @ w)))
         if grad_norm > grad_tol:
             raise NonConvergenceError(
                 f"no convergence after {it} iterations "

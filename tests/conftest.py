@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from drmel import BasisSpec, TwoSampleData
+
+# property tests draw the same examples on every run, and few of them
+settings.register_profile("drmel", derandomize=True, max_examples=50, deadline=None, database=None)
+settings.load_profile("drmel")
 
 
 @pytest.fixture

@@ -191,6 +191,7 @@ def test_criterion_3_constraint_identities():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_table1_reproduction(table1):
     drm_001 = table1.row(0.01, "drm").scaled_var
     drm_050 = table1.row(0.5, "drm").scaled_var
@@ -204,6 +205,7 @@ def test_criterion_4_table1_reproduction(table1):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_table3_reproduction(table3):
     mle = table3.row(0.99, "parametric-exponential").scaled_var
     drm = table3.row(0.99, "drm").scaled_var
@@ -217,6 +219,7 @@ def test_criterion_5_table3_reproduction(table3):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_corollary_law(corollary_tables):
     p = 0.05
     g = quantile_density(Normal(0, 1), p)
@@ -232,6 +235,7 @@ def test_criterion_6_corollary_law(corollary_tables):
     report(6, ok, "; ".join(details) + " (within 15%)")
 
 
+@pytest.mark.slow
 def test_criterion_7_efficiency_ordering(table1, table3, corollary_tables):
     paired = {
         "normal-k100": (table1, "parametric-normal"),
@@ -253,6 +257,7 @@ def test_criterion_7_efficiency_ordering(table1, table3, corollary_tables):
     report(7, ok, "DRM var <= empirical and >= 0.9*parametric at every level" + worst)
 
 
+@pytest.mark.slow
 def test_criterion_8_bahadur_trend():
     p = 0.5
     gen1 = Normal(0.0, 1.0)

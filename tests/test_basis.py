@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drmel import BasisSpec, DomainError, evaluate, evaluate_matrix
+from drmel import BasisSpec, DomainError, InvalidArgumentError, evaluate, evaluate_matrix
 
 
 def test_quadratic_point():
@@ -71,3 +71,50 @@ def test_first_component_is_one_and_rows_match(rng):
         assert np.all(mat[:, 0] == 1.0)
         for i, x in enumerate(xs):
             np.testing.assert_array_equal(mat[i], evaluate(spec, x))
+
+
+def column_stack_basis(spec, x):
+    """The basis built column by column, as evaluate_matrix once did."""
+    tails = {
+        "linear": lambda: [x],
+        "quadratic": lambda: [x, x * x],
+        "linear-log": lambda: [x, np.log(x)],
+        "custom": lambda: [t(x) for t in spec.transforms],
+    }
+    return np.column_stack([np.ones(x.size), *tails[spec.kind]()])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BasisSpec.linear(),
+        BasisSpec.quadratic(),
+        BasisSpec.linear_log(),
+        BasisSpec.custom([np.sqrt, np.log1p, np.sin]),
+    ],
+    ids=lambda s: s.kind,
+)
+def test_matrix_is_bitwise_the_column_build(spec, rng):
+    x = np.abs(rng.normal(scale=50.0, size=1001)) + 1e-3
+    mat = evaluate_matrix(spec, x)
+    ref = column_stack_basis(spec, x)
+    assert mat.shape == ref.shape and mat.dtype == ref.dtype
+    assert np.ascontiguousarray(mat).tobytes() == ref.tobytes()
+    assert mat.T.flags.c_contiguous
+    # the samples of a pooled pair, passed in order, give the same rows
+    split = evaluate_matrix(spec, x[:600], x[600:])
+    assert np.ascontiguousarray(split).tobytes() == ref.tobytes()
+
+
+def test_domain_error_index_counts_across_parts():
+    with pytest.raises(DomainError) as err:
+        evaluate_matrix(BasisSpec.linear_log(), [1.0, 2.0], [3.0, 0.0, -1.0])
+    assert err.value.index == 3
+    with pytest.raises(DomainError) as err:
+        evaluate_matrix(BasisSpec.custom([np.sqrt]), [1.0], [4.0, -1.0])
+    assert err.value.index == 2
+
+
+def test_unknown_basis_name_is_a_typed_error():
+    with pytest.raises(InvalidArgumentError, match="cubic"):
+        BasisSpec.from_name("cubic")

@@ -158,3 +158,21 @@ def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
     code = run_cli(args)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda obj: obj.update(basis="cubic"), "'cubic'"),
+        (lambda obj: obj.pop("n1"), "'n1'"),
+        (lambda obj: obj["generator1"].pop("sigma"), "'sigma'"),
+    ],
+    ids=["unknown-basis", "missing-n1", "missing-generator-field"],
+)
+def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, named):
+    obj = json.loads(scenario_json.read_text())
+    edit(obj)
+    scenario_json.write_text(json.dumps(obj))
+    assert run_cli(["simulate", "--scenario", scenario_json]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

@@ -287,3 +287,35 @@ def test_vanished_curvature_raises_typed_error(monkeypatch):
         fit_mele(data, BasisSpec.linear())
     assert err.value.iterations == 1
     assert err.value.gradient_norm == pytest.approx(4.0)  # |sum of x1| with w = 0
+
+
+@pytest.mark.parametrize("n0, n1", [(100_000, 1_000), (3, 7), (1, 1)])
+def test_kernel_at_zero_matches_general_path(n0, n1):
+    from drmel.fit import _kernel
+
+    n = n0 + n1
+    q = np.column_stack([np.ones(n), np.linspace(-3.0, 3.0, n)])
+    value, log_den, w = _kernel(q, np.zeros(2), n0, n1)
+    # rows of zeros give u = 0 with theta nonzero, so the general path runs
+    ref_value, ref_log_den, ref_w = _kernel(np.zeros((n, 1)), np.ones(1), n0, n1)
+    np.testing.assert_array_max_ulp(value, ref_value, maxulp=4)
+    np.testing.assert_array_max_ulp(log_den, ref_log_den, maxulp=4)
+    np.testing.assert_array_max_ulp(w, ref_w, maxulp=4)
+    assert log_den.shape == w.shape == (n,)
+    np.testing.assert_allclose(w, n1 / n, rtol=1e-15)
+    np.testing.assert_allclose(log_den, math.log(n), rtol=1e-15)
+
+
+def test_oracle_hessian_equals_fitter_curvature(rng):
+    from drmel.fit import _kernel, _neg_hessian
+
+    for _ in range(10):
+        data = random_two_sample(rng)
+        spec = random_basis(rng)
+        theta = rng.normal(scale=0.3, size=spec.dimension)
+        q = evaluate_matrix(spec, data.pooled())
+        w = _kernel(q, theta, data.n0, data.n1)[2]
+        reference = (q * (w * (1.0 - w))[:, None]).T @ q
+        h = _neg_hessian(q.T, w, np.empty(data.n))
+        np.testing.assert_allclose(h, reference, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hessian(data, spec, theta), -(h + h.T) / 2.0, rtol=1e-15)
