@@ -56,6 +56,8 @@ from .nonparametric import (
     silverman_bandwidth,
 )
 from .parametric import (
+    Exponential,
+    Normal,
     ParametricFamily,
     fit_parametric,
     parametric_cdf,
@@ -65,8 +67,6 @@ from .parametric import (
 )
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
 from .simulate import (
-    Exponential,
-    Normal,
     Scenario,
     SimulationTable,
     corollary_curve,

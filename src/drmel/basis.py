@@ -48,7 +48,7 @@ class BasisSpec:
         """q(x) = (1, t_1(x), ...) for user-supplied vectorized transforms."""
         transforms = tuple(transforms)
         if not transforms:
-            raise ValueError("custom basis needs at least one transform")
+            raise InvalidArgumentError("custom basis needs at least one transform")
         return cls(kind="custom", transforms=transforms)
 
     @classmethod
@@ -81,7 +81,8 @@ def evaluate_matrix(spec: BasisSpec, *xs) -> np.ndarray:
     block[0] = 1.0
     x = np.concatenate(parts, out=np.empty(n) if spec.kind == "custom" else block[1])
     if spec.kind == "quadratic":
-        np.multiply(x, x, out=block[2])
+        with np.errstate(over="ignore"):  # an infinite x^2 makes fit_mele's Gram check fail
+            np.multiply(x, x, out=block[2])
     elif spec.kind == "linear-log":
         bad = np.flatnonzero(~(x > 0))
         if bad.size:

@@ -8,7 +8,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.special import ndtri
 
 from .basis import BasisSpec
 from .errors import DrmError, InvalidArgumentError
@@ -45,45 +44,48 @@ def _output(path):
 
 
 def _parse_levels(text: str):
-    return tuple(float(v) for v in text.split(",") if v)
+    try:
+        return tuple(float(v) for v in text.split(",") if v)
+    except ValueError:
+        raise InvalidArgumentError(f"levels must be comma-separated numbers: {text!r}") from None
 
 
-def _load_two_samples(args):
+def _load(args, *labels):
+    """The groups of the CSV named by ``args``; each of ``labels`` must be one."""
     spec = ColumnSpec(args.value_col, args.group_col, args.transform)
     populations, report = ingest_csv(args.data, spec)
-    for label in (args.x0, args.x1):
+    for label in labels:
         if label not in populations:
             raise InvalidArgumentError(f"group {label!r} not found in {args.data}")
     if report.rows_dropped:
         print(f"# dropped {report.rows_dropped} of {report.rows_in} rows", file=sys.stderr)
-    return populations[args.x0], populations[args.x1]
+    return populations
 
 
 def _cmd_estimate(args) -> int:
-    x0, x1 = _load_two_samples(args)
-    data = TwoSampleData(x0=x0, x1=x1)
     levels, ci = _parse_levels(args.levels), args.ci_level
+    populations = _load(args, args.x0, args.x1)
+    data = TwoSampleData(x0=populations[args.x0], x1=populations[args.x1])
+    if args.method == "drm":
+        spec = BasisSpec.from_name(args.basis)
+        fit = fit_mele(data, spec, SolverOptions(tol_grad=args.tol_grad, max_iter=args.max_iter))
+        model = FittedDrm(data, spec, fit)
+        estimates = [drm_quantile_estimate(model, data, spec, p, ci) for p in levels]
+    elif args.method == "empirical":
+        ecdf = Ecdf.from_sample(data.x1)
+        kde = KdeModel(sample=data.x1, bandwidth=silverman_bandwidth(data.x1))
+
+        def empirical(p):
+            point = empirical_quantile(ecdf, p)
+            avar = empirical_quantile_avar(p, kde_density(kde, point))
+            return QuantileEstimate.normal(p, point, avar, data.n1, ci, "empirical")
+
+        estimates = [empirical(p) for p in levels]
+    else:
+        family = fit_parametric(data, args.method)
+        estimates = [parametric_quantile(family, p, ci) for p in levels]
     with _output(args.out) as out:
         out.write("level,method,point,std_error,ci_low,ci_high\n")
-        if args.method == "drm":
-            spec = BasisSpec.from_name(args.basis)
-            fit = fit_mele(data, spec, SolverOptions(tol_grad=args.tol_grad, max_iter=args.max_iter))
-            model = FittedDrm(data, spec, fit)
-            estimates = (drm_quantile_estimate(model, data, spec, p, ci) for p in levels)
-        elif args.method == "empirical":
-            ecdf = Ecdf.from_sample(x1)
-            kde = KdeModel(sample=x1, bandwidth=silverman_bandwidth(x1))
-            z = float(ndtri(0.5 + ci / 2.0))
-
-            def empirical(p):
-                point = empirical_quantile(ecdf, p)
-                se = float(np.sqrt(empirical_quantile_avar(p, kde_density(kde, point)) / x1.size))
-                return QuantileEstimate(p, point, se, point - z * se, point + z * se, "empirical")
-
-            estimates = map(empirical, levels)
-        else:
-            family = fit_parametric(data, args.method)
-            estimates = (parametric_quantile(family, p, ci) for p in levels)
         for est in estimates:
             out.write(
                 f"{est.level:g},{est.method},{est.point:.10g},{est.std_error:.10g},"
@@ -121,19 +123,20 @@ def scenario_from_json(obj) -> Scenario:
 
 def _cmd_simulate(args) -> int:
     with open(args.scenario) as fh:
-        scenario = scenario_from_json(json.load(fh))
-    table = run_scenario(scenario, workers=args.workers)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{args.scenario} is not valid JSON ({exc})") from None
+    table = run_scenario(scenario_from_json(obj), workers=args.workers)
     with _output(args.out) as out:
         table.to_csv(out)
     return 0
 
 
 def _cmd_kde(args) -> int:
-    spec = ColumnSpec(args.value_col, args.group_col, args.transform)
-    populations, _ = ingest_csv(args.data, spec)
-    if args.group not in populations:
-        raise InvalidArgumentError(f"group {args.group!r} not found in {args.data}")
-    sample = populations[args.group]
+    if args.grid_points < 1:
+        raise InvalidArgumentError(f"--grid-points must be at least 1, got {args.grid_points}")
+    sample = _load(args, args.group)[args.group]
     h = silverman_bandwidth(sample)
     model = KdeModel(sample=sample, bandwidth=h)
     grid = np.linspace(sample.min() - 3 * h, sample.max() + 3 * h, args.grid_points)
@@ -146,10 +149,7 @@ def _cmd_kde(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    spec = ColumnSpec(args.value_col, args.group_col, args.transform)
-    populations, report = ingest_csv(args.data, spec)
-    if report.rows_dropped:
-        print(f"# dropped {report.rows_dropped} of {report.rows_in} rows", file=sys.stderr)
+    populations = _load(args)
     if args.methods:
         methods = tuple(args.methods.split(","))
     else:
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DrmError as exc:
+    except (DrmError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

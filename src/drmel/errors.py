@@ -38,6 +38,13 @@ class InvalidLevelError(InvalidArgumentError):
     """A quantile level is outside the open interval (0, 1)."""
 
 
+def check_level(p) -> float:
+    """``p`` as a float; raises :class:`InvalidLevelError` unless 0 < p < 1."""
+    if not 0.0 < p < 1.0:
+        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+    return float(p)
+
+
 class SingularMomentError(DrmError):
     """A plug-in moment matrix is not positive definite."""
 

@@ -18,13 +18,13 @@ from scipy.special import ndtri
 from .basis import BasisSpec, evaluate_matrix
 from .errors import (
     InvalidArgumentError,
-    InvalidLevelError,
     NonpositiveDensityError,
     NotConvergedError,
     SingularMomentError,
+    check_level,
 )
 from .fit import DrmFit, TwoSampleData, _kernel
-from .nonparametric import KdeModel, kde_density, silverman_bandwidth
+from .nonparametric import KdeModel, empirical_quantile_avar, kde_density, silverman_bandwidth
 
 __all__ = [
     "WeightedCdf",
@@ -75,6 +75,17 @@ class QuantileEstimate:
     ci_low: float
     ci_high: float
     method: str
+
+    @classmethod
+    def normal(cls, level: float, point: float, avar: float, n: int, ci_level: float,
+               method: str) -> "QuantileEstimate":
+        """``point`` with standard error sqrt(avar / n) and the normal confidence
+        interval of coverage ``ci_level``, which must lie strictly between 0 and 1."""
+        if not 0.0 < ci_level < 1.0:
+            raise InvalidArgumentError(f"ci_level must be strictly between 0 and 1, got {ci_level}")
+        se = float(np.sqrt(avar / n))
+        z = float(ndtri(0.5 + ci_level / 2.0))
+        return cls(level, point, se, point - z * se, point + z * se, method)
 
 
 @dataclass(frozen=True)
@@ -189,9 +200,7 @@ def estimate_g0(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> WeightedCd
 
 def drm_quantile(cdf: WeightedCdf, p: float) -> float:
     """Smallest support point whose cumulative mass reaches p."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    idx = int(np.searchsorted(cdf.cumulative, p, side="left"))
+    idx = int(np.searchsorted(cdf.cumulative, check_level(p), side="left"))
     idx = min(idx, cdf.support.size - 1)
     return float(cdf.support[idx])
 
@@ -242,8 +251,7 @@ def avar_quantile(
     quantile, typically from a kernel density estimator.
     """
     model = _fitted(fit, data, spec)
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+    p = check_level(p)
     if not density_at > 0:
         raise NonpositiveDensityError(f"density plug-in must be positive, got {density_at}")
     _, mean_q, var_inv = model.target_moments
@@ -272,13 +280,9 @@ def corollary_variance(k: float, p: float, density_at: float, parametric_avar: f
     """
     if not k >= 0:
         raise InvalidArgumentError(f"sample size ratio k must be nonnegative, got {k}")
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    if not density_at > 0:
-        raise NonpositiveDensityError(f"density must be positive, got {density_at}")
     if parametric_avar < 0:
         raise InvalidArgumentError("parametric variance must be nonnegative")
-    empirical = p * (1.0 - p) / density_at**2
+    empirical = empirical_quantile_avar(p, density_at)
     return empirical / (k + 1.0) + parametric_avar * k / (k + 1.0)
 
 
@@ -294,13 +298,4 @@ def drm_quantile_estimate(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, p: 
     point = drm_quantile(estimate_g1(model, data, spec), p)
     g_hat = kde_density(KdeModel(sample=data.x1, bandwidth=model.bandwidth), point)
     avar = avar_quantile(model, data, spec, p, g_hat)
-    se = float(np.sqrt(avar.value / data.n1))
-    z = float(ndtri(0.5 + ci_level / 2.0))
-    return QuantileEstimate(
-        level=p,
-        point=point,
-        std_error=se,
-        ci_low=point - z * se,
-        ci_high=point + z * se,
-        method="drm",
-    )
+    return QuantileEstimate.normal(p, point, avar.value, data.n1, ci_level, "drm")

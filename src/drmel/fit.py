@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, evaluate_matrix
-from .errors import NonConvergenceError, SingularBasisError
+from .errors import InvalidArgumentError, NonConvergenceError, SingularBasisError
 
 __all__ = [
     "TwoSampleData",
@@ -44,9 +44,9 @@ class TwoSampleData:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         x1 = np.atleast_1d(np.asarray(self.x1, dtype=float))
         if x0.size < 1 or x1.size < 1:
-            raise ValueError("both samples must be nonempty")
+            raise InvalidArgumentError("both samples must be nonempty")
         if not (np.isfinite(x0).all() and np.isfinite(x1).all()):
-            raise ValueError("samples must contain only finite values")
+            raise InvalidArgumentError("samples must contain only finite values")
         x0.setflags(write=False)
         x1.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -163,7 +163,8 @@ def fit_mele(
     q = evaluate_matrix(spec, data.x0, data.x1)
     qT, d = q.T, q.shape[1]
 
-    gram = qT @ q  # not finite when the basis overflows: then as good as singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = qT @ q  # not finite when the basis overflows: then as good as singular
     cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.inf
     if cond > opts.max_condition:
         raise SingularBasisError(

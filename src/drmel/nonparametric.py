@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import DegenerateSampleError, InvalidLevelError, NonpositiveDensityError
+from .errors import DegenerateSampleError, InvalidArgumentError, NonpositiveDensityError, check_level
 
 __all__ = [
     "Ecdf",
@@ -31,7 +31,7 @@ class Ecdf:
     def from_sample(cls, sample) -> "Ecdf":
         s = np.sort(np.asarray(sample, dtype=float))
         if s.size < 1:
-            raise ValueError("sample must be nonempty")
+            raise InvalidArgumentError("sample must be nonempty")
         return cls(sorted_sample=s, n=s.size)
 
     def evaluate(self, x: float) -> float:
@@ -40,17 +40,14 @@ class Ecdf:
 
 def empirical_quantile(ecdf: Ecdf, p: float) -> float:
     """Type-1 (left-continuous inverse) sample quantile: x_(ceil(n*p))."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    idx = int(math.ceil(ecdf.n * p)) - 1
+    idx = int(math.ceil(ecdf.n * check_level(p))) - 1
     idx = max(idx, 0)
     return float(ecdf.sorted_sample[idx])
 
 
 def empirical_quantile_avar(p: float, density_at: float) -> float:
     """Asymptotic variance p(1-p)/g^2 of the sample quantile."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+    p = check_level(p)
     if not density_at > 0:
         raise NonpositiveDensityError(f"density must be positive, got {density_at}")
     return p * (1.0 - p) / density_at**2
@@ -63,7 +60,7 @@ class KdeModel:
 
     def __post_init__(self):
         if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+            raise InvalidArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
 
 

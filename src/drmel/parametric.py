@@ -1,9 +1,11 @@
-"""Parametric maximum-likelihood baselines for the two-sample problem.
+"""Parametric populations and maximum-likelihood baselines for the two-sample problem.
 
-Three families with closed-form MLEs and quantile variances: normal with
-free per-sample variances, normal with a common variance, and exponential.
-These are the efficiency benchmarks the density-ratio estimators are
-compared against.
+``Normal`` and ``Exponential`` carry their closed forms: ``ppf`` (inverse CDF
+of an array of uniforms), ``quantile``, ``cdf``, ``density_at_quantile`` and
+``quantile_avar``. Three families with closed-form MLEs, normal with free
+per-sample variances, normal with a common variance, and exponential, are the
+efficiency benchmarks the density-ratio estimators are compared against;
+:attr:`ParametricFamily.target` is the fitted target population.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from scipy.stats import expon, norm
 from .errors import (
     DegenerateSampleError,
     DomainError,
-    InvalidLevelError,
+    InvalidArgumentError,
     UnsupportedCombinationError,
+    check_level,
 )
 from .estimators import QuantileEstimate
 from .fit import TwoSampleData
 
 __all__ = [
+    "Normal",
+    "Exponential",
     "NORMAL_FREE",
     "NORMAL_COMMON",
     "EXPONENTIAL",
@@ -39,6 +44,64 @@ __all__ = [
 NORMAL_FREE = "normal"
 NORMAL_COMMON = "normal-common"
 EXPONENTIAL = "exponential"
+
+
+@dataclass(frozen=True)
+class Normal:
+    """Normal population with mean ``mu`` and standard deviation ``sigma``."""
+
+    mu: float
+    sigma: float
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
+
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        return self.mu + self.sigma * ndtri(u)
+
+    def quantile(self, p: float) -> float:
+        return self.mu + self.sigma * float(ndtri(check_level(p)))
+
+    def cdf(self, x):
+        return norm.cdf(x, loc=self.mu, scale=self.sigma)
+
+    def density_at_quantile(self, p: float) -> float:
+        return float(norm.pdf(ndtri(check_level(p)))) / self.sigma
+
+    def quantile_avar(self, p: float, share: float = 1.0) -> float:
+        """sigma^2 * (1 + share * z_p^2 / 2), where ``share`` is the target's
+        share of the data sigma was fitted on: n1/n for a pooled variance."""
+        z = float(ndtri(check_level(p)))
+        return self.sigma**2 * (1.0 + share * z**2 / 2.0)
+
+
+@dataclass(frozen=True)
+class Exponential:
+    """Exponential population with mean ``mean``."""
+
+    mean: float
+
+    def __post_init__(self):
+        if not self.mean > 0:
+            raise InvalidArgumentError(f"mean must be positive, got {self.mean}")
+
+    # np.log1p (ppf) and math.log1p (scalars) can differ in the last bit; each keeps its outputs
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        return -self.mean * np.log1p(-u)
+
+    def quantile(self, p: float) -> float:
+        return -self.mean * math.log1p(-check_level(p))
+
+    def cdf(self, x):
+        return expon.cdf(x, scale=self.mean)
+
+    def density_at_quantile(self, p: float) -> float:
+        return (1.0 - check_level(p)) / self.mean
+
+    def quantile_avar(self, p: float) -> float:
+        """mean^2 * log^2(1 - p)."""
+        return self.mean**2 * math.log1p(-check_level(p)) ** 2
 
 
 @dataclass(frozen=True)
@@ -58,6 +121,13 @@ class ParametricFamily:
     n0: int
     n1: int
 
+    @property
+    def target(self) -> Normal | Exponential:
+        """The fitted target population."""
+        if self.tag == EXPONENTIAL:
+            return Exponential(self.mu1)
+        return Normal(self.mu1, self.sigma1)
+
 
 def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
     """Closed-form MLEs; variance estimates use divisor n_k, not n_k - 1."""
@@ -69,9 +139,11 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
             raise DomainError("exponential family requires strictly positive data")
         return ParametricFamily(EXPONENTIAL, mu0, mu1, None, None, data.n0, data.n1)
 
+    if family_tag not in (NORMAL_FREE, NORMAL_COMMON):
+        raise UnsupportedCombinationError(f"unknown family tag {family_tag!r}")
+    if data.n0 < 2 or data.n1 < 2:
+        raise DegenerateSampleError("need at least two points per sample")
     if family_tag == NORMAL_FREE:
-        if data.n0 < 2 or data.n1 < 2:
-            raise DegenerateSampleError("need at least two points per sample")
         v0 = float(np.mean((x0 - mu0) ** 2))
         v1 = float(np.mean((x1 - mu1) ** 2))
         if v0 <= 0 or v1 <= 0:
@@ -79,23 +151,11 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
         return ParametricFamily(
             NORMAL_FREE, mu0, mu1, math.sqrt(v0), math.sqrt(v1), data.n0, data.n1
         )
-
-    if family_tag == NORMAL_COMMON:
-        if data.n0 < 2 or data.n1 < 2:
-            raise DegenerateSampleError("need at least two points per sample")
-        pooled = (np.sum((x0 - mu0) ** 2) + np.sum((x1 - mu1) ** 2)) / data.n
-        if pooled <= 0:
-            raise DegenerateSampleError("zero pooled variance")
-        s = math.sqrt(float(pooled))
-        return ParametricFamily(NORMAL_COMMON, mu0, mu1, s, s, data.n0, data.n1)
-
-    raise UnsupportedCombinationError(f"unknown family tag {family_tag!r}")
-
-
-def _target_quantile(family: ParametricFamily, p: float) -> float:
-    if family.tag == EXPONENTIAL:
-        return -family.mu1 * math.log1p(-p)
-    return family.mu1 + float(ndtri(p)) * family.sigma1
+    pooled = (np.sum((x0 - mu0) ** 2) + np.sum((x1 - mu1) ** 2)) / data.n
+    if pooled <= 0:
+        raise DegenerateSampleError("zero pooled variance")
+    s = math.sqrt(float(pooled))
+    return ParametricFamily(NORMAL_COMMON, mu0, mu1, s, s, data.n0, data.n1)
 
 
 def parametric_quantile_avar(family: ParametricFamily, p: float) -> float:
@@ -106,41 +166,23 @@ def parametric_quantile_avar(family: ParametricFamily, p: float) -> float:
     Normal (common variance): the z_p^2/2 term shrinks by n1/n because the
     pooled variance estimate uses both samples.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    if family.tag == EXPONENTIAL:
-        return family.mu1**2 * math.log1p(-p) ** 2
-    z = float(ndtri(p))
-    if family.tag == NORMAL_FREE:
-        return family.sigma1**2 * (1.0 + z**2 / 2.0)
-    n = family.n0 + family.n1
-    return family.sigma1**2 * (1.0 + (family.n1 / n) * z**2 / 2.0)
+    if family.tag == NORMAL_COMMON:
+        return family.target.quantile_avar(p, family.n1 / (family.n0 + family.n1))
+    return family.target.quantile_avar(p)
 
 
 def parametric_quantile(
     family: ParametricFamily, p: float, ci_level: float = 0.95
 ) -> QuantileEstimate:
     """Closed-form quantile MLE with its plug-in standard error and CI."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    point = _target_quantile(family, p)
-    se = math.sqrt(parametric_quantile_avar(family, p) / family.n1)
-    z = float(ndtri(0.5 + ci_level / 2.0))
-    return QuantileEstimate(
-        level=p,
-        point=point,
-        std_error=se,
-        ci_low=point - z * se,
-        ci_high=point + z * se,
-        method=f"parametric-{family.tag}",
-    )
+    avar = parametric_quantile_avar(family, p)
+    return QuantileEstimate.normal(p, family.target.quantile(p), avar, family.n1, ci_level,
+                                   f"parametric-{family.tag}")
 
 
 def parametric_cdf(family: ParametricFamily, x: float) -> float:
     """Fitted CDF of the target population at x."""
-    if family.tag == EXPONENTIAL:
-        return float(expon.cdf(x, scale=family.mu1))
-    return float(norm.cdf(x, loc=family.mu1, scale=family.sigma1))
+    return float(family.target.cdf(x))
 
 
 def theta_from_submodel(family: ParametricFamily) -> np.ndarray:

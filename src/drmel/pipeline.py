@@ -20,7 +20,7 @@ from .errors import (
     CsvParseError,
     EmptyGroupError,
     InvalidArgumentError,
-    InvalidLevelError,
+    check_level,
 )
 from .nonparametric import Ecdf, empirical_quantile
 from .simulate import (
@@ -130,9 +130,7 @@ class ResampleStudy:
             raise InvalidArgumentError("reps must be >= 1")
         if not self.targets:
             raise InvalidArgumentError("at least one target population required")
-        for p in self.levels:
-            if not 0.0 < p < 1.0:
-                raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+        object.__setattr__(self, "levels", tuple(check_level(p) for p in self.levels))
         _resolve_methods(self.methods)
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "n0_grid", tuple(int(v) for v in self.n0_grid))
@@ -140,7 +138,6 @@ class ResampleStudy:
         for n in (*self.n0_grid, *self.n_grid):
             if n < 1:
                 raise InvalidArgumentError(f"grid sample sizes must be >= 1, got {n}")
-        object.__setattr__(self, "levels", tuple(float(p) for p in self.levels))
         object.__setattr__(self, "methods", tuple(self.methods))
 
 

@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import norm
 
 from .basis import BasisSpec
-from .errors import DrmError, InvalidArgumentError, InvalidLevelError
+from .errors import DrmError, InvalidArgumentError, check_level
 from .estimators import corollary_variance, drm_quantile, estimate_g1
 from .fit import SolverOptions, TwoSampleData, fit_mele
 from .nonparametric import Ecdf, empirical_quantile
-from .parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, fit_parametric, _target_quantile
+from .parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, Exponential, Normal, fit_parametric
 
 __all__ = [
     "Normal",
@@ -74,65 +72,24 @@ def _resolve_methods(names, drm_basis: BasisSpec | None = None) -> tuple:
     return tuple((name, bases[name]) for name in names)
 
 
-@dataclass(frozen=True)
-class Normal:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class Exponential:
-    mean: float
-
-    def __post_init__(self):
-        if not self.mean > 0:
-            raise InvalidArgumentError(f"mean must be positive, got {self.mean}")
-
-
-def sample(gen, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample(gen: Normal | Exponential, size: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling from a uniform stream."""
-    u = rng.random(size)
-    if isinstance(gen, Normal):
-        return gen.mu + gen.sigma * ndtri(u)
-    if isinstance(gen, Exponential):
-        return -gen.mean * np.log1p(-u)
-    raise InvalidArgumentError(f"unknown generator {gen!r}")
+    return gen.ppf(rng.random(size))
 
 
-def true_quantile(gen, p: float) -> float:
+def true_quantile(gen: Normal | Exponential, p: float) -> float:
     """Analytic population quantile of the generator."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    if isinstance(gen, Normal):
-        return gen.mu + gen.sigma * float(ndtri(p))
-    if isinstance(gen, Exponential):
-        return -gen.mean * math.log1p(-p)
-    raise InvalidArgumentError(f"unknown generator {gen!r}")
+    return gen.quantile(p)
 
 
-def quantile_density(gen, p: float) -> float:
+def quantile_density(gen: Normal | Exponential, p: float) -> float:
     """Population density evaluated at the p-quantile."""
-    if isinstance(gen, Normal):
-        return float(norm.pdf(ndtri(p))) / gen.sigma
-    if isinstance(gen, Exponential):
-        return (1.0 - p) / gen.mean
-    raise InvalidArgumentError(f"unknown generator {gen!r}")
+    return gen.density_at_quantile(p)
 
 
-def parametric_avar(gen, p: float) -> float:
+def parametric_avar(gen: Normal | Exponential, p: float) -> float:
     """Closed-form asymptotic variance of the quantile MLE under the generator."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    if isinstance(gen, Normal):
-        z = float(ndtri(p))
-        return gen.sigma**2 * (1.0 + z**2 / 2.0)
-    if isinstance(gen, Exponential):
-        return gen.mean**2 * math.log1p(-p) ** 2
-    raise InvalidArgumentError(f"unknown generator {gen!r}")
+    return gen.quantile_avar(p)
 
 
 def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
@@ -167,15 +124,13 @@ class Scenario:
         n0 = self.k * self.n1
         if abs(n0 - round(n0)) > 1e-9:
             raise InvalidArgumentError("k * n1 must be an integer")
-        for p in self.levels:
-            if not 0.0 < p < 1.0:
-                raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+        object.__setattr__(self, "levels", tuple(check_level(p) for p in self.levels))
         _resolve_methods(self.methods, self.basis)
-        if METHOD_EXPONENTIAL in self.methods and not all(
-            isinstance(gen, Exponential) for gen in (self.generator0, self.generator1)
-        ):
-            raise InvalidArgumentError("the exponential MLE method needs exponential generators")
-        object.__setattr__(self, "levels", tuple(float(p) for p in self.levels))
+        for gen in (self.generator0, self.generator1):
+            if not isinstance(gen, (Normal, Exponential)):
+                raise InvalidArgumentError(f"unknown generator {gen!r}")
+            if METHOD_EXPONENTIAL in self.methods and not isinstance(gen, Exponential):
+                raise InvalidArgumentError("the exponential MLE method needs exponential generators")
         object.__setattr__(self, "methods", tuple(self.methods))
 
     @property
@@ -264,8 +219,8 @@ def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None,
         cdf = estimate_g1(fit_mele(data, basis, solver), data, basis)
         return {p: drm_quantile(cdf, p) for p in levels}
     if method in _PARAMETRIC_TAGS:
-        family = fit_parametric(TwoSampleData(x0=x0, x1=x1), _PARAMETRIC_TAGS[method])
-        return {p: _target_quantile(family, p) for p in levels}
+        target = fit_parametric(TwoSampleData(x0=x0, x1=x1), _PARAMETRIC_TAGS[method]).target
+        return {p: target.quantile(p) for p in levels}
     if method == METHOD_EMPIRICAL:
         ecdf = Ecdf.from_sample(x1)
         return {p: empirical_quantile(ecdf, p) for p in levels}

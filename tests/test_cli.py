@@ -176,3 +176,51 @@ def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, name
     assert run_cli(["simulate", "--scenario", scenario_json]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def _estimate_args(data_csv, *extra):
+    return ["estimate", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
+            "--transform", "log", "--x0", "2015", "--x1", "2016", *extra]
+
+
+@pytest.mark.parametrize("method", ["drm", "normal", "empirical"])
+@pytest.mark.parametrize("ci", ["1.5", "0", "1"])
+def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_path, capsys,
+                                                                method, ci):
+    out = tmp_path / "est.csv"
+    code = run_cli(_estimate_args(data_csv, "--method", method, "--ci-level", ci, "--out", out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ci_level" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda csv, tmp: _estimate_args(csv, "--levels", "0.5,abc"),
+        lambda csv, tmp: ["study", "--data", csv, "--value-col", "revenue", "--group-col", "year",
+                          "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
+                          "--reps", 2, "--levels", "0.5,abc"],
+        lambda csv, tmp: ["kde", "--data", csv, "--value-col", "revenue", "--group-col", "year",
+                          "--group", "2015", "--grid-points", -1],
+        lambda csv, tmp: _estimate_args(tmp / "missing.csv"),
+        lambda csv, tmp: ["simulate", "--scenario", tmp / "missing.json"],
+        lambda csv, tmp: ["simulate", "--scenario", csv],
+    ],
+    ids=["estimate-levels", "study-levels", "kde-grid-points", "missing-data",
+         "missing-scenario", "scenario-not-json"],
+)
+def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
+    assert run_cli(args(data_csv, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_kde_reports_dropped_rows(tmp_path, capsys):
+    path = tmp_path / "gaps.csv"
+    path.write_text("year,revenue\n2015,1.0\n2015,\n2015,2.5\n2015,4.0\n")
+    assert run_cli(["kde", "--data", path, "--value-col", "revenue", "--group-col", "year",
+                    "--group", "2015", "--grid-points", 5]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "# dropped 1 of 4 rows\n"
+    assert len(captured.out.splitlines()) == 6

@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from drmel import (
     DegenerateSampleError,
     DomainError,
+    Exponential,
     InvalidLevelError,
+    Normal,
     TwoSampleData,
     UnsupportedCombinationError,
     fit_parametric,
+    parametric_avar,
     parametric_cdf,
     parametric_quantile,
     parametric_quantile_avar,
     theta_from_submodel,
+    true_quantile,
 )
 from drmel.parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, ParametricFamily
 
@@ -126,3 +131,21 @@ def test_theta_from_submodel_matches_density_log_ratio():
     for x in (-1.0, 0.0, 0.5, 2.0):
         lhs = norm.logpdf(x, 1.1, 1.4) - norm.logpdf(x, 0.3, 0.9)
         assert lhs == pytest.approx(alpha + b1 * x + b2 * x * x, rel=1e-10)
+
+
+@pytest.mark.parametrize("tag", [NORMAL_FREE, NORMAL_COMMON, EXPONENTIAL])
+def test_generator_and_fitted_family_formulas_are_bit_equal(tag):
+    """The simulation truth and baseline variance of a generator, and the MLE
+    point and variance of a family fitted to that generator, are one formula."""
+    if tag == EXPONENTIAL:
+        gen, f = Exponential(1.7), family(tag, 1.0, 1.7, n0=300, n1=100)
+    else:
+        gen, f = Normal(0.3, 1.9), family(tag, 0.0, 0.3, 1.9, 1.9, n0=300, n1=100)
+    assert f.target == gen
+    for p in np.linspace(0.001, 0.999, 50).tolist():
+        assert parametric_quantile(f, p).point == true_quantile(gen, p)
+        if tag == NORMAL_COMMON:
+            z = float(ndtri(p))
+            assert parametric_quantile_avar(f, p) == 1.9**2 * (1.0 + 0.25 * z**2 / 2.0)
+        else:
+            assert parametric_quantile_avar(f, p) == parametric_avar(gen, p)
