@@ -28,6 +28,13 @@ class BasisSpec:
     kind: str
     transforms: tuple = field(default=(), repr=False)
 
+    def __post_init__(self):
+        if self.kind == "custom":
+            if not self.transforms:
+                raise InvalidArgumentError("custom basis needs at least one transform")
+        elif self.kind not in ("linear", "quadratic", "linear-log"):
+            raise InvalidArgumentError(f"unknown basis kind {self.kind!r}")
+
     @classmethod
     def linear(cls) -> "BasisSpec":
         """q(x) = (1, x)."""
@@ -46,15 +53,11 @@ class BasisSpec:
     @classmethod
     def custom(cls, transforms: Sequence[Callable[[np.ndarray], np.ndarray]]) -> "BasisSpec":
         """q(x) = (1, t_1(x), ...) for user-supplied vectorized transforms."""
-        transforms = tuple(transforms)
-        if not transforms:
-            raise InvalidArgumentError("custom basis needs at least one transform")
-        return cls(kind="custom", transforms=transforms)
+        return cls(kind="custom", transforms=tuple(transforms))
 
     @classmethod
     def from_name(cls, name: str) -> "BasisSpec":
-        if name not in ("linear", "quadratic", "linear-log"):
-            raise InvalidArgumentError(f"unknown basis name {name!r}")
+        """The basis named ``name``: "linear", "quadratic" or "linear-log"."""
         return cls(kind=name)
 
     @property
@@ -62,11 +65,9 @@ class BasisSpec:
         """Total length of q(x), constant included."""
         if self.kind == "linear":
             return 2
-        if self.kind in ("quadratic", "linear-log"):
-            return 3
         if self.kind == "custom":
             return 1 + len(self.transforms)
-        raise ValueError(f"unknown basis kind {self.kind!r}")
+        return 3
 
 
 def evaluate_matrix(spec: BasisSpec, *xs) -> np.ndarray:

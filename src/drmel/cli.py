@@ -94,31 +94,45 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _field(obj, key, convert, *default):
+    """``convert(obj[key])``, or ``convert(*default)`` when the key is absent.
+
+    A missing key, or a value of the wrong type or shape, raises
+    :class:`InvalidArgumentError` naming ``key``.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"expected a JSON object with the key {key!r}, "
+                                   f"got {type(obj).__name__}")
+    if key not in obj and not default:
+        raise InvalidArgumentError(f"scenario JSON lacks the key {key!r}")
+    try:
+        return convert(obj.get(key, *default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"bad value for {key!r}: {exc}") from None
+
+
 def _generator_from_json(obj):
-    dist = obj.get("dist")
+    dist = _field(obj, "dist", str)
     if dist == "normal":
-        return Normal(mu=float(obj["mu"]), sigma=float(obj["sigma"]))
+        return Normal(mu=_field(obj, "mu", float), sigma=_field(obj, "sigma", float))
     if dist == "exponential":
-        return Exponential(mean=float(obj["mean"]))
+        return Exponential(mean=_field(obj, "mean", float))
     raise InvalidArgumentError(f"unknown generator kind {dist!r}")
 
 
 def scenario_from_json(obj) -> Scenario:
-    try:
-        return Scenario(
-            generator0=_generator_from_json(obj["generator0"]),
-            generator1=_generator_from_json(obj["generator1"]),
-            n1=int(obj["n1"]),
-            k=float(obj["k"]),
-            basis=BasisSpec.from_name(obj.get("basis", "quadratic")),
-            levels=tuple(float(p) for p in obj.get("levels", [0.5])),
-            reps=int(obj.get("reps", 1000)),
-            seed=int(obj.get("seed", 0)),
-            methods=tuple(obj.get("methods", [METHOD_DRM, METHOD_EMPIRICAL])),
-            scenario_id=str(obj.get("scenario_id", "scenario")),
-        )
-    except KeyError as exc:
-        raise InvalidArgumentError(f"scenario JSON lacks the key {exc.args[0]!r}") from None
+    return Scenario(
+        generator0=_field(obj, "generator0", _generator_from_json),
+        generator1=_field(obj, "generator1", _generator_from_json),
+        n1=_field(obj, "n1", int),
+        k=_field(obj, "k", float),
+        basis=_field(obj, "basis", BasisSpec.from_name, "quadratic"),
+        levels=_field(obj, "levels", lambda v: tuple(map(float, v)), [0.5]),
+        reps=_field(obj, "reps", int, 1000),
+        seed=_field(obj, "seed", int, 0),
+        methods=_field(obj, "methods", tuple, [METHOD_DRM, METHOD_EMPIRICAL]),
+        scenario_id=_field(obj, "scenario_id", str, "scenario"),
+    )
 
 
 def _cmd_simulate(args) -> int:

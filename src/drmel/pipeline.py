@@ -10,11 +10,14 @@ each target population taken as the truth.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     CsvParseError,
@@ -61,6 +64,9 @@ class IngestReport:
     rows_dropped: int
 
 
+_EMPTY_AS_NAN = {"": "nan"}
+
+
 def _column_index(header, name: str) -> int:
     """Index of the last header cell named ``name``: the cell a csv.DictReader
     row would hold under that key."""
@@ -70,48 +76,90 @@ def _column_index(header, name: str) -> int:
     return found[-1]
 
 
+def _parses(text: str) -> bool:
+    """Whether float() accepts ``text``."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _split_columns(text: str, spec: ColumnSpec) -> list:
+    """The value cells and the group cells of the nonblank data rows of ``text``;
+    a cell may carry whitespace around it, which the caller strips.
+
+    A regular file has a nonblank header line, no quote character, ``\\n`` or
+    ``\\r\\n`` line ends and the header's field count on every nonblank
+    line. Its rows are split by one ``str.split`` over their joined text, with
+    a comma before each line break, so a row's first cell starts with that
+    line break. Any other file is read by ``csv.reader``.
+    """
+    body = text.replace("\r\n", "\n")
+    head, _, data = body.partition("\n")
+    data = data.strip("\n")
+    if "\n\n" in data:  # blank lines are neither counted nor numbered
+        data = "\n".join(filter(None, data.split("\n")))
+    n = data.count("\n") + 1 if data else 0
+    step = head.count(",") + 1
+    cells = data.replace("\n", ",\n").split(",") if data else []
+    names = (spec.value_column, spec.group_column)
+    # the n - 1 cells that start a line fall every ``step`` cells exactly when
+    # every row has ``step`` fields
+    regular = head and '"' not in body and "\r" not in body and len(cells) == step * n
+    if regular and "".join(cells[step::step]).count("\n") == n - 1:
+        header = head.split(",")
+        return [cells[_column_index(header, name)::step] for name in names]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    indices = [_column_index(header, name) for name in names]
+    rows = list(filter(None, reader))
+    return [[row[i] if i < len(row) else "" for row in rows] for i in indices]
+
+
 def ingest_csv(path, spec: ColumnSpec):
     """Read per-group value vectors from a CSV file.
 
-    Blank lines are skipped and not numbered; a short row reads its missing
-    cells as empty. Rows with an empty value cell, or a nonpositive value
-    under the log transform, are dropped and counted. A malformed (nonempty,
-    non-numeric) cell raises :class:`CsvParseError` with its row number.
+    The file is UTF-8, with or without a byte-order mark, in the csv
+    module's default dialect. Blank lines are skipped and not numbered; a
+    short row reads its missing cells as empty. Cells are stripped of
+    surrounding whitespace. Rows with an empty, ``nan`` or infinite value,
+    or a nonpositive value under the log transform, are dropped and
+    counted. A malformed (nonempty, non-numeric) cell raises
+    :class:`CsvParseError` with its row number.
 
     Returns (populations, report) where populations maps group label to a
-    float array.
+    float array, in order of each label's first kept row.
     """
-    groups: dict[str, list[float]] = {}
-    rows_in = dropped = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        vi = _column_index(header, spec.value_column)
-        gi = _column_index(header, spec.group_column)
-        for row in reader:
-            if not row:  # blank line: neither counted nor numbered
-                continue
-            rows_in += 1
-            raw = row[vi].strip() if vi < len(row) else ""
-            try:
-                value = float(raw) if raw else math.nan
-            except ValueError:
-                i = rows_in + 1  # row 1 is the header
-                raise CsvParseError(
-                    f"malformed numeric value {raw!r} in row {i}", row=i
-                ) from None
-            if spec.transform == "log":
-                value = math.log(value) if value > 0 else math.nan
-            if not math.isfinite(value):
-                dropped += 1
-                continue
-            label = row[gi].strip() if gi < len(row) else ""
-            groups.setdefault(label, []).append(value)
-
-    populations = {g: np.asarray(v, dtype=float) for g, v in groups.items() if v}
-    if not populations:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        value_cells, group_cells = _split_columns(fh.read(), spec)
+    texts = list(map(str.strip, value_cells))
+    if "" in texts:  # an empty cell parses as nan, so it is dropped and counted
+        texts = list(map(_EMPTY_AS_NAN.get, texts, texts))
+    rows_in = len(texts)
+    try:
+        values = np.array(texts, dtype=float)  # numpy converts each str with float()
+    except ValueError:
+        # row 1 is the header
+        row = next(i for i, text in enumerate(texts, 2) if not _parses(text))
+        raise CsvParseError(
+            f"malformed numeric value {texts[row - 2]!r} in row {row}", row=row
+        ) from None
+    if spec.transform == "log":
+        # xlogy(1, x) is the C library's log(x), as math.log is; numpy's
+        # SIMD np.log differs from it in the last bit on some inputs
+        values = special.xlogy(1.0, np.where(values > 0, values, math.nan))
+    keep = np.isfinite(values)
+    kept = list(compress(group_cells, keep.tolist()))
+    if not kept:
         raise EmptyGroupError("no usable rows in any group")
-    return populations, IngestReport(rows_in, rows_in - dropped, dropped)
+    labels, codes = {}, {}  # label -> group number; cell -> its label's number
+    for cell in dict.fromkeys(kept):
+        codes[cell] = labels.setdefault(cell.strip(), len(labels))
+    group = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
+    grouped = values[keep][np.argsort(group, kind="stable")]
+    populations = dict(zip(labels, np.split(grouped, np.cumsum(np.bincount(group))[:-1])))
+    return populations, IngestReport(rows_in, len(kept), rows_in - len(kept))
 
 
 @dataclass(frozen=True)

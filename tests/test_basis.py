@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drmel import BasisSpec, DomainError, InvalidArgumentError, evaluate, evaluate_matrix
+from drmel import TwoSampleData, fit_mele
 
 
 def test_quadratic_point():
@@ -118,3 +119,8 @@ def test_domain_error_index_counts_across_parts():
 def test_unknown_basis_name_is_a_typed_error():
     with pytest.raises(InvalidArgumentError, match="cubic"):
         BasisSpec.from_name("cubic")
+
+
+def test_unknown_basis_kind_is_a_typed_error_before_the_fitter():
+    with pytest.raises(InvalidArgumentError, match="cubic"):
+        fit_mele(TwoSampleData(x0=[1.0, 2.0, 3.0], x1=[2.0, 3.0]), BasisSpec(kind="cubic"))

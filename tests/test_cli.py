@@ -178,6 +178,22 @@ def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, name
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda obj: [obj], "got list"),
+        (lambda obj: {**obj, "generator0": {**obj["generator0"], "mu": "abc"}}, "'mu'"),
+        (lambda obj: {**obj, "levels": 0.5}, "'levels'"),
+    ],
+    ids=["top-level-list", "mu-not-a-number", "levels-not-a-list"],
+)
+def test_simulate_rejects_a_scenario_of_the_wrong_shape(scenario_json, capsys, edit, named):
+    scenario_json.write_text(json.dumps(edit(json.loads(scenario_json.read_text()))))
+    assert run_cli(["simulate", "--scenario", scenario_json]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def _estimate_args(data_csv, *extra):
     return ["estimate", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
             "--transform", "log", "--x0", "2015", "--x1", "2016", *extra]

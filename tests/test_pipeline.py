@@ -1,11 +1,16 @@
+import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drmel import (
     ColumnSpec,
     CsvParseError,
+    DrmError,
     EmptyGroupError,
     InvalidArgumentError,
     ResampleStudy,
@@ -30,6 +35,123 @@ def test_ingest_groups(csv_file):
     assert sorted(pops) == ["2015", "2016"]
     np.testing.assert_array_equal(pops["2015"], [1.0, 2.0])
     assert report.rows_in == 3 and report.rows_used == 3 and report.rows_dropped == 0
+
+
+def test_ingest_reads_a_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes("year,revenue\r\n2015,1.0\r\n2016,2.0\r\n".encode("utf-8-sig"))
+    pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
+    assert list(pops) == ["2015", "2016"] and report.rows_used == 2
+
+
+def test_ingest_reads_quoted_labels(csv_file):
+    path = csv_file(['"Big Ten, East",1.5', '"Big Ten, East",2.5', 'SEC,"3"', '"say ""hi""",4'])
+    pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
+    assert list(pops) == ["Big Ten, East", "SEC", 'say "hi"']
+    np.testing.assert_array_equal(pops["Big Ten, East"], [1.5, 2.5])
+    assert report.rows_in == 4 and report.rows_dropped == 0
+
+
+def _row_loop_ingest(path, spec):
+    """The per-row loop ingest_csv ran before its columnar rewrite, kept as the
+    reference; it now opens the file as utf-8-sig, like ingest_csv."""
+    groups = {}
+    rows_in = dropped = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        columns = {name: [i for i, cell in enumerate(header or ()) if cell == name]
+                   for name in (spec.value_column, spec.group_column)}
+        for name, found in columns.items():
+            if not found:
+                raise CsvParseError(f"missing column {name!r}")
+        vi, gi = columns[spec.value_column][-1], columns[spec.group_column][-1]
+        for row in reader:
+            if not row:
+                continue
+            rows_in += 1
+            raw = row[vi].strip() if vi < len(row) else ""
+            try:
+                value = float(raw) if raw else math.nan
+            except ValueError:
+                i = rows_in + 1
+                raise CsvParseError(
+                    f"malformed numeric value {raw!r} in row {i}", row=i
+                ) from None
+            if spec.transform == "log":
+                value = math.log(value) if value > 0 else math.nan
+            if not math.isfinite(value):
+                dropped += 1
+                continue
+            label = row[gi].strip() if gi < len(row) else ""
+            groups.setdefault(label, []).append(value)
+    populations = {g: np.asarray(v, dtype=float) for g, v in groups.items() if v}
+    if not populations:
+        raise EmptyGroupError("no usable rows in any group")
+    return populations, (rows_in, rows_in - dropped, dropped)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(1e-3, 1e6).map(lambda v: f"{v:.6g}"),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1_000", "+1", "-0.0", "0", "-3",
+                     " 2.5 ", "\xa07\xa0", "", "  "]),
+    # logs that numpy's AVX-512 log rounds differently from math.log
+    st.sampled_from(["1.00024", "0.9999999999999998"]),
+)
+MALFORMED_CELLS = st.sampled_from(["abc", "1e400x", "1__0", "--1", "1,5"])
+PLAIN_LABELS = ["2015", "2016", " 2016 ", "Zürich", "東京", ""]
+QUOTED_LABELS = ["Big Ten, East", 'say "hi"', "two\nlines"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text over the columns v, g and x; a long row's extra cells are x
+    cells. Two texts in five need no quoting and have no ragged or
+    whitespace-only rows, so that the bulk split reads them."""
+    header = draw(st.permutations(["v", "g", *draw(st.lists(st.sampled_from("vgx"), max_size=2))]))
+    kind = draw(st.sampled_from(["regular", "regular", "ragged", "quoted", "mixed"]))
+    quoted, ragged = kind in ("quoted", "mixed"), kind in ("ragged", "mixed")
+    quote_all = quoted and draw(st.booleans())
+    labels = PLAIN_LABELS + QUOTED_LABELS if quoted else PLAIN_LABELS
+    values = draw(st.sampled_from([NUMBER_CELLS, st.one_of(NUMBER_CELLS, MALFORMED_CELLS)]))
+    cells = {"v": values, "g": st.sampled_from(labels), "x": st.sampled_from(labels)}
+    blanks = ["", " ", "\t"] if ragged else [""]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 7)) == 0:  # a blank or whitespace-only line
+            lines.append(draw(st.sampled_from(blanks)))
+            continue
+        width = len(header) + (draw(st.integers(-len(header), 1)) if ragged else 0)
+        lines.append([draw(cells[name]) for name in (header + ["x"] * width)[:width]])
+
+    def field(cell):
+        if quote_all or any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(ln if isinstance(ln, str) else ",".join(map(field, ln)) for ln in lines)
+    return text + (eol if draw(st.booleans()) else "")
+
+
+def _ingest_outcome(ingest, path, spec):
+    try:
+        pops, report = ingest(path, spec)
+    except DrmError as exc:
+        return type(exc).__name__, getattr(exc, "row", None), str(exc)
+    if not isinstance(report, tuple):
+        report = (report.rows_in, report.rows_used, report.rows_dropped)
+    return [(label, v.dtype.str, v.tobytes()) for label, v in pops.items()], report
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+@given(text=csv_texts(), bom=st.booleans(), transform=st.sampled_from(["none", "log"]))
+def test_ingest_matches_the_row_loop(tmp_path, text, bom, transform):
+    path = tmp_path / "generated.csv"
+    path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+    spec = ColumnSpec("v", "g", transform)
+    assert _ingest_outcome(ingest_csv, path, spec) == _ingest_outcome(_row_loop_ingest, path, spec)
 
 
 def test_ingest_log_transform_drops_nonpositive(csv_file):
@@ -92,6 +214,12 @@ def test_ingest_malformed_row_number_counts_dropped_rows(csv_file):
     with pytest.raises(CsvParseError) as err:
         ingest_csv(path, ColumnSpec("revenue", "year", transform="log"))
     assert err.value.row == 5
+
+
+def test_ingest_ragged_rows_that_add_up_to_whole_rows(csv_file):
+    path = csv_file(["2015,1.0,a", "2016", "2017,3.0"])
+    pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
+    assert list(pops) == ["2015", "2017"] and report.rows_dropped == 1
 
 
 def test_ingest_duplicate_header_reads_last_column(csv_file):
