@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -191,6 +192,7 @@ def _add_csv_args(p):
     p.add_argument("--transform", choices=["none", "log"], default="none")
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drmel")
     sub = parser.add_subparsers(dest="command", required=True)

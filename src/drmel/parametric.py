@@ -2,10 +2,13 @@
 
 ``Normal`` and ``Exponential`` carry their closed forms: ``ppf`` (inverse CDF
 of an array of uniforms), ``quantile``, ``cdf``, ``density_at_quantile`` and
-``quantile_avar``. Three families with closed-form MLEs, normal with free
-per-sample variances, normal with a common variance, and exponential, are the
-efficiency benchmarks the density-ratio estimators are compared against;
-:attr:`ParametricFamily.target` is the fitted target population.
+``quantile_avar``. Like every population the replicate engine samples, each
+has ``draw(n, rng)``, here the inverse-CDF transform of ``n`` uniforms, and
+``quantile(p)``, the truth its estimates are scored against. Three families
+with closed-form MLEs, normal with free per-sample variances, normal with a
+common variance, and exponential, are the efficiency benchmarks the
+density-ratio estimators are compared against; :attr:`ParametricFamily.target`
+is the fitted target population.
 """
 
 from __future__ import annotations
@@ -54,11 +57,16 @@ class Normal:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise InvalidArgumentError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return self.mu + self.sigma * ndtri(u)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.ppf(rng.random(n))
 
     def quantile(self, p: float) -> float:
         return self.mu + self.sigma * float(ndtri(check_level(p)))
@@ -83,12 +91,15 @@ class Exponential:
     mean: float
 
     def __post_init__(self):
-        if not self.mean > 0:
-            raise InvalidArgumentError(f"mean must be positive, got {self.mean}")
+        if not 0 < self.mean < math.inf:
+            raise InvalidArgumentError(f"mean must be positive and finite, got {self.mean}")
 
     # np.log1p (ppf) and math.log1p (scalars) can differ in the last bit; each keeps its outputs
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return -self.mean * np.log1p(-u)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.ppf(rng.random(n))
 
     def quantile(self, p: float) -> float:
         return -self.mean * math.log1p(-check_level(p))

@@ -1,37 +1,32 @@
 """CSV ingestion and with-replacement resampling studies on real data.
 
 Yearly (or otherwise grouped) observations are read from a CSV file,
-optionally log-transformed, and treated as fixed populations. Repeated
-subsamples drawn with replacement feed the same estimators as the
-synthetic Monte Carlo engine, with the full-data empirical quantiles of
-each target population taken as the truth.
+optionally log-transformed, and treated as fixed populations. A study runs
+on the replicate engine of :mod:`drmel.simulate`, the one that runs
+scenarios: each group becomes a :class:`FinitePopulation`, which draws
+with replacement and whose truth is its full-data empirical quantile, and
+each (n0, n) grid combination is one cell of the run.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 
 import numpy as np
 from scipy import special
 
-from .errors import (
-    CsvParseError,
-    EmptyGroupError,
-    InvalidArgumentError,
-    check_level,
-)
-from .nonparametric import Ecdf, empirical_quantile
+from .errors import CsvParseError, EmptyGroupError, InvalidArgumentError
 from .simulate import (
     _METHOD_BASES,
     SimulationTable,
+    _check_run,
     _resolve_methods,
     _run_replicates,
-    replicate_rng,
 )
 
 __all__ = [
@@ -121,18 +116,26 @@ def ingest_csv(path, spec: ColumnSpec):
     """Read per-group value vectors from a CSV file.
 
     The file is UTF-8, with or without a byte-order mark, in the csv
-    module's default dialect. Blank lines are skipped and not numbered; a
-    short row reads its missing cells as empty. Cells are stripped of
-    surrounding whitespace. Rows with an empty, ``nan`` or infinite value,
-    or a nonpositive value under the log transform, are dropped and
-    counted. A malformed (nonempty, non-numeric) cell raises
-    :class:`CsvParseError` with its row number.
+    module's default dialect; a file that is not UTF-8 raises
+    :class:`CsvParseError` with the offset of its first bad byte. Blank
+    lines are skipped and not numbered; a short row reads its missing cells
+    as empty. Cells are stripped of surrounding whitespace. Rows with an
+    empty, ``nan`` or infinite value, or a nonpositive value under the log
+    transform, are dropped and counted. A malformed (nonempty, non-numeric)
+    cell raises :class:`CsvParseError` with its row number.
 
     Returns (populations, report) where populations maps group label to a
     float array, in order of each label's first kept row.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        value_cells, group_cells = _split_columns(fh.read(), spec)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = raw[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path} is not UTF-8: invalid byte at offset {start + exc.start}"
+                            ) from None
+    value_cells, group_cells = _split_columns(text, spec)
     texts = list(map(str.strip, value_cells))
     if "" in texts:  # an empty cell parses as nan, so it is dropped and counted
         texts = list(map(_EMPTY_AS_NAN.get, texts, texts))
@@ -174,28 +177,29 @@ class ResampleStudy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise InvalidArgumentError("reps must be >= 1")
+        _check_run(self)
         if not self.targets:
             raise InvalidArgumentError("at least one target population required")
-        object.__setattr__(self, "levels", tuple(check_level(p) for p in self.levels))
-        _resolve_methods(self.methods)
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "n0_grid", tuple(int(v) for v in self.n0_grid))
         object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
         for n in (*self.n0_grid, *self.n_grid):
             if n < 1:
                 raise InvalidArgumentError(f"grid sample sizes must be >= 1, got {n}")
-        object.__setattr__(self, "methods", tuple(self.methods))
 
 
-def _draw_study(seed: int, reps: int, cells, base_pop, target_pops, key):
-    """Replicate r of grid cell ``cell``: x0 first, then each target in order."""
-    cell, r = key
-    n0, n = cells[cell]
-    rng = replicate_rng(seed, cell * reps + r)
-    x0 = base_pop[rng.integers(0, base_pop.size, n0)]
-    return x0, {t: pop[rng.integers(0, pop.size, n)] for t, pop in target_pops.items()}
+@dataclass(frozen=True)
+class FinitePopulation:
+    """The values of a group, drawn from with replacement; its quantile is
+    the type-1 empirical quantile of all its values."""
+
+    values: np.ndarray
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.values[rng.integers(0, self.values.size, n)]
+
+    def quantile(self, p: float) -> float:
+        return float(np.quantile(self.values, p, method="inverted_cdf"))
 
 
 def run_resample_study(
@@ -210,12 +214,9 @@ def run_resample_study(
     for label in (study.base, *study.targets):
         if label not in populations:
             raise EmptyGroupError(f"population {label!r} not found in the data")
-    truths = {t: {p: empirical_quantile(Ecdf.from_sample(populations[t]), p) for p in study.levels}
-              for t in study.targets}
-    cells = [(n0, n) for n0 in study.n0_grid for n in study.n_grid]
-    sampler = partial(_draw_study, study.seed, study.reps, cells, populations[study.base],
-                      {t: populations[t] for t in study.targets})
     return _run_replicates(
-        sampler, [(f"n0={n0},n={n}", n) for n0, n in cells], study.reps,
-        _resolve_methods(study.methods), truths, study.levels, None, workers,
+        study.seed, FinitePopulation(populations[study.base]),
+        {t: FinitePopulation(populations[t]) for t in study.targets},
+        [(f"n0={n0},n={n}", n0, n) for n0 in study.n0_grid for n in study.n_grid], study.reps,
+        _resolve_methods(study.methods), study.levels, None, workers,
     )

@@ -1,10 +1,15 @@
 """Deterministic Monte Carlo engine for quantile-estimator efficiency studies.
 
-Each replicate draws fresh samples from a counter-based RNG substream
-derived from the scenario seed and the replicate index, so results are
-bit-identical regardless of how replicates are scheduled across workers.
-Sampling uses inverse-CDF transforms of uniforms for cross-platform
-reproducibility.
+One replicate engine serves both front ends. It samples populations, each
+of which has ``draw(n, rng)`` and ``quantile(p)``: the parametric
+``Normal`` and ``Exponential`` of a :class:`Scenario`, which draw by
+inverse-CDF transforms of uniforms for cross-platform reproducibility, and
+the finite populations of a resampling study. A run is a list of cells,
+each with its own sample sizes; a scenario is a run of one cell. Replicate
+r of cell c draws x0, then each target, from a counter-based RNG substream
+keyed by the seed and ``c * reps + r``, so results are bit-identical
+regardless of how replicates are scheduled across workers. Estimates are
+scored against each target's ``quantile(p)``.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from __future__ import annotations
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,9 +76,9 @@ def _resolve_methods(names, drm_basis: BasisSpec | None = None) -> tuple:
     return tuple((name, bases[name]) for name in names)
 
 
-def sample(gen: Normal | Exponential, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling from a uniform stream."""
-    return gen.ppf(rng.random(size))
+def sample(gen, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws from the population ``gen`` on the stream ``rng``."""
+    return gen.draw(size, rng)
 
 
 def true_quantile(gen: Normal | Exponential, p: float) -> float:
@@ -100,6 +104,16 @@ def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
     return np.array([corollary_variance(float(k), p, g, avar) for k in k_grid])
 
 
+def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
+    """The checks a scenario and a study share: reps >= 1, every level in
+    (0, 1) and every method known; stores the levels and methods as tuples."""
+    if run.reps < 1:
+        raise InvalidArgumentError("reps must be >= 1")
+    object.__setattr__(run, "levels", tuple(check_level(p) for p in run.levels))
+    _resolve_methods(run.methods, drm_basis)
+    object.__setattr__(run, "methods", tuple(run.methods))
+
+
 @dataclass(frozen=True)
 class Scenario:
     generator0: Normal | Exponential
@@ -115,23 +129,19 @@ class Scenario:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise InvalidArgumentError("reps must be >= 1")
-        if self.n1 < 2:
-            raise InvalidArgumentError("n1 must be >= 2")
-        if not self.k > 0:
-            raise InvalidArgumentError("k must be positive")
+        _check_run(self, self.basis)
+        if not 2 <= self.n1 < 2**63:  # a sample size numpy can hold
+            raise InvalidArgumentError(f"n1 must be >= 2 and < 2**63, got {self.n1}")
+        if not 0 < self.k < math.inf:
+            raise InvalidArgumentError(f"k must be positive and finite, got {self.k}")
         n0 = self.k * self.n1
-        if abs(n0 - round(n0)) > 1e-9:
-            raise InvalidArgumentError("k * n1 must be an integer")
-        object.__setattr__(self, "levels", tuple(check_level(p) for p in self.levels))
-        _resolve_methods(self.methods, self.basis)
+        if not n0 < 2**63 or abs(n0 - round(n0)) > 1e-9:
+            raise InvalidArgumentError(f"k * n1 must be an integer below 2**63, got {n0}")
         for gen in (self.generator0, self.generator1):
             if not isinstance(gen, (Normal, Exponential)):
                 raise InvalidArgumentError(f"unknown generator {gen!r}")
             if METHOD_EXPONENTIAL in self.methods and not isinstance(gen, Exponential):
                 raise InvalidArgumentError("the exponential MLE method needs exponential generators")
-        object.__setattr__(self, "methods", tuple(self.methods))
 
     @property
     def n0(self) -> int:
@@ -165,17 +175,13 @@ class SimulationTable:
         raise KeyError((p, method, scenario_id))
 
     def to_csv(self, stream, include_abs_bias: bool = False) -> None:
-        cols = ["scenario_id", "p", "method", "scaled_bias"]
-        if include_abs_bias:
-            cols.append("abs_bias")
-        cols += ["scaled_var", "scaled_mse", "fail_frac"]
+        """Write a header and one line per row: strings as they are, numbers
+        as ``.12g``; the ``abs_bias`` column only with ``include_abs_bias``."""
+        cols = [c.name for c in fields(SimulationRow) if include_abs_bias or c.name != "abs_bias"]
         stream.write(",".join(cols) + "\n")
         for r in self.rows:
-            vals = [r.scenario_id, f"{r.p:.12g}", r.method, f"{r.scaled_bias:.12g}"]
-            if include_abs_bias:
-                vals.append(f"{r.abs_bias:.12g}")
-            vals += [f"{r.scaled_var:.12g}", f"{r.scaled_mse:.12g}", f"{r.fail_frac:.12g}"]
-            stream.write(",".join(vals) + "\n")
+            vals = (getattr(r, c) for c in cols)
+            stream.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in vals) + "\n")
 
 
 _MIX_MULT = 0x9E3779B97F4A7C15
@@ -228,12 +234,18 @@ def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None,
 
 
 def _replicate(state, key):
-    """One replicate: ({(target, p, method): estimate}, {(target, method) failed})."""
-    sampler, methods, levels, solver = state
-    x0, samples = sampler(key)
+    """Replicate r of cell ``cell``, for ``key = (cell, r)``: x0 is drawn
+    first, then each target in order. Returns ({(target, p, method):
+    estimate}, {(target, method) failed})."""
+    seed, base, targets, cells, reps, methods, levels, solver = state
+    cell, r = key
+    _, n0, n = cells[cell]
+    rng = replicate_rng(seed, cell * reps + r)
+    x0 = sample(base, n0, rng)
     estimates: dict[tuple[str, float, str], float] = {}
     failed: set[tuple[str, str]] = set()
-    for target, x1 in samples.items():
+    for target, population in targets.items():
+        x1 = sample(population, n, rng)
         for method, basis in methods:
             try:
                 found = method_estimates(method, x0, x1, levels, basis, solver)
@@ -256,18 +268,19 @@ def _worker_replicate(key):
     return _replicate(_worker_state, key)
 
 
-def _run_replicates(sampler, cells, reps: int, methods, truths, levels,
+def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, levels,
                     solver: SolverOptions | None, workers: int) -> SimulationTable:
     """The replicate engine: rows of scaled errors per cell, level and method.
 
-    ``sampler((cell, r))`` draws replicate r of cell number ``cell`` as
-    ``(x0, {target: x1})``; ``cells`` holds each cell's ``(scenario_id, n)``,
-    ``methods`` the ``(name, DRM basis or None)`` pairs and ``truths`` the
-    ``{target: {level: true quantile}}``. A row averages the scaled errors
-    of the targets, unweighted. Results are collected in key order, so the
-    table does not depend on the worker count.
+    Each replicate draws x0 from the population ``base`` and a sample from
+    each population of ``targets``, a ``{target: population}`` dict; the
+    truth of a target at level p is its ``quantile(p)``. ``cells`` holds
+    each cell's ``(scenario_id, n0, n)`` and ``methods`` the ``(name, DRM
+    basis or None)`` pairs. A row averages the scaled errors of the targets,
+    unweighted. Results are collected in key order, so the table does not
+    depend on the worker count.
     """
-    state = (sampler, methods, levels, solver)
+    state = (seed, base, targets, cells, reps, methods, levels, solver)
     keys = [(c, r) for c in range(len(cells)) for r in range(reps)]
     if workers <= 1:
         results = [_replicate(state, key) for key in keys]
@@ -282,24 +295,19 @@ def _run_replicates(sampler, cells, reps: int, methods, truths, levels,
             results = list(pool.map(_worker_replicate, keys,
                                     chunksize=max(1, len(keys) // (4 * workers))))
     rows = []
-    for c, (scenario_id, n) in enumerate(cells):
+    for c, (scenario_id, _, n) in enumerate(cells):
         cell = results[c * reps:(c + 1) * reps]
         for p in levels:
             for m, _ in methods:
                 per_target = [
                     scaled_errors([est[(t, p, m)] for est, _ in cell if (t, p, m) in est],
-                                  truth[p], n, sum((t, m) in failed for _, failed in cell) / reps)
-                    for t, truth in truths.items()
+                                  population.quantile(p), n,
+                                  sum((t, m) in failed for _, failed in cell) / reps)
+                    for t, population in targets.items()
                 ]
                 agg = [float(np.mean(col)) for col in zip(*per_target)]
                 rows.append(SimulationRow(scenario_id, p, m, *agg))
     return SimulationTable(rows=tuple(rows))
-
-
-def _draw_scenario(scenario: Scenario, key):
-    rng = replicate_rng(scenario.seed, key[1])
-    x0 = sample(scenario.generator0, scenario.n0, rng)
-    return x0, {scenario.scenario_id: sample(scenario.generator1, scenario.n1, rng)}
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationTable:
@@ -310,10 +318,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationTable:
     depend only on (seed, replicate index) and aggregation is ordered by
     replicate index.
     """
-    truths = {scenario.scenario_id: {p: true_quantile(scenario.generator1, p)
-                                     for p in scenario.levels}}
     return _run_replicates(
-        partial(_draw_scenario, scenario), [(scenario.scenario_id, scenario.n1)], scenario.reps,
-        _resolve_methods(scenario.methods, scenario.basis), truths, scenario.levels,
-        scenario.solver, workers,
+        scenario.seed, scenario.generator0, {scenario.scenario_id: scenario.generator1},
+        [(scenario.scenario_id, scenario.n0, scenario.n1)], scenario.reps,
+        _resolve_methods(scenario.methods, scenario.basis), scenario.levels, scenario.solver,
+        workers,
     )

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from drmel.cli import main
+from drmel import DrmError, Scenario
+from drmel.cli import main, scenario_from_json
 
 
 @pytest.fixture
@@ -194,6 +197,60 @@ def test_simulate_rejects_a_scenario_of_the_wrong_shape(scenario_json, capsys, e
     assert err.startswith("error:") and named in err
 
 
+def _latin1_csv(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("year,revenue\n2015,1.5\n2016,2.5\nMünchen,3.5\n".encode("latin-1"))
+    return path
+
+
+VALID_SCENARIO = {
+    "generator0": {"dist": "normal", "mu": 0, "sigma": 1},
+    "generator1": {"dist": "exponential", "mean": 2},
+    "n1": 10,
+    "k": 2,
+    "levels": [0.5],
+    "reps": 3,
+    "methods": ["drm", "empirical"],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+SCENARIO_KEYS = [*VALID_SCENARIO, "basis", "seed", "scenario_id"]
+
+
+@st.composite
+def scenario_objects(draw):
+    """A valid scenario object with some fields, or some generator fields, replaced by
+    arbitrary JSON values; or an arbitrary JSON value."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    values = st.floats() | st.integers() | JSON_VALUES  # mostly numbers, as most fields are
+    obj = {**VALID_SCENARIO, **draw(st.dictionaries(st.sampled_from(SCENARIO_KEYS), values,
+                                                    max_size=2))}
+    for name in ("generator0", "generator1"):
+        if isinstance(obj[name], dict) and draw(st.booleans()):
+            fields = st.sampled_from(["dist", "mu", "sigma", "mean"])
+            obj[name] = {**obj[name], **draw(st.dictionaries(fields, values, max_size=2))}
+    return obj
+
+
+@given(obj=scenario_objects())
+@example(obj={**VALID_SCENARIO, "k": 1e308})
+@example(obj={**VALID_SCENARIO, "k": float("inf")})
+@example(obj={**VALID_SCENARIO, "generator0": {"dist": "normal", "mu": float("inf"), "sigma": 1}})
+@example(obj={**VALID_SCENARIO, "n1": 10**400})
+def test_any_json_value_gives_a_scenario_or_a_typed_error(obj):
+    try:
+        scenario = scenario_from_json(json.loads(json.dumps(obj)))
+    except DrmError:
+        return
+    assert isinstance(scenario, Scenario)
+
+
 def _estimate_args(data_csv, *extra):
     return ["estimate", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
             "--transform", "log", "--x0", "2015", "--x1", "2016", *extra]
@@ -223,9 +280,10 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
         lambda csv, tmp: _estimate_args(tmp / "missing.csv"),
         lambda csv, tmp: ["simulate", "--scenario", tmp / "missing.json"],
         lambda csv, tmp: ["simulate", "--scenario", csv],
+        lambda csv, tmp: _estimate_args(_latin1_csv(tmp), "--method", "empirical"),
     ],
     ids=["estimate-levels", "study-levels", "kde-grid-points", "missing-data",
-         "missing-scenario", "scenario-not-json"],
+         "missing-scenario", "scenario-not-json", "latin1-data"],
 )
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1

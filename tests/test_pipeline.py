@@ -1,3 +1,4 @@
+import codecs
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -11,12 +12,15 @@ from drmel import (
     ColumnSpec,
     CsvParseError,
     DrmError,
+    Ecdf,
     EmptyGroupError,
     InvalidArgumentError,
     ResampleStudy,
+    empirical_quantile,
     ingest_csv,
     run_resample_study,
 )
+from drmel.pipeline import FinitePopulation
 
 
 @pytest.fixture
@@ -154,6 +158,17 @@ def test_ingest_matches_the_row_loop(tmp_path, text, bom, transform):
     assert _ingest_outcome(ingest_csv, path, spec) == _ingest_outcome(_row_loop_ingest, path, spec)
 
 
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_ingest_names_the_first_byte_that_is_not_utf8(tmp_path, bom):
+    body = "year,revenue\n2015,1.5\nMünchen,2.5\n".encode("latin-1")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(bom + body)
+    with pytest.raises(CsvParseError) as err:
+        ingest_csv(path, ColumnSpec("revenue", "year"))
+    offset = len(bom) + body.index("ü".encode("latin-1"))
+    assert str(path) in str(err.value) and f"offset {offset}" in str(err.value)
+
+
 def test_ingest_log_transform_drops_nonpositive(csv_file):
     path = csv_file(["2015,1.0", "2015,0.0", "2015,-3.0", "2016,7.389056"])
     pops, report = ingest_csv(path, ColumnSpec("revenue", "year", transform="log"))
@@ -257,6 +272,16 @@ def test_study_structure_and_mse_identity():
             r.scaled_var + r.scaled_bias**2, rel=1e-6, abs=1e-9
         )
         assert r.abs_bias >= abs(r.scaled_bias) - 1e-12
+
+
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60), data=st.data())
+def test_finite_population_quantile_is_the_type1_empirical_quantile(values, data):
+    n = len(values)
+    # levels on the grid k/n are where the type-1 quantile steps
+    p = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                  | st.integers(1, max(n - 1, 1)).map(lambda k: k / n).filter(lambda p: p < 1))
+    expected = empirical_quantile(Ecdf.from_sample(values), p)
+    assert FinitePopulation(np.array(values)).quantile(p) == expected
 
 
 def test_study_unknown_population():

@@ -1,6 +1,8 @@
-"""Pins of the fitter and the scenario engine to values recorded from the
-logaddexp kernel and row-major basis that the current kernel replaced; any
-change to the arithmetic of the Newton loop that moves them shows here."""
+"""Pins of the fitter and the replicate engine to values recorded from the
+logaddexp kernel and row-major basis that the current kernel replaced, and a
+resampling-study table recorded from the engine with one sampler per front
+end; any change to the arithmetic of the Newton loop, or to the layout of the
+replicate streams, that moves them shows here."""
 
 import io
 
@@ -11,9 +13,11 @@ from drmel import (
     BasisSpec,
     Exponential,
     Normal,
+    ResampleStudy,
     Scenario,
     TwoSampleData,
     fit_mele,
+    run_resample_study,
     run_scenario,
 )
 from drmel.simulate import replicate_rng, sample
@@ -57,6 +61,49 @@ small-exp,0.99,parametric-exponential,-1.83978524144,43.6222508271,47.0070605617
 small-exp,0.99,parametric-normal-common,-18.3789596933,5.75896462408,343.545124034,0
 small-exp,0.99,drm-linear-log,-3.1007076476,48.179467431,57.7938553469,0
 small-exp,0.99,empirical,-7.6301751453,18.3500934297,76.5696661777,0
+"""
+
+
+# a 2x2 (n0, n) grid over two targets, resampled from fixed synthetic
+# populations: x0 first, then each target, from stream cell * reps + r
+STUDY_TABLE = """\
+scenario_id,p,method,scaled_bias,abs_bias,scaled_var,scaled_mse,fail_frac
+n0=60,n=20,0.1,drm-quadratic,0.454433486297,2.45183814336,8.6184602726,8.84811948154,0
+n0=60,n=20,0.1,parametric-normal,0.277058529557,2.00749586659,6.08489107921,6.24973917015,0
+n0=60,n=20,0.1,empirical,-0.844981771728,3.87235523048,18.492335104,19.2073060384,0
+n0=60,n=20,0.5,drm-quadratic,-0.349728703069,2.32477303359,6.75868025667,7.05376586301,0
+n0=60,n=20,0.5,parametric-normal,-0.51873062053,2.02194202081,5.09267564826,5.66000300943,0
+n0=60,n=20,0.5,empirical,-1.29622295357,2.93018471735,7.57955929328,9.4503593735,0
+n0=60,n=20,0.9,drm-quadratic,-2.46544531363,3.07439133163,8.56239831455,14.8625040963,0
+n0=60,n=20,0.9,parametric-normal,-2.01207981607,3.25655628371,9.71477650699,14.7003983145,0
+n0=60,n=20,0.9,empirical,-2.40378442642,2.83967129261,9.18964337274,15.0002679055,0
+n0=60,n=40,0.1,drm-quadratic,-0.172318550557,1.89593204466,4.2370097886,5.21559897782,0
+n0=60,n=40,0.1,parametric-normal,-0.0292834135888,1.54692075728,4.11587308579,4.25245690219,0
+n0=60,n=40,0.1,empirical,-0.928086821947,1.71242829038,3.45294847471,5.21792409297,0
+n0=60,n=40,0.5,drm-quadratic,-0.715678270991,1.76402327741,6.90870776064,7.46914276247,0
+n0=60,n=40,0.5,parametric-normal,-0.335827771706,2.07838061135,7.81169969269,8.00079959178,0
+n0=60,n=40,0.5,empirical,-1.36747368294,2.13457510739,10.5718582956,12.5011505499,0
+n0=60,n=40,0.9,drm-quadratic,-1.11410084509,3.96956999477,21.571040314,22.9442454758,0
+n0=60,n=40,0.9,parametric-normal,-1.62887100668,3.99029656125,19.0831412564,21.8423763761,0
+n0=60,n=40,0.9,empirical,-0.319781297446,3.35385914112,16.67499561,17.2766440016,0
+n0=120,n=20,0.1,drm-quadratic,-0.0513673925853,1.15780110023,1.92405835953,1.92672103256,0
+n0=120,n=20,0.1,parametric-normal,0.447178987778,0.97849153597,1.11147074681,1.34961306241,0
+n0=120,n=20,0.1,empirical,-1.38375542012,2.2631493171,4.33850465535,6.6352819637,0
+n0=120,n=20,0.5,drm-quadratic,0.768760979803,1.54138725759,2.78130493482,3.71584269286,0
+n0=120,n=20,0.5,parametric-normal,0.789430402927,1.43002342301,2.24803502226,2.98664108339,0
+n0=120,n=20,0.5,empirical,-0.128233674181,1.499022062,3.10196875385,3.42470920133,0
+n0=120,n=20,0.9,drm-quadratic,0.678724247955,2.80056139281,10.3013276768,11.1892819841,0
+n0=120,n=20,0.9,parametric-normal,0.43412177262,2.59269478428,8.14021520946,9.14772337191,0
+n0=120,n=20,0.9,empirical,0.308618387166,2.07990068915,7.60019633294,8.41941680658,0
+n0=120,n=40,0.1,drm-quadratic,0.0229104258292,2.22470395809,6.4749244539,6.54626301427,0
+n0=120,n=40,0.1,parametric-normal,-0.0820594893717,2.08395800641,5.07130228144,5.09596107003,0
+n0=120,n=40,0.1,empirical,-0.406103792466,2.56295012504,8.62148139871,8.85473481068,0
+n0=120,n=40,0.5,drm-quadratic,-0.32879976413,1.36884591815,3.78989673424,3.911438773,0
+n0=120,n=40,0.5,parametric-normal,-0.217646151082,1.51125548261,3.32450115645,3.48704418044,0
+n0=120,n=40,0.5,empirical,-0.924694376173,1.51488191471,3.3312444798,4.18890095759,0
+n0=120,n=40,0.9,drm-quadratic,-0.944004861917,1.82052272858,4.00076505231,4.8919666572,0
+n0=120,n=40,0.9,parametric-normal,-1.33973168964,2.43636874112,5.6141523276,7.4115808527,0
+n0=120,n=40,0.9,empirical,-0.606749653145,2.39323093376,9.09263634102,9.56588698142,0
 """
 
 
@@ -106,3 +153,30 @@ def test_exponential_scenario_table_is_pinned():
     buf = io.StringIO()
     run_scenario(scenario).to_csv(buf)
     assert buf.getvalue() == EXPONENTIAL_TABLE
+
+
+def _study_populations():
+    rng = np.random.default_rng(20240901)
+    return {
+        "base": Normal(10.0, 2.0).ppf(rng.random(300)),
+        "t1": Normal(10.5, 2.2).ppf(rng.random(150)),
+        "t2": Normal(9.5, 1.8).ppf(rng.random(150)),
+    }
+
+
+def test_resample_study_table_is_pinned():
+    study = ResampleStudy(
+        base="base",
+        targets=("t1", "t2"),
+        n0_grid=(60, 120),
+        n_grid=(20, 40),
+        levels=(0.1, 0.5, 0.9),
+        methods=("drm-quadratic", "parametric-normal", "empirical"),
+        reps=6,
+        seed=3,
+    )
+    table = run_resample_study(study, _study_populations())
+    buf = io.StringIO()
+    table.to_csv(buf, include_abs_bias=True)
+    assert buf.getvalue() == STUDY_TABLE
+    assert run_resample_study(study, _study_populations(), workers=2).rows == table.rows

@@ -118,9 +118,20 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: Ecdf.from_sample([]),
         lambda: KdeModel(sample=[1.0, 2.0], bandwidth=0.0),
         lambda: BasisSpec.custom([]),
+        lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=1e308,
+                         basis=SPEC),
+        lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=math.inf,
+                         basis=SPEC),
+        lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10**400, k=1,
+                         basis=SPEC),
+        lambda: Normal(mu=math.inf, sigma=1.0),
+        lambda: Normal(mu=math.nan, sigma=1.0),
+        lambda: Normal(mu=0.0, sigma=math.inf),
+        lambda: Exponential(mean=math.inf),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
-         "empty-custom-basis"],
+         "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
+         "nan-mu", "infinite-sigma", "infinite-mean"],
 )
 def test_invalid_input_raises_a_typed_error(make):
     with pytest.raises(InvalidArgumentError) as err:
