@@ -13,7 +13,7 @@ import numpy as np
 from .basis import BasisSpec
 from .errors import DrmError, InvalidArgumentError
 from .estimators import FittedDrm, QuantileEstimate, drm_quantile_estimate
-from .fit import SolverOptions, TwoSampleData, fit_mele
+from .fit import TwoSampleData, fit_mele
 from .nonparametric import (
     Ecdf,
     KdeModel,
@@ -46,9 +46,12 @@ def _output(path):
 
 def _parse_levels(text: str):
     try:
-        return tuple(float(v) for v in text.split(",") if v)
+        levels = tuple(float(v) for v in text.split(",") if v)
     except ValueError:
-        raise InvalidArgumentError(f"levels must be comma-separated numbers: {text!r}") from None
+        levels = ()
+    if not levels:
+        raise InvalidArgumentError(f"levels must be one or more comma-separated numbers: {text!r}")
+    return levels
 
 
 def _load(args, *labels):
@@ -69,8 +72,7 @@ def _cmd_estimate(args) -> int:
     data = TwoSampleData(x0=populations[args.x0], x1=populations[args.x1])
     if args.method == "drm":
         spec = BasisSpec.from_name(args.basis)
-        fit = fit_mele(data, spec, SolverOptions(tol_grad=args.tol_grad, max_iter=args.max_iter))
-        model = FittedDrm(data, spec, fit)
+        model = FittedDrm(data, spec, fit_mele(data, spec))
         estimates = [drm_quantile_estimate(model, data, spec, p, ci) for p in levels]
     elif args.method == "empirical":
         ecdf = Ecdf.from_sample(data.x1)
@@ -209,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=["linear", "quadratic", "linear-log"], default="quadratic")
     p.add_argument("--levels", default="0.05,0.5,0.95")
     p.add_argument("--ci-level", type=float, default=0.95)
-    p.add_argument("--tol-grad", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 

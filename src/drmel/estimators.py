@@ -1,16 +1,18 @@
 """Distribution and quantile estimators built on a fitted density ratio model.
 
 The fitted base-measure masses p_kj over the pooled sample give the
-estimated base CDF; multiplying by the fitted tilt exp(theta' q) gives the
-target CDF. Quantiles use the left-continuous generalized inverse, and the
+estimated base CDF; multiplying them by the fitted tilt exp(theta' q) gives
+the target masses, which the fit carries as ``DrmFit.tilted_weights`` and
+which give the target CDF. Both come from the fit alone: nothing here
+recomputes a mass, and a fit whose mass vectors do not match the data is
+rejected. Quantiles use the left-continuous generalized inverse, and the
 asymptotic variances are plug-in versions of the limiting-normal variances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,7 +25,7 @@ from .errors import (
     SingularMomentError,
     check_level,
 )
-from .fit import DrmFit, TwoSampleData, _kernel
+from .fit import DrmFit, TwoSampleData
 from .nonparametric import KdeModel, empirical_quantile_avar, kde_density, silverman_bandwidth
 
 __all__ = [
@@ -90,10 +92,9 @@ class QuantileEstimate:
 
 @dataclass(frozen=True)
 class AsymptoticVariance:
-    """Variance of sqrt(n1) * (estimator - truth), with its plug-in pieces."""
+    """Variance of sqrt(n1) * (estimator - truth)."""
 
     value: float
-    ingredients: dict[str, Any] = field(default_factory=dict)
 
 
 class FittedDrm:
@@ -111,8 +112,9 @@ class FittedDrm:
     def __init__(self, data: TwoSampleData, spec: BasisSpec, fit: DrmFit):
         if not fit.converged:
             raise NotConvergedError("fit did not converge; estimators unavailable")
-        if fit.weights.size != data.n:
-            raise InvalidArgumentError(f"fit has {fit.weights.size} masses for {data.n} points")
+        for masses in (fit.weights, fit.tilted_weights):
+            if masses.size != data.n:
+                raise InvalidArgumentError(f"fit has {masses.size} masses for {data.n} points")
         self.data, self.spec, self.fit = data, spec, fit
         self._pooled = data.pooled()
 
@@ -129,13 +131,6 @@ class FittedDrm:
         """Basis matrix of the pooled sample, in pooled (not sorted) order."""
         return evaluate_matrix(self.spec, self._pooled)
 
-    @cached_property
-    def tilted_weights(self) -> np.ndarray:
-        """Target masses p_kj * exp(theta' q_kj) in pooled order."""
-        if self.fit.tilted_weights is not None:
-            return self.fit.tilted_weights
-        return _kernel(self.q, self.fit.theta_hat, self.data.n0, self.data.n1)[2] / self.data.n1
-
     def _cdf(self, mass: np.ndarray) -> WeightedCdf:
         mass = mass[self._order]
         return WeightedCdf(support=self.support, mass=mass, cumulative=np.cumsum(mass))
@@ -146,7 +141,7 @@ class FittedDrm:
 
     @cached_property
     def g1(self) -> WeightedCdf:
-        return self._cdf(self.tilted_weights)
+        return self._cdf(self.fit.tilted_weights)
 
     @cached_property
     def target_moments(self) -> tuple:
@@ -220,7 +215,7 @@ def avar_theta_inverse_form(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -
     """Same matrix as :func:`avar_theta`, via inv(E1[q q']) minus the (1,1) unit."""
     model = _fitted(fit, data, spec)
     q = model.q
-    second = (q * model.tilted_weights[:, None]).T @ q
+    second = (q * model.fit.tilted_weights[:, None]).T @ q
     try:
         inv = np.linalg.inv(second)
     except np.linalg.LinAlgError:
@@ -256,19 +251,9 @@ def avar_quantile(
         raise NonpositiveDensityError(f"density plug-in must be positive, got {density_at}")
     _, mean_q, var_inv = model.target_moments
     xi = drm_quantile(model.g1, p)
-    partial, g1_at = model._bracket_at(xi)
+    partial = model._bracket_at(xi)[0]
     bracket = partial - p * mean_q
-    value = float(bracket @ var_inv @ bracket) / density_at**2
-    return AsymptoticVariance(
-        value=value,
-        ingredients={
-            "quantile": xi,
-            "partial_moment": partial,
-            "mean_q_minus": mean_q,
-            "g1_at_quantile": g1_at,
-            "density_at_quantile": density_at,
-        },
-    )
+    return AsymptoticVariance(float(bracket @ var_inv @ bracket) / density_at**2)
 
 
 def corollary_variance(k: float, p: float, density_at: float, parametric_avar: float) -> float:

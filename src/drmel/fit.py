@@ -10,6 +10,12 @@ z = theta' q(x) + log(n1/n0) and e = exp(-|z|), each row's log-denominator is
 L = log n0 + max(z, 0) + log1p(e) and its tilt fraction is w = n1 exp(theta' q - L)
 = (1 if z > 0 else e) / (1 + e): two transcendentals, no overflow. q is the (n, d)
 view of a C-ordered (d, n) block; Hessian row i is -q.T @ (q.T[i] * w(1 - w)).
+
+A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
+as singular. When the Newton system is singular or gives no ascent, the step
+is solved again with a ridge of ``RIDGE_SCALE`` times the trace of the
+negative Hessian. Every fit is configured by :class:`SolverOptions` alone, and
+a returned :class:`DrmFit` is converged and carries both sets of fitted masses.
 """
 
 from __future__ import annotations
@@ -69,14 +75,16 @@ class TwoSampleData:
         return np.concatenate([self.x0, self.x1])
 
 
+MAX_CONDITION = 1e12  # largest Gram condition number of a usable basis
+RIDGE_SCALE = 1e-10  # ridge on a singular Newton system, relative to its trace
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol_grad: float = 1e-10   # gradient sup-norm tolerance, scaled by n1
     tol_step: float = 1e-10
     max_iter: int = 100
     armijo: float = 1e-4
-    ridge_scale: float = 1e-10
-    max_condition: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,7 @@ class DrmFit:
     iterations: int
     converged: bool
     final_gradient_norm: float
-    # fitted target masses p_kj * exp(theta' q_kj) over the pooled sample;
-    # None on a hand-built fit, and estimators then recompute them
-    tilted_weights: np.ndarray | None = None
+    tilted_weights: np.ndarray  # fitted target masses p_kj * exp(theta' q_kj), pooled
 
 
 def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int) -> tuple:
@@ -166,7 +172,7 @@ def fit_mele(
     with np.errstate(over="ignore", invalid="ignore"):
         gram = qT @ q  # not finite when the basis overflows: then as good as singular
     cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.inf
-    if cond > opts.max_condition:
+    if cond > MAX_CONDITION:
         raise SingularBasisError(
             "basis components are collinear on the pooled sample "
             f"(Gram condition number {cond:.3e})"
@@ -177,14 +183,13 @@ def fit_mele(
     val, log_den, w = _kernel(q, theta, n0, n1)
     buf = np.empty(data.n)
     grad_tol = n1 * opts.tol_grad
-    converged = False
+    grad_norm = math.inf
     it = 0
 
     for it in range(1, opts.max_iter + 1):
         grad = q1_sum - qT @ w
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= grad_tol:
-            converged = True
             it -= 1
             break
 
@@ -195,7 +200,7 @@ def fit_mele(
             step = None
         if step is None or grad @ step <= 0:
             # ridge to restore an ascent direction
-            ridge = opts.ridge_scale * np.trace(neg_hess)
+            ridge = RIDGE_SCALE * np.trace(neg_hess)
             try:
                 step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
             except np.linalg.LinAlgError:
@@ -227,7 +232,7 @@ def fit_mele(
         if float(np.max(np.abs(t * step))) <= opts.tol_step:
             break
 
-    if not converged:
+    if grad_norm > grad_tol:  # the loop ended on a step, not on the gradient test
         grad_norm = float(np.max(np.abs(q1_sum - qT @ w)))
         if grad_norm > grad_tol:
             raise NonConvergenceError(
@@ -236,7 +241,6 @@ def fit_mele(
                 iterations=it,
                 gradient_norm=grad_norm,
             )
-        converged = True
     # l(theta) < -n0 log n0 - n1 log n1, and only theta -> infinity on samples
     # the basis separates comes this close: no finite maximizer exists
     if val >= -n0 * math.log(n0) - n1 * math.log(n1) - 1e-6 * data.n:
@@ -252,7 +256,7 @@ def fit_mele(
         weights=np.exp(-log_den),
         log_el_at_max=val,
         iterations=it,
-        converged=converged,
+        converged=True,
         final_gradient_norm=grad_norm,
         tilted_weights=w / n1,
     )

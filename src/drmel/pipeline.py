@@ -218,5 +218,5 @@ def run_resample_study(
         study.seed, FinitePopulation(populations[study.base]),
         {t: FinitePopulation(populations[t]) for t in study.targets},
         [(f"n0={n0},n={n}", n0, n) for n0 in study.n0_grid for n in study.n_grid], study.reps,
-        _resolve_methods(study.methods), study.levels, None, workers,
+        _resolve_methods(study.methods), study.levels, workers,
     )

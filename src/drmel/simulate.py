@@ -8,23 +8,27 @@ the finite populations of a resampling study. A run is a list of cells,
 each with its own sample sizes; a scenario is a run of one cell. Replicate
 r of cell c draws x0, then each target, from a counter-based RNG substream
 keyed by the seed and ``c * reps + r``, so results are bit-identical
-regardless of how replicates are scheduled across workers. Estimates are
-scored against each target's ``quantile(p)``.
+regardless of how replicates are scheduled across workers. A replicate
+returns one (target, method, level) array of estimates, NaN where the
+method raised a :class:`DrmError`: an estimate from finite samples is
+finite, so NaN marks a failure and nothing else. Estimates are scored
+against each target's ``quantile(p)``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .basis import BasisSpec
 from .errors import DrmError, InvalidArgumentError, check_level
 from .estimators import corollary_variance, drm_quantile, estimate_g1
-from .fit import SolverOptions, TwoSampleData, fit_mele
+from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, empirical_quantile
 from .parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, Exponential, Normal, fit_parametric
 
@@ -105,13 +109,16 @@ def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
 
 
 def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
-    """The checks a scenario and a study share: reps >= 1, every level in
-    (0, 1) and every method known; stores the levels and methods as tuples."""
+    """The checks a scenario and a study share: reps >= 1, at least one level
+    and one method, every level in (0, 1) and every method known; stores the
+    levels and methods as tuples."""
     if run.reps < 1:
         raise InvalidArgumentError("reps must be >= 1")
     object.__setattr__(run, "levels", tuple(check_level(p) for p in run.levels))
     _resolve_methods(run.methods, drm_basis)
     object.__setattr__(run, "methods", tuple(run.methods))
+    if not run.levels or not run.methods:
+        raise InvalidArgumentError("a run needs at least one level and one method")
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,6 @@ class Scenario:
     seed: int = 0
     methods: tuple = (METHOD_DRM, METHOD_EMPIRICAL)
     scenario_id: str = "scenario"
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         _check_run(self, self.basis)
@@ -135,8 +141,8 @@ class Scenario:
         if not 0 < self.k < math.inf:
             raise InvalidArgumentError(f"k must be positive and finite, got {self.k}")
         n0 = self.k * self.n1
-        if not n0 < 2**63 or abs(n0 - round(n0)) > 1e-9:
-            raise InvalidArgumentError(f"k * n1 must be an integer below 2**63, got {n0}")
+        if not n0 < 2**63 or abs(n0 - round(n0)) > 1e-9 or round(n0) < 1:
+            raise InvalidArgumentError(f"k * n1 must be an integer in [1, 2**63), got {n0}")
         for gen in (self.generator0, self.generator1):
             if not isinstance(gen, (Normal, Exponential)):
                 raise InvalidArgumentError(f"unknown generator {gen!r}")
@@ -216,44 +222,38 @@ def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
     )
 
 
-def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None,
-                     solver: SolverOptions | None = None) -> dict[float, float]:
-    """Quantile estimates {level: estimate} of one method on one sample pair;
-    a method with a ``basis`` is a DRM fit, which ``solver`` serves."""
+def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None) -> list[float]:
+    """Quantile estimates of one method on one sample pair, in the order of
+    ``levels``; a method with a ``basis`` is a DRM fit."""
     if basis is not None:
         data = TwoSampleData(x0=x0, x1=x1)
-        cdf = estimate_g1(fit_mele(data, basis, solver), data, basis)
-        return {p: drm_quantile(cdf, p) for p in levels}
+        cdf = estimate_g1(fit_mele(data, basis), data, basis)
+        return [drm_quantile(cdf, p) for p in levels]
     if method in _PARAMETRIC_TAGS:
         target = fit_parametric(TwoSampleData(x0=x0, x1=x1), _PARAMETRIC_TAGS[method]).target
-        return {p: target.quantile(p) for p in levels}
+        return [target.quantile(p) for p in levels]
     if method == METHOD_EMPIRICAL:
         ecdf = Ecdf.from_sample(x1)
-        return {p: empirical_quantile(ecdf, p) for p in levels}
+        return [empirical_quantile(ecdf, p) for p in levels]
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
-def _replicate(state, key):
+def _replicate(state, key) -> np.ndarray:
     """Replicate r of cell ``cell``, for ``key = (cell, r)``: x0 is drawn
-    first, then each target in order. Returns ({(target, p, method):
-    estimate}, {(target, method) failed})."""
-    seed, base, targets, cells, reps, methods, levels, solver = state
+    first, then each target in order. Returns the (target, method, level)
+    array of estimates, NaN where the method raised a DrmError."""
+    seed, base, targets, cells, reps, methods, levels = state
     cell, r = key
     _, n0, n = cells[cell]
     rng = replicate_rng(seed, cell * reps + r)
     x0 = sample(base, n0, rng)
-    estimates: dict[tuple[str, float, str], float] = {}
-    failed: set[tuple[str, str]] = set()
-    for target, population in targets.items():
+    estimates = np.full((len(targets), len(methods), len(levels)), math.nan)
+    for t, population in enumerate(targets.values()):
         x1 = sample(population, n, rng)
-        for method, basis in methods:
-            try:
-                found = method_estimates(method, x0, x1, levels, basis, solver)
-            except DrmError:
-                failed.add((target, method))
-            else:
-                estimates.update(((target, p, method), est) for p, est in found.items())
-    return estimates, failed
+        for m, (method, basis) in enumerate(methods):
+            with contextlib.suppress(DrmError):  # a failed method keeps its NaNs
+                estimates[t, m] = method_estimates(method, x0, x1, levels, basis)
+    return estimates
 
 
 _worker_state = None  # in a pool worker, the state of the run it serves
@@ -269,7 +269,7 @@ def _worker_replicate(key):
 
 
 def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, levels,
-                    solver: SolverOptions | None, workers: int) -> SimulationTable:
+                    workers: int) -> SimulationTable:
     """The replicate engine: rows of scaled errors per cell, level and method.
 
     Each replicate draws x0 from the population ``base`` and a sample from
@@ -280,7 +280,7 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     unweighted. Results are collected in key order, so the table does not
     depend on the worker count.
     """
-    state = (seed, base, targets, cells, reps, methods, levels, solver)
+    state = (seed, base, targets, cells, reps, methods, levels)
     keys = [(c, r) for c in range(len(cells)) for r in range(reps)]
     if workers <= 1:
         results = [_replicate(state, key) for key in keys]
@@ -296,17 +296,16 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
                                     chunksize=max(1, len(keys) // (4 * workers))))
     rows = []
     for c, (scenario_id, _, n) in enumerate(cells):
-        cell = results[c * reps:(c + 1) * reps]
-        for p in levels:
-            for m, _ in methods:
+        cell = np.stack(results[c * reps:(c + 1) * reps])  # (rep, target, method, level)
+        for j, p in enumerate(levels):
+            for m, (method, _) in enumerate(methods):
                 per_target = [
-                    scaled_errors([est[(t, p, m)] for est, _ in cell if (t, p, m) in est],
-                                  population.quantile(p), n,
-                                  sum((t, m) in failed for _, failed in cell) / reps)
-                    for t, population in targets.items()
+                    scaled_errors(col[~np.isnan(col)], population.quantile(p), n,
+                                  float(np.isnan(col).mean()))
+                    for col, population in zip(cell[:, :, m, j].T, targets.values())
                 ]
                 agg = [float(np.mean(col)) for col in zip(*per_target)]
-                rows.append(SimulationRow(scenario_id, p, m, *agg))
+                rows.append(SimulationRow(scenario_id, p, method, *agg))
     return SimulationTable(rows=tuple(rows))
 
 
@@ -321,6 +320,5 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationTable:
     return _run_replicates(
         scenario.seed, scenario.generator0, {scenario.scenario_id: scenario.generator1},
         [(scenario.scenario_id, scenario.n0, scenario.n1)], scenario.reps,
-        _resolve_methods(scenario.methods, scenario.basis), scenario.levels, scenario.solver,
-        workers,
+        _resolve_methods(scenario.methods, scenario.basis), scenario.levels, workers,
     )

@@ -197,6 +197,12 @@ def test_simulate_rejects_a_scenario_of_the_wrong_shape(scenario_json, capsys, e
     assert err.startswith("error:") and named in err
 
 
+def _scenario_json(tmp_path, **fields):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**VALID_SCENARIO, **fields}))
+    return path
+
+
 def _latin1_csv(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("year,revenue\n2015,1.5\n2016,2.5\nMünchen,3.5\n".encode("latin-1"))
@@ -281,9 +287,17 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
         lambda csv, tmp: ["simulate", "--scenario", tmp / "missing.json"],
         lambda csv, tmp: ["simulate", "--scenario", csv],
         lambda csv, tmp: _estimate_args(_latin1_csv(tmp), "--method", "empirical"),
+        lambda csv, tmp: _estimate_args(csv, "--levels", ","),
+        lambda csv, tmp: ["study", "--data", csv, "--value-col", "revenue", "--group-col", "year",
+                          "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
+                          "--reps", 2, "--levels", ","],
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, levels=[])],
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, methods=[])],
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, k=1e-12, n1=10)],
     ],
     ids=["estimate-levels", "study-levels", "kde-grid-points", "missing-data",
-         "missing-scenario", "scenario-not-json", "latin1-data"],
+         "missing-scenario", "scenario-not-json", "latin1-data", "estimate-no-levels",
+         "study-no-levels", "scenario-no-levels", "scenario-no-methods", "scenario-empty-base"],
 )
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -218,6 +219,7 @@ def test_not_converged_fit_rejected(rng):
         iterations=fit.iterations,
         converged=False,
         final_gradient_norm=fit.final_gradient_norm,
+        tilted_weights=fit.tilted_weights,
     )
     with pytest.raises(NotConvergedError):
         estimate_g1(broken, data, spec)
@@ -268,15 +270,15 @@ def test_fitted_model_matches_separate_calls(rng):
         np.testing.assert_array_equal(avar_theta(model, data, other), avar_theta(fit, data, other))
 
 
-def test_hand_built_fit_recomputes_tilted_masses(rng):
+def test_short_target_masses_rejected(rng):
     data = random_two_sample(rng)
     spec = BasisSpec.quadratic()
-    fit = fit_mele(data, spec)
-    bare = DrmFit(fit.theta_hat, fit.weights, fit.log_el_at_max, fit.iterations,
-                  fit.converged, fit.final_gradient_norm)
-    np.testing.assert_allclose(
-        FittedDrm(data, spec, bare).g1.mass, estimate_g1(fit, data, spec).mass, rtol=1e-12
-    )
+    fit = dataclasses.replace(fit_mele(data, spec), tilted_weights=np.full(data.n - 5, 1 / data.n))
+    for estimator in (estimate_g1, avar_theta):
+        with pytest.raises(InvalidArgumentError, match="masses"):
+            estimator(fit, data, spec)
+    with pytest.raises(InvalidArgumentError, match="masses"):
+        drm_quantile_estimate(fit, data, spec, 0.5)
 
 
 def test_fit_of_another_sample_size_rejected(rng):

@@ -128,10 +128,21 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: Normal(mu=math.nan, sigma=1.0),
         lambda: Normal(mu=0.0, sigma=math.inf),
         lambda: Exponential(mean=math.inf),
+        lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=1e-12,
+                         basis=SPEC),
+        lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=2,
+                         basis=SPEC, levels=()),
+        lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=2,
+                         basis=SPEC, methods=()),
+        lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(5,), levels=()),
+        lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(5,),
+                              levels=(0.5,), methods=()),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
-         "nan-mu", "infinite-sigma", "infinite-mean"],
+         "nan-mu", "infinite-sigma", "infinite-mean", "empty-base-sample",
+         "scenario-without-levels", "scenario-without-methods", "study-without-levels",
+         "study-without-methods"],
 )
 def test_invalid_input_raises_a_typed_error(make):
     with pytest.raises(InvalidArgumentError) as err:
