@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
 
-__all__ = ["BasisSpec", "evaluate", "evaluate_matrix"]
+__all__ = ["BASIS_NAMES", "BasisSpec", "evaluate", "evaluate_matrix"]
+
+BASIS_NAMES = ("linear", "quadratic", "linear-log")  # BasisSpec.custom builds the others
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,10 @@ class BasisSpec:
         if self.kind == "custom":
             if not self.transforms:
                 raise InvalidArgumentError("custom basis needs at least one transform")
-        elif self.kind not in ("linear", "quadratic", "linear-log"):
-            raise InvalidArgumentError(f"unknown basis kind {self.kind!r}")
+        elif self.kind not in BASIS_NAMES:
+            raise InvalidArgumentError(
+                f"unknown basis kind {self.kind!r}; known: {', '.join(BASIS_NAMES)}"
+            )
 
     @classmethod
     def linear(cls) -> "BasisSpec":
@@ -57,7 +61,7 @@ class BasisSpec:
 
     @classmethod
     def from_name(cls, name: str) -> "BasisSpec":
-        """The basis named ``name``: "linear", "quadratic" or "linear-log"."""
+        """The basis named ``name``, one of :data:`BASIS_NAMES`."""
         return cls(kind=name)
 
     @property

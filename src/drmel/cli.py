@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BASIS_NAMES, BasisSpec
 from .errors import DrmError, InvalidArgumentError
 from .estimators import FittedDrm, QuantileEstimate, drm_quantile_estimate
 from .fit import TwoSampleData, fit_mele
@@ -22,7 +22,7 @@ from .nonparametric import (
     kde_density,
     silverman_bandwidth,
 )
-from .parametric import fit_parametric, parametric_quantile
+from .parametric import FAMILY_TAGS, fit_parametric, parametric_quantile
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
 from .simulate import (
     METHOD_DRM,
@@ -203,12 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_csv_args(p)
     p.add_argument("--x0", required=True, help="group label of the base sample")
     p.add_argument("--x1", required=True, help="group label of the target sample")
-    p.add_argument(
-        "--method",
-        choices=["drm", "normal", "normal-common", "exponential", "empirical"],
-        default="drm",
-    )
-    p.add_argument("--basis", choices=["linear", "quadratic", "linear-log"], default="quadratic")
+    p.add_argument("--method", choices=["drm", *FAMILY_TAGS, "empirical"], default="drm")
+    p.add_argument("--basis", choices=BASIS_NAMES, default="quadratic")
     p.add_argument("--levels", default="0.05,0.5,0.95")
     p.add_argument("--ci-level", type=float, default=0.95)
     p.add_argument("--out")
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--levels", default="0.01,0.05,0.5,0.95")
-    p.add_argument("--basis", choices=["linear", "quadratic", "linear-log"], default="quadratic")
+    p.add_argument("--basis", choices=BASIS_NAMES, default="quadratic")
     p.add_argument("--methods", help="comma-separated method names; overrides --basis default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

@@ -16,10 +16,17 @@ as singular. When the Newton system is singular or gives no ascent, the step
 is solved again with a ridge of ``RIDGE_SCALE`` times the trace of the
 negative Hessian. Every fit is configured by :class:`SolverOptions` alone, and
 a returned :class:`DrmFit` is converged and carries both sets of fitted masses.
+
+A fit is judged in one place: the gradient sup-norm test at the top of each
+Newton attempt. Passing it is the only way the loop ends without raising.
+After a step that stalls (an exhausted line search, or a step below
+``tol_step``), or once the iteration budget is spent, a failed test raises
+:class:`NonConvergenceError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -161,8 +168,10 @@ def fit_mele(
 
     Raises :class:`SingularBasisError` when the basis is collinear on the
     pooled sample and :class:`NonConvergenceError` when the gradient test
-    fails after the iteration budget, a failed line search or a singular
-    Newton system, or when the basis separates the samples.
+    fails after ``max_iter`` steps or after a stalled step, when the Newton
+    system is singular even with the ridge, or when the basis separates the
+    samples. ``iterations`` counts the steps taken, or, for a singular
+    system, the attempt that failed.
     """
     opts = options or SolverOptions()
     n0, n1 = data.n0, data.n1
@@ -183,64 +192,57 @@ def fit_mele(
     val, log_den, w = _kernel(q, theta, n0, n1)
     buf = np.empty(data.n)
     grad_tol = n1 * opts.tol_grad
-    grad_norm = math.inf
-    it = 0
+    stalled = False
 
-    for it in range(1, opts.max_iter + 1):
+    # attempt ``it`` starts after ``it`` steps; the gradient test is the one
+    # way out that does not raise, and the budget test bounds the loop
+    for it in itertools.count():
         grad = q1_sum - qT @ w
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= grad_tol:
-            it -= 1
             break
-
-        neg_hess = _neg_hessian(qT, w, buf)
-        try:
-            step = np.linalg.solve(neg_hess, grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or grad @ step <= 0:
-            # ridge to restore an ascent direction
-            ridge = RIDGE_SCALE * np.trace(neg_hess)
-            try:
-                step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
-            except np.linalg.LinAlgError:
-                # every curvature weight w(1-w) underflowed, so the ridge is 0
-                raise NonConvergenceError(
-                    f"singular Newton system at iteration {it} "
-                    f"(gradient sup-norm {grad_norm:.3e})",
-                    iterations=it,
-                    gradient_norm=grad_norm,
-                ) from None
-
-        # backtracking line search, Armijo condition; skipped once the
-        # predicted gain is below the rounding error of the objective
-        slope = float(grad @ step)
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(val))
-        t = 1.0
-        while True:
-            cand = theta + t * step
-            cand_parts = _kernel(q, cand, n0, n1)
-            if cand_parts[0] >= val + opts.armijo * t * slope - noise:
-                break
-            t *= 0.5
-            if t < 1e-14:
-                cand_parts = None
-                break
-        if cand_parts is None:
-            break  # no acceptable step: keep theta, the gradient test decides
-        theta, (val, log_den, w) = cand, cand_parts
-        if float(np.max(np.abs(t * step))) <= opts.tol_step:
-            break
-
-    if grad_norm > grad_tol:  # the loop ended on a step, not on the gradient test
-        grad_norm = float(np.max(np.abs(q1_sum - qT @ w)))
-        if grad_norm > grad_tol:
+        if stalled or it >= opts.max_iter:
             raise NonConvergenceError(
                 f"no convergence after {it} iterations "
                 f"(gradient sup-norm {grad_norm:.3e}, tolerance {grad_tol:.3e})",
                 iterations=it,
                 gradient_norm=grad_norm,
             )
+
+        # the Newton step, or the ridged one where the system is singular or
+        # the step descends; the ridged step is taken as it is, and so is a
+        # NaN step, which the line search then rejects
+        neg_hess = _neg_hessian(qT, w, buf)
+        for ridge in (0.0, RIDGE_SCALE * np.trace(neg_hess)):
+            try:
+                step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
+            except np.linalg.LinAlgError:
+                continue
+            if ridge or not grad @ step <= 0:
+                break
+        else:  # every curvature weight w(1-w) underflowed, so the ridge is 0
+            raise NonConvergenceError(
+                f"singular Newton system at iteration {it + 1} "
+                f"(gradient sup-norm {grad_norm:.3e})",
+                iterations=it + 1,
+                gradient_norm=grad_norm,
+            )
+
+        # backtracking line search, Armijo condition; skipped once the
+        # predicted gain is below the rounding error of the objective
+        slope = float(grad @ step)
+        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(val))
+        t = 1.0
+        while t >= 1e-14:
+            cand = theta + t * step
+            cand_parts = _kernel(q, cand, n0, n1)
+            if cand_parts[0] >= val + opts.armijo * t * slope - noise:
+                theta, (val, log_den, w) = cand, cand_parts
+                break
+            t *= 0.5
+        # an exhausted search keeps theta; either way the next gradient test decides
+        stalled = t < 1e-14 or float(np.max(np.abs(t * step))) <= opts.tol_step
+
     # l(theta) < -n0 log n0 - n1 log n1, and only theta -> infinity on samples
     # the basis separates comes this close: no finite maximizer exists
     if val >= -n0 * math.log(n0) - n1 * math.log(n1) - 1e-6 * data.n:

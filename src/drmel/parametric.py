@@ -36,6 +36,7 @@ __all__ = [
     "NORMAL_FREE",
     "NORMAL_COMMON",
     "EXPONENTIAL",
+    "FAMILY_TAGS",
     "ParametricFamily",
     "fit_parametric",
     "parametric_quantile",
@@ -47,6 +48,7 @@ __all__ = [
 NORMAL_FREE = "normal"
 NORMAL_COMMON = "normal-common"
 EXPONENTIAL = "exponential"
+FAMILY_TAGS = (NORMAL_FREE, NORMAL_COMMON, EXPONENTIAL)  # every tag fit_parametric takes
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,10 @@ class ParametricFamily:
 
 def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
     """Closed-form MLEs; variance estimates use divisor n_k, not n_k - 1."""
+    if family_tag not in FAMILY_TAGS:
+        raise UnsupportedCombinationError(
+            f"unknown family tag {family_tag!r}; known: {', '.join(FAMILY_TAGS)}"
+        )
     x0, x1 = data.x0, data.x1
     mu0, mu1 = float(np.mean(x0)), float(np.mean(x1))
 
@@ -150,8 +156,6 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
             raise DomainError("exponential family requires strictly positive data")
         return ParametricFamily(EXPONENTIAL, mu0, mu1, None, None, data.n0, data.n1)
 
-    if family_tag not in (NORMAL_FREE, NORMAL_COMMON):
-        raise UnsupportedCombinationError(f"unknown family tag {family_tag!r}")
     if data.n0 < 2 or data.n1 < 2:
         raise DegenerateSampleError("need at least two points per sample")
     if family_tag == NORMAL_FREE:

@@ -21,13 +21,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CsvParseError, EmptyGroupError, InvalidArgumentError
-from .simulate import (
-    _METHOD_BASES,
-    SimulationTable,
-    _check_run,
-    _resolve_methods,
-    _run_replicates,
-)
+from .simulate import SimulationTable, _check_run, _resolve_methods, _run_replicates
 
 __all__ = [
     "ColumnSpec",
@@ -35,10 +29,7 @@ __all__ = [
     "ResampleStudy",
     "ingest_csv",
     "run_resample_study",
-    "STUDY_METHODS",
 ]
-
-STUDY_METHODS = tuple(_METHOD_BASES)
 
 
 @dataclass(frozen=True)

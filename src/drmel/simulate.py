@@ -8,11 +8,18 @@ the finite populations of a resampling study. A run is a list of cells,
 each with its own sample sizes; a scenario is a run of one cell. Replicate
 r of cell c draws x0, then each target, from a counter-based RNG substream
 keyed by the seed and ``c * reps + r``, so results are bit-identical
-regardless of how replicates are scheduled across workers. A replicate
-returns one (target, method, level) array of estimates, NaN where the
-method raised a :class:`DrmError`: an estimate from finite samples is
-finite, so NaN marks a failure and nothing else. Estimates are scored
-against each target's ``quantile(p)``.
+regardless of how replicates are scheduled across workers.
+
+A method name resolves in one step, through the table ``_ESTIMATORS``, to
+an estimator ``(x0, x1, levels) -> estimates``: ``drm-<basis>`` for each of
+:data:`~drmel.basis.BASIS_NAMES`, ``parametric-<tag>`` for each of
+:data:`~drmel.parametric.FAMILY_TAGS`, and ``empirical``; a scenario adds
+``drm``, the DRM under its own basis. Estimators are picklable, so they
+cross the process pool with the run. A replicate returns one (target,
+method, level) array of estimates, NaN where the method raised a
+:class:`DrmError`: an estimate from finite samples is finite, so NaN marks
+a failure and nothing else. Estimates are scored against each target's
+``quantile(p)``.
 """
 
 from __future__ import annotations
@@ -22,15 +29,16 @@ import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BASIS_NAMES, BasisSpec
 from .errors import DrmError, InvalidArgumentError, check_level
 from .estimators import corollary_variance, drm_quantile, estimate_g1
 from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, empirical_quantile
-from .parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE, Exponential, Normal, fit_parametric
+from .parametric import FAMILY_TAGS, Exponential, Normal, fit_parametric
 
 __all__ = [
     "Normal",
@@ -44,40 +52,50 @@ __all__ = [
     "parametric_avar",
     "corollary_curve",
     "METHOD_DRM",
-    "METHOD_NORMAL",
-    "METHOD_NORMAL_COMMON",
     "METHOD_EXPONENTIAL",
     "METHOD_EMPIRICAL",
 ]
 
 METHOD_DRM = "drm"
-METHOD_NORMAL = "parametric-normal"
-METHOD_NORMAL_COMMON = "parametric-normal-common"
 METHOD_EXPONENTIAL = "parametric-exponential"
 METHOD_EMPIRICAL = "empirical"
 
-_PARAMETRIC_TAGS = {
-    METHOD_NORMAL: NORMAL_FREE,
-    METHOD_NORMAL_COMMON: NORMAL_COMMON,
-    METHOD_EXPONENTIAL: EXPONENTIAL,
-}
-# the DRM basis of each method name, None for the others; "drm" alone takes
-# the basis of its scenario
-_METHOD_BASES = {
-    **{f"drm-{b}": BasisSpec.from_name(b) for b in ("linear", "quadratic", "linear-log")},
-    **dict.fromkeys(_PARAMETRIC_TAGS),
-    METHOD_EMPIRICAL: None,
+
+def _drm(basis: BasisSpec, x0, x1, levels) -> list[float]:
+    data = TwoSampleData(x0=x0, x1=x1)
+    cdf = estimate_g1(fit_mele(data, basis), data, basis)
+    return [drm_quantile(cdf, p) for p in levels]
+
+
+def _parametric(tag: str, x0, x1, levels) -> list[float]:
+    target = fit_parametric(TwoSampleData(x0=x0, x1=x1), tag).target
+    return [target.quantile(p) for p in levels]
+
+
+def _empirical(x0, x1, levels) -> list[float]:
+    ecdf = Ecdf.from_sample(x1)
+    return [empirical_quantile(ecdf, p) for p in levels]
+
+
+# the estimator of each method name: quantile estimates of one sample pair,
+# in the order of ``levels``
+_ESTIMATORS = {
+    **{f"drm-{b}": partial(_drm, BasisSpec.from_name(b)) for b in BASIS_NAMES},
+    **{f"parametric-{tag}": partial(_parametric, tag) for tag in FAMILY_TAGS},
+    METHOD_EMPIRICAL: _empirical,
 }
 
 
 def _resolve_methods(names, drm_basis: BasisSpec | None = None) -> tuple:
-    """(name, DRM basis or None) per method name; ``drm`` is known only with
-    a ``drm_basis``. Raises :class:`InvalidArgumentError` on an unknown name."""
-    bases = _METHOD_BASES if drm_basis is None else {METHOD_DRM: drm_basis, **_METHOD_BASES}
+    """(name, estimator) per method name; ``drm`` is known only with a
+    ``drm_basis``. Raises :class:`InvalidArgumentError`, naming the known
+    methods, on an unknown name."""
+    estimators = _ESTIMATORS if drm_basis is None else {
+        METHOD_DRM: partial(_drm, drm_basis), **_ESTIMATORS}
     for name in names:
-        if not isinstance(name, str) or name not in bases:
-            raise InvalidArgumentError(f"unknown method {name!r}")
-    return tuple((name, bases[name]) for name in names)
+        if not isinstance(name, str) or name not in estimators:
+            raise InvalidArgumentError(f"unknown method {name!r}; known: {', '.join(estimators)}")
+    return tuple((name, estimators[name]) for name in names)
 
 
 def sample(gen, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,22 +240,6 @@ def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
     )
 
 
-def method_estimates(method: str, x0, x1, levels, basis: BasisSpec | None) -> list[float]:
-    """Quantile estimates of one method on one sample pair, in the order of
-    ``levels``; a method with a ``basis`` is a DRM fit."""
-    if basis is not None:
-        data = TwoSampleData(x0=x0, x1=x1)
-        cdf = estimate_g1(fit_mele(data, basis), data, basis)
-        return [drm_quantile(cdf, p) for p in levels]
-    if method in _PARAMETRIC_TAGS:
-        target = fit_parametric(TwoSampleData(x0=x0, x1=x1), _PARAMETRIC_TAGS[method]).target
-        return [target.quantile(p) for p in levels]
-    if method == METHOD_EMPIRICAL:
-        ecdf = Ecdf.from_sample(x1)
-        return [empirical_quantile(ecdf, p) for p in levels]
-    raise InvalidArgumentError(f"unknown method {method!r}")
-
-
 def _replicate(state, key) -> np.ndarray:
     """Replicate r of cell ``cell``, for ``key = (cell, r)``: x0 is drawn
     first, then each target in order. Returns the (target, method, level)
@@ -250,9 +252,9 @@ def _replicate(state, key) -> np.ndarray:
     estimates = np.full((len(targets), len(methods), len(levels)), math.nan)
     for t, population in enumerate(targets.values()):
         x1 = sample(population, n, rng)
-        for m, (method, basis) in enumerate(methods):
+        for m, (_, estimator) in enumerate(methods):
             with contextlib.suppress(DrmError):  # a failed method keeps its NaNs
-                estimates[t, m] = method_estimates(method, x0, x1, levels, basis)
+                estimates[t, m] = estimator(x0, x1, levels)
     return estimates
 
 
@@ -275,14 +277,19 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     Each replicate draws x0 from the population ``base`` and a sample from
     each population of ``targets``, a ``{target: population}`` dict; the
     truth of a target at level p is its ``quantile(p)``. ``cells`` holds
-    each cell's ``(scenario_id, n0, n)`` and ``methods`` the ``(name, DRM
-    basis or None)`` pairs. A row averages the scaled errors of the targets,
-    unweighted. Results are collected in key order, so the table does not
-    depend on the worker count.
+    each cell's ``(scenario_id, n0, n)`` and ``methods`` the ``(name,
+    estimator)`` pairs of :func:`_resolve_methods`. A row averages the
+    scaled errors of the targets, unweighted. Results are collected in key
+    order, so the table does not depend on the worker count. A pool opens no
+    more workers than there are replicates, and a worker count below 1
+    raises :class:`InvalidArgumentError`.
     """
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     state = (seed, base, targets, cells, reps, methods, levels)
     keys = [(c, r) for c in range(len(cells)) for r in range(reps)]
-    if workers <= 1:
+    workers = min(workers, len(keys))
+    if workers <= 1:  # also a run of no replicates
         results = [_replicate(state, key) for key in keys]
     else:
         try:  # pickled once, so each worker receives it once

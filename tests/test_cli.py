@@ -169,8 +169,10 @@ def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
         (lambda obj: obj.update(basis="cubic"), "'cubic'"),
         (lambda obj: obj.pop("n1"), "'n1'"),
         (lambda obj: obj["generator1"].pop("sigma"), "'sigma'"),
+        (lambda obj: obj.update(methods=["drm", "emprical"]),
+         "'emprical'; known: drm, drm-linear,"),
     ],
-    ids=["unknown-basis", "missing-n1", "missing-generator-field"],
+    ids=["unknown-basis", "missing-n1", "missing-generator-field", "unknown-method"],
 )
 def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, named):
     obj = json.loads(scenario_json.read_text())
@@ -195,6 +197,16 @@ def test_simulate_rejects_a_scenario_of_the_wrong_shape(scenario_json, capsys, e
     assert run_cli(["simulate", "--scenario", scenario_json]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_study_asking_for_drm_is_told_the_known_methods(data_csv, capsys):
+    # a study has no scenario basis, so plain "drm" is unknown there
+    code = run_cli(["study", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
+                    "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10, "--reps", 2,
+                    "--methods", "drm,empirical"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown method 'drm'; known: drm-linear, drm-quadratic,")
 
 
 def _scenario_json(tmp_path, **fields):
@@ -294,10 +306,15 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
         lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, levels=[])],
         lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, methods=[])],
         lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, k=1e-12, n1=10)],
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp), "--workers", 0],
+        lambda csv, tmp: ["study", "--data", csv, "--value-col", "revenue", "--group-col", "year",
+                          "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
+                          "--reps", 2, "--workers", -2],
     ],
     ids=["estimate-levels", "study-levels", "kde-grid-points", "missing-data",
          "missing-scenario", "scenario-not-json", "latin1-data", "estimate-no-levels",
-         "study-no-levels", "scenario-no-levels", "scenario-no-methods", "scenario-empty-base"],
+         "study-no-levels", "scenario-no-levels", "scenario-no-methods", "scenario-empty-base",
+         "simulate-no-workers", "study-negative-workers"],
 )
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1

@@ -6,6 +6,7 @@ import pytest
 from drmel import (
     BasisSpec,
     NonConvergenceError,
+    Normal,
     SingularBasisError,
     SolverOptions,
     TwoSampleData,
@@ -15,7 +16,9 @@ from drmel import (
     hessian,
     score,
 )
+from drmel.simulate import replicate_rng, sample
 from conftest import random_basis, random_two_sample
+from test_regression import TABLE1_FITS
 
 
 def finite_difference_gradient(f, theta, step=1e-5):
@@ -319,3 +322,50 @@ def test_oracle_hessian_equals_fitter_curvature(rng):
         h = _neg_hessian(q.T, w, np.empty(data.n))
         np.testing.assert_allclose(h, reference, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(hessian(data, spec, theta), -(h + h.T) / 2.0, rtol=1e-15)
+
+
+# Pins of each exit of fit_mele: a fit converges only through the gradient
+# test, after any number of steps up to the budget, and a stalled step or a
+# spent budget raises with the number of steps taken.
+
+
+def test_identical_samples_converge_at_zero_without_a_step():
+    data = TwoSampleData(x0=[-1.0, 0.0, 1.0], x1=[-1.0, 0.0, 1.0])
+    fit = fit_mele(data, BasisSpec.quadratic())
+    assert fit.iterations == 0
+    assert np.array_equal(fit.theta_hat, np.zeros(3))
+    assert fit.final_gradient_norm == 0.0
+    np.testing.assert_allclose(fit.weights, 1 / data.n, rtol=1e-15)
+    np.testing.assert_allclose(fit.tilted_weights, 1 / data.n, rtol=1e-15)
+
+
+def test_iteration_budget_boundary_on_a_table1_fit():
+    rng = replicate_rng(20240824, 0)
+    x0 = sample(Normal(0.0, 1.0), 100_000, rng)
+    x1 = sample(Normal(0.0, 1.0), 1_000, rng)
+    data, spec = TwoSampleData(x0=x0, x1=x1), BasisSpec.quadratic()
+    iterations, theta = TABLE1_FITS[0]
+    assert iterations == 4
+    fit = fit_mele(data, spec, SolverOptions(max_iter=4))
+    assert fit.iterations == 4
+    assert np.array_equal(fit.theta_hat, fit_mele(data, spec).theta_hat)
+    np.testing.assert_allclose(fit.theta_hat, theta, rtol=1e-12, atol=0)
+    with pytest.raises(NonConvergenceError, match="after 3 iterations") as err:
+        fit_mele(data, spec, SolverOptions(max_iter=3))
+    assert err.value.iterations == 3
+    assert err.value.gradient_norm == pytest.approx(4.171326963842148e-07, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "tol_step, iterations, gradient_norm",
+    [(0.5, 2, 0.04948136336281728), (1e-2, 4, 3.5540352882890147e-09)],
+)
+def test_step_below_tol_step_stalls_the_fit(tol_step, iterations, gradient_norm):
+    # without the step test the fit converges after 5 iterations
+    data = TwoSampleData(x0=np.linspace(0, 1, 40), x1=np.linspace(0.2, 1.3, 15))
+    spec = BasisSpec.linear()
+    assert fit_mele(data, spec).iterations == 5
+    with pytest.raises(NonConvergenceError, match=f"after {iterations} iterations") as err:
+        fit_mele(data, spec, SolverOptions(tol_step=tol_step))
+    assert err.value.iterations == iterations
+    assert err.value.gradient_norm == pytest.approx(gradient_norm, rel=1e-9)

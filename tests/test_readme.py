@@ -20,3 +20,36 @@ def test_readme_command_lines_parse():
     assert len(commands) == 4 and all(c.startswith("drmel ") for c in commands)
     for command in commands:
         build_parser().parse_args(shlex.split(command)[1:])
+
+
+def _readme_table(heading: str) -> list:
+    """The first-column names of the table under ``### heading`` of the
+    "Command line" section."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    body = section.split(f"### {heading}\n", 1)[1].split("\n### ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", body, re.M)
+
+
+def test_readme_method_names_are_the_engine_table():
+    from drmel.simulate import _ESTIMATORS, METHOD_DRM
+
+    assert _readme_table("Method names") == [*_ESTIMATORS, METHOD_DRM]
+
+
+def test_readme_scenario_keys_are_the_keys_the_cli_reads():
+    from drmel.cli import scenario_from_json
+
+    read = []
+
+    class Recording(dict):
+        def get(self, key, *default):
+            read.append(key)
+            return super().get(key, *default)
+
+    scenario_from_json(Recording({
+        "generator0": {"dist": "normal", "mu": 0, "sigma": 1},
+        "generator1": {"dist": "normal", "mu": 0, "sigma": 1},
+        "n1": 10,
+        "k": 2,
+    }))
+    assert _readme_table("Scenario JSON") == read

@@ -180,3 +180,48 @@ def test_resample_study_table_is_pinned():
     table.to_csv(buf, include_abs_bias=True)
     assert buf.getvalue() == STUDY_TABLE
     assert run_resample_study(study, _study_populations(), workers=2).rows == table.rows
+
+
+# n1 = 3 from N(0.5, 1.2) against 12 base points: drm fails in 3 of 40
+# replicates, drm-linear in 1, and drm-linear-log, whose log needs positive
+# samples, in all of them, so the table covers the all-failed aggregate
+FAILURE_HEAVY_TABLE = """\
+scenario_id,p,method,scaled_bias,scaled_var,scaled_mse,fail_frac
+scenario,0.05,drm,1.17800780315,2.39328369532,3.78098607961,0.075
+scenario,0.05,drm-linear,0.957394706005,1.85195951934,2.76856414242,0.025
+scenario,0.05,drm-linear-log,nan,nan,nan,1
+scenario,0.05,parametric-normal,1.09227925178,2.89163527691,4.08470924078,0
+scenario,0.05,parametric-normal-common,0.91290138271,1.27379203283,2.10718096738,0
+scenario,0.05,empirical,1.74291721054,2.19220001249,5.22996041527,0
+scenario,0.5,drm,0.396790036333,1.37120144202,1.52864377495,0.075
+scenario,0.5,drm-linear,0.247590523445,1.3008890719,1.3621901392,0.025
+scenario,0.5,drm-linear-log,nan,nan,nan,1
+scenario,0.5,parametric-normal,0.124073810186,1.09155644894,1.10695075932,0
+scenario,0.5,parametric-normal-common,0.124073810186,1.09155644894,1.10695075932,0
+scenario,0.5,empirical,0.251818735302,1.74915135743,1.81256403288,0
+scenario,0.9,drm,-0.5725086075,1.59062812667,1.91839423233,0.075
+scenario,0.9,drm-linear,-0.627892617544,1.68971617596,2.08396531513,0.025
+scenario,0.9,drm-linear-log,nan,nan,nan,1
+scenario,0.9,parametric-normal,-0.63028218789,2.35992205466,2.75717769104,0
+scenario,0.9,parametric-normal-common,-0.490523862183,1.2522713204,1.49288497977,0
+scenario,0.9,empirical,-0.867405360658,2.07642062896,2.82881268866,0
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failure_heavy_scenario_table_is_pinned(workers):
+    scenario = Scenario(
+        generator0=Normal(0.0, 1.0),
+        generator1=Normal(0.5, 1.2),
+        n1=3,
+        k=4,
+        basis=BasisSpec.quadratic(),
+        levels=(0.05, 0.5, 0.9),
+        reps=40,
+        seed=3,
+        methods=("drm", "drm-linear", "drm-linear-log", "parametric-normal",
+                 "parametric-normal-common", "empirical"),
+    )
+    buf = io.StringIO()
+    run_scenario(scenario, workers=workers).to_csv(buf)
+    assert buf.getvalue() == FAILURE_HEAVY_TABLE

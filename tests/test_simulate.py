@@ -114,6 +114,24 @@ def test_unpicklable_basis_with_workers_raises_typed_error():
         run_scenario(scenario, workers=2)
 
 
+def test_pool_is_sized_by_the_replicates(monkeypatch):
+    import drmel.simulate
+
+    requested = []
+
+    class RecordingPool:
+        """Records the pool size asked for and starts no process."""
+
+        def __init__(self, *args, **kwargs):
+            requested.append(args[0] if args else kwargs.get("max_workers"))
+            raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(drmel.simulate, "ProcessPoolExecutor", RecordingPool)
+    with pytest.raises(RuntimeError, match="no pool"):
+        run_scenario(small_scenario(reps=2), workers=64)
+    assert requested == [2]
+
+
 def test_scenario_validation():
     with pytest.raises(InvalidArgumentError):
         small_scenario(reps=0)
