@@ -213,12 +213,12 @@ def fit_mele(
         # the step descends; the ridged step is taken as it is, and so is a
         # NaN step, which the line search then rejects
         neg_hess = _neg_hessian(qT, w, buf)
-        for ridge in (0.0, RIDGE_SCALE * np.trace(neg_hess)):
+        for ridged, ridge in enumerate((0.0, RIDGE_SCALE * np.trace(neg_hess))):
             try:
                 step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
             except np.linalg.LinAlgError:
                 continue
-            if ridge or not grad @ step <= 0:
+            if ridged or not grad @ step <= 0:
                 break
         else:  # every curvature weight w(1-w) underflowed, so the ridge is 0
             raise NonConvergenceError(

@@ -38,7 +38,7 @@ from .errors import DrmError, InvalidArgumentError, check_level
 from .estimators import corollary_variance, drm_quantile, estimate_g1
 from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, empirical_quantile
-from .parametric import FAMILY_TAGS, Exponential, Normal, fit_parametric
+from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, fit_parametric
 
 __all__ = [
     "Normal",
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 METHOD_DRM = "drm"
-METHOD_EXPONENTIAL = "parametric-exponential"
+METHOD_EXPONENTIAL = f"parametric-{EXPONENTIAL}"
 METHOD_EMPIRICAL = "empirical"
 
 

@@ -6,7 +6,6 @@ import pytest
 from drmel import (
     BasisSpec,
     NonConvergenceError,
-    Normal,
     SingularBasisError,
     SolverOptions,
     TwoSampleData,
@@ -16,9 +15,8 @@ from drmel import (
     hessian,
     score,
 )
-from drmel.simulate import replicate_rng, sample
 from conftest import random_basis, random_two_sample
-from test_regression import TABLE1_FITS
+from test_regression import TABLE1_FITS, table1_data
 
 
 def finite_difference_gradient(f, theta, step=1e-5):
@@ -340,10 +338,7 @@ def test_identical_samples_converge_at_zero_without_a_step():
 
 
 def test_iteration_budget_boundary_on_a_table1_fit():
-    rng = replicate_rng(20240824, 0)
-    x0 = sample(Normal(0.0, 1.0), 100_000, rng)
-    x1 = sample(Normal(0.0, 1.0), 1_000, rng)
-    data, spec = TwoSampleData(x0=x0, x1=x1), BasisSpec.quadratic()
+    data, spec = table1_data(0), BasisSpec.quadratic()
     iterations, theta = TABLE1_FITS[0]
     assert iterations == 4
     fit = fit_mele(data, spec, SolverOptions(max_iter=4))
@@ -369,3 +364,17 @@ def test_step_below_tol_step_stalls_the_fit(tol_step, iterations, gradient_norm)
         fit_mele(data, spec, SolverOptions(tol_step=tol_step))
     assert err.value.iterations == iterations
     assert err.value.gradient_norm == pytest.approx(gradient_norm, rel=1e-9)
+
+
+def test_descending_step_is_taken_when_the_ridge_is_zero(monkeypatch):
+    # A negative-definite system makes the Newton step descend; with a zero
+    # ridge scale the second solve returns that same step, which is taken
+    # (the line search then decides), not reported as a singular system.
+    import drmel.fit
+
+    monkeypatch.setattr(drmel.fit, "RIDGE_SCALE", 0.0)
+    monkeypatch.setattr(drmel.fit, "_neg_hessian", lambda qT, w, buf: -np.eye(qT.shape[0]))
+    data = TwoSampleData(x0=[0.0, 0.5, 1.0, 1.5], x1=[0.2, 0.9, 1.7])
+    with pytest.raises(NonConvergenceError, match="no convergence after 1 iterations") as err:
+        fit_mele(data, BasisSpec.linear())
+    assert err.value.iterations == 1

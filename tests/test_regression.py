@@ -22,7 +22,16 @@ from drmel import (
 )
 from drmel.simulate import replicate_rng, sample
 
-# replicate r of the Table-1 stream (seed 20240824): iterations and theta_hat
+
+def table1_data(r):
+    """Replicate ``r`` of the Table-1 stream (seed 20240824): N(0,1) at 100,000 and 1,000."""
+    rng = replicate_rng(20240824, r)
+    x0 = sample(Normal(0.0, 1.0), 100_000, rng)
+    x1 = sample(Normal(0.0, 1.0), 1_000, rng)
+    return TwoSampleData(x0=x0, x1=x1)
+
+
+# iterations and theta_hat of the quadratic fit on table1_data(r)
 TABLE1_FITS = {
     0: (4, [-0.026424230646010065, 0.022161976392529516, 0.02565515405939887]),
     1: (3, [0.023880735759990692, -0.009715545123745383, -0.02450637707498111]),
@@ -109,10 +118,7 @@ n0=120,n=40,0.9,empirical,-0.606749653145,2.39323093376,9.09263634102,9.56588698
 
 @pytest.mark.parametrize("r", sorted(TABLE1_FITS))
 def test_table1_fit_is_pinned(r):
-    rng = replicate_rng(20240824, r)
-    x0 = sample(Normal(0.0, 1.0), 100_000, rng)
-    x1 = sample(Normal(0.0, 1.0), 1_000, rng)
-    fit = fit_mele(TwoSampleData(x0=x0, x1=x1), BasisSpec.quadratic())
+    fit = fit_mele(table1_data(r), BasisSpec.quadratic())
     iterations, theta = TABLE1_FITS[r]
     assert fit.iterations == iterations
     np.testing.assert_allclose(fit.theta_hat, theta, rtol=1e-12, atol=0)

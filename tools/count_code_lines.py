@@ -5,15 +5,14 @@ a docstring (the string statement that opens a module, class or function).
 The script prints one ``count path`` line per module, then the total, and
 the count of all lines, blank or not, for comparison.
 
-Run it from anywhere: ``python3 tools/count_code_lines.py [DIR]``; ``DIR``
-defaults to the package directory of this checkout.
+Run it from anywhere: ``python3 tools/count_code_lines.py``. It counts the
+package of the checkout it lives in.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -44,11 +43,9 @@ def code_lines(source: str) -> int:
     return len(code - skip)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    root = Path(args[0]) if args else PACKAGE
+def main() -> int:
     total = everything = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         count = code_lines(source)
         total += count
