@@ -24,9 +24,7 @@ from drmel import (
     fit_mele,
     KdeModel,
     kde_density,
-    parametric_avar,
     silverman_bandwidth,
-    quantile_density,
 )
 
 rng = np.random.default_rng(11)
@@ -37,8 +35,8 @@ print("analytic variance of the p=0.05 quantile as the base sample grows:")
 ks = [0, 1, 10, 100, 1000]
 for k, v in zip(ks, corollary_curve(gen, p, ks)):
     print(f"  k={k:5d}: {v:8.4f}")
-print(f"  parametric limit: {parametric_avar(gen, p):8.4f}")
-print(f"  empirical (k=0):  {0.05 * 0.95 / quantile_density(gen, p) ** 2:8.4f}")
+print(f"  parametric limit: {gen.quantile_avar(p):8.4f}")
+print(f"  empirical (k=0):  {0.05 * 0.95 / gen.density_at_quantile(p) ** 2:8.4f}")
 
 # plug-in variance from one fitted model, with a KDE density estimate
 data = TwoSampleData(x0=rng.normal(0, 1, 20000), x1=rng.normal(0, 1, 1000))
@@ -48,7 +46,7 @@ fit = fit_mele(data, spec)
 kde = KdeModel(data.x1, silverman_bandwidth(data.x1))
 density = kde_density(kde, np.quantile(data.x1, p))
 plug_in = avar_quantile(fit, data, spec, p, density_at=float(density))
-print(f"\nplug-in variance at k=20: {plug_in.value:.4f} "
+print(f"\nplug-in variance at k=20: {plug_in:.4f} "
       f"(analytic {corollary_curve(gen, p, [20])[0]:.4f})")
 
 # the two algebraic forms of the tilt-parameter variance agree exactly

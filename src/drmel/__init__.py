@@ -7,7 +7,7 @@ empirical quantiles through deterministic Monte Carlo and resampling
 studies.
 """
 
-from .basis import BasisSpec, evaluate, evaluate_matrix
+from .basis import BasisSpec, evaluate_matrix
 from .errors import (
     CsvParseError,
     DegenerateSampleError,
@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .estimators import (
-    AsymptoticVariance,
     FittedDrm,
     QuantileEstimate,
     WeightedCdf,
@@ -40,7 +39,6 @@ from .estimators import (
 )
 from .fit import (
     DrmFit,
-    SolverOptions,
     TwoSampleData,
     dual_log_el,
     fit_mele,
@@ -60,7 +58,6 @@ from .parametric import (
     Normal,
     ParametricFamily,
     fit_parametric,
-    parametric_cdf,
     parametric_quantile,
     parametric_quantile_avar,
     theta_from_submodel,
@@ -70,10 +67,7 @@ from .simulate import (
     Scenario,
     SimulationTable,
     corollary_curve,
-    parametric_avar,
-    quantile_density,
     run_scenario,
-    true_quantile,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
 
-__all__ = ["BASIS_NAMES", "BasisSpec", "evaluate", "evaluate_matrix"]
+__all__ = ["BASIS_NAMES", "BasisSpec", "evaluate_matrix"]
 
 BASIS_NAMES = ("linear", "quadratic", "linear-log")  # BasisSpec.custom builds the others
 
@@ -105,8 +105,3 @@ def evaluate_matrix(spec: BasisSpec, *xs) -> np.ndarray:
                     f"custom transform undefined at index {i} (x={x[i]!r})", index=i
                 )
     return block.T
-
-
-def evaluate(spec: BasisSpec, x: float) -> np.ndarray:
-    """q(x) for a single point; first component is exactly 1."""
-    return evaluate_matrix(spec, np.array([float(x)]))[0]

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, InvalidArgumentError
+from .errors import DrmError, InvalidArgumentError, check_integer
 from .estimators import FittedDrm, QuantileEstimate, drm_quantile_estimate
 from .fit import TwoSampleData, fit_mele
 from .nonparametric import (
@@ -127,12 +127,12 @@ def scenario_from_json(obj) -> Scenario:
     return Scenario(
         generator0=_field(obj, "generator0", _generator_from_json),
         generator1=_field(obj, "generator1", _generator_from_json),
-        n1=_field(obj, "n1", int),
+        n1=_field(obj, "n1", functools.partial(check_integer, name="n1")),
         k=_field(obj, "k", float),
         basis=_field(obj, "basis", BasisSpec.from_name, "quadratic"),
         levels=_field(obj, "levels", lambda v: tuple(map(float, v)), [0.5]),
-        reps=_field(obj, "reps", int, 1000),
-        seed=_field(obj, "seed", int, 0),
+        reps=_field(obj, "reps", functools.partial(check_integer, name="reps"), 1000),
+        seed=_field(obj, "seed", functools.partial(check_integer, name="seed"), 0),
         methods=_field(obj, "methods", tuple, [METHOD_DRM, METHOD_EMPIRICAL]),
         scenario_id=_field(obj, "scenario_id", str, "scenario"),
     )

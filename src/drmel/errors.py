@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numbers
+
 
 class DrmError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,6 +45,14 @@ def check_level(p) -> float:
     if not 0.0 < p < 1.0:
         raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
     return float(p)
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; raises :class:`InvalidArgumentError` naming ``name``
+    unless it is an integer or a float with no fractional part."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise InvalidArgumentError(f"{name} must be a whole number, got {value!r}")
 
 
 class SingularMomentError(DrmError):

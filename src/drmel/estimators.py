@@ -32,7 +32,6 @@ __all__ = [
     "WeightedCdf",
     "QuantileEstimate",
     "FittedDrm",
-    "AsymptoticVariance",
     "estimate_g0",
     "estimate_g1",
     "drm_quantile",
@@ -90,13 +89,6 @@ class QuantileEstimate:
         return cls(level, point, se, point - z * se, point + z * se, method)
 
 
-@dataclass(frozen=True)
-class AsymptoticVariance:
-    """Variance of sqrt(n1) * (estimator - truth)."""
-
-    value: float
-
-
 class FittedDrm:
     """A converged fit together with its data and basis, caching what the
     estimators share.
@@ -116,20 +108,19 @@ class FittedDrm:
             if masses.size != data.n:
                 raise InvalidArgumentError(f"fit has {masses.size} masses for {data.n} points")
         self.data, self.spec, self.fit = data, spec, fit
-        self._pooled = data.pooled()
 
     @cached_property
     def _order(self) -> np.ndarray:
-        return np.argsort(self._pooled)
+        return np.argsort(self.data.pooled())
 
     @cached_property
     def support(self) -> np.ndarray:
-        return self._pooled[self._order]
+        return self.data.pooled()[self._order]
 
     @cached_property
     def q(self) -> np.ndarray:
         """Basis matrix of the pooled sample, in pooled (not sorted) order."""
-        return evaluate_matrix(self.spec, self._pooled)
+        return evaluate_matrix(self.spec, self.data.pooled())
 
     def _cdf(self, mass: np.ndarray) -> WeightedCdf:
         mass = mass[self._order]
@@ -239,8 +230,9 @@ def avar_quantile(
     spec: BasisSpec,
     p: float,
     density_at: float,
-) -> AsymptoticVariance:
-    """Plug-in asymptotic variance of the DRM quantile estimator at level p.
+) -> float:
+    """Plug-in asymptotic variance of the DRM quantile estimator at level p,
+    the variance of sqrt(n1) * (estimate - truth).
 
     ``density_at`` is an estimate of the target density at the estimated
     quantile, typically from a kernel density estimator.
@@ -253,7 +245,7 @@ def avar_quantile(
     xi = drm_quantile(model.g1, p)
     partial = model._bracket_at(xi)[0]
     bracket = partial - p * mean_q
-    return AsymptoticVariance(float(bracket @ var_inv @ bracket) / density_at**2)
+    return float(bracket @ var_inv @ bracket) / density_at**2
 
 
 def corollary_variance(k: float, p: float, density_at: float, parametric_avar: float) -> float:
@@ -283,4 +275,4 @@ def drm_quantile_estimate(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, p: 
     point = drm_quantile(estimate_g1(model, data, spec), p)
     g_hat = kde_density(KdeModel(sample=data.x1, bandwidth=model.bandwidth), point)
     avar = avar_quantile(model, data, spec, p, g_hat)
-    return QuantileEstimate.normal(p, point, avar.value, data.n1, ci_level, "drm")
+    return QuantileEstimate.normal(p, point, avar, data.n1, ci_level, "drm")

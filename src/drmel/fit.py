@@ -14,13 +14,14 @@ view of a C-ordered (d, n) block; Hessian row i is -q.T @ (q.T[i] * w(1 - w)).
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
 is solved again with a ridge of ``RIDGE_SCALE`` times the trace of the
-negative Hessian. Every fit is configured by :class:`SolverOptions` alone, and
-a returned :class:`DrmFit` is converged and carries both sets of fitted masses.
+negative Hessian. The fitter has no settings: ``TOL_GRAD``, ``TOL_STEP``,
+``MAX_ITER`` and ``ARMIJO`` are module constants like these two, and a
+returned :class:`DrmFit` is converged and carries both sets of fitted masses.
 
 A fit is judged in one place: the gradient sup-norm test at the top of each
 Newton attempt. Passing it is the only way the loop ends without raising.
 After a step that stalls (an exhausted line search, or a step below
-``tol_step``), or once the iteration budget is spent, a failed test raises
+``TOL_STEP``), or once ``MAX_ITER`` steps are spent, a failed test raises
 :class:`NonConvergenceError`.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .errors import InvalidArgumentError, NonConvergenceError, SingularBasisErro
 
 __all__ = [
     "TwoSampleData",
-    "SolverOptions",
     "DrmFit",
     "dual_log_el",
     "score",
@@ -48,22 +48,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwoSampleData:
-    """Immutable pair of samples: x0 from the base population, x1 from the target."""
+    """Immutable pair of samples: x0 from the base population, x1 from the target.
+
+    Both are read-only views into one private copy of the pooled sample, so
+    the caller's arrays stay writeable and a later write to them changes
+    nothing here.
+    """
 
     x0: np.ndarray
     x1: np.ndarray
+    _pooled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        x1 = np.atleast_1d(np.asarray(self.x1, dtype=float))
+        x0 = np.ravel(np.asarray(self.x0, dtype=float))
+        x1 = np.ravel(np.asarray(self.x1, dtype=float))
         if x0.size < 1 or x1.size < 1:
             raise InvalidArgumentError("both samples must be nonempty")
         if not (np.isfinite(x0).all() and np.isfinite(x1).all()):
             raise InvalidArgumentError("samples must contain only finite values")
-        x0.setflags(write=False)
-        x1.setflags(write=False)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
+        pooled = np.concatenate([x0, x1])
+        pooled.setflags(write=False)
+        object.__setattr__(self, "_pooled", pooled)
+        object.__setattr__(self, "x0", pooled[:x0.size])
+        object.__setattr__(self, "x1", pooled[x0.size:])
 
     @property
     def n0(self) -> int:
@@ -78,20 +85,16 @@ class TwoSampleData:
         return self.n0 + self.n1
 
     def pooled(self) -> np.ndarray:
-        """Pooled observations, base block first then target block."""
-        return np.concatenate([self.x0, self.x1])
+        """Pooled observations, base block first then target block; read-only."""
+        return self._pooled
 
 
 MAX_CONDITION = 1e12  # largest Gram condition number of a usable basis
 RIDGE_SCALE = 1e-10  # ridge on a singular Newton system, relative to its trace
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_grad: float = 1e-10   # gradient sup-norm tolerance, scaled by n1
-    tol_step: float = 1e-10
-    max_iter: int = 100
-    armijo: float = 1e-4
+TOL_GRAD = 1e-10  # gradient sup-norm tolerance, scaled by n1
+TOL_STEP = 1e-10  # sup-norm of a step that stalls the fit
+MAX_ITER = 100  # Newton steps before the fit gives up
+ARMIJO = 1e-4  # sufficient-increase constant of the line search
 
 
 @dataclass(frozen=True)
@@ -159,21 +162,16 @@ def hessian(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
     return (h + h.T) / 2.0
 
 
-def fit_mele(
-    data: TwoSampleData,
-    spec: BasisSpec,
-    options: SolverOptions | None = None,
-) -> DrmFit:
+def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     """Maximize the dual profile log-EL by damped Newton from theta = 0.
 
     Raises :class:`SingularBasisError` when the basis is collinear on the
     pooled sample and :class:`NonConvergenceError` when the gradient test
-    fails after ``max_iter`` steps or after a stalled step, when the Newton
+    fails after ``MAX_ITER`` steps or after a stalled step, when the Newton
     system is singular even with the ridge, or when the basis separates the
     samples. ``iterations`` counts the steps taken, or, for a singular
     system, the attempt that failed.
     """
-    opts = options or SolverOptions()
     n0, n1 = data.n0, data.n1
     q = evaluate_matrix(spec, data.x0, data.x1)
     qT, d = q.T, q.shape[1]
@@ -191,7 +189,7 @@ def fit_mele(
     theta = np.zeros(d)
     val, log_den, w = _kernel(q, theta, n0, n1)
     buf = np.empty(data.n)
-    grad_tol = n1 * opts.tol_grad
+    grad_tol = n1 * TOL_GRAD
     stalled = False
 
     # attempt ``it`` starts after ``it`` steps; the gradient test is the one
@@ -201,7 +199,7 @@ def fit_mele(
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= grad_tol:
             break
-        if stalled or it >= opts.max_iter:
+        if stalled or it >= MAX_ITER:
             raise NonConvergenceError(
                 f"no convergence after {it} iterations "
                 f"(gradient sup-norm {grad_norm:.3e}, tolerance {grad_tol:.3e})",
@@ -236,12 +234,12 @@ def fit_mele(
         while t >= 1e-14:
             cand = theta + t * step
             cand_parts = _kernel(q, cand, n0, n1)
-            if cand_parts[0] >= val + opts.armijo * t * slope - noise:
+            if cand_parts[0] >= val + ARMIJO * t * slope - noise:
                 theta, (val, log_den, w) = cand, cand_parts
                 break
             t *= 0.5
         # an exhausted search keeps theta; either way the next gradient test decides
-        stalled = t < 1e-14 or float(np.max(np.abs(t * step))) <= opts.tol_step
+        stalled = t < 1e-14 or float(np.max(np.abs(t * step))) <= TOL_STEP
 
     # l(theta) < -n0 log n0 - n1 log n1, and only theta -> infinity on samples
     # the basis separates comes this close: no finite maximizer exists

@@ -41,7 +41,6 @@ __all__ = [
     "fit_parametric",
     "parametric_quantile",
     "parametric_quantile_avar",
-    "parametric_cdf",
     "theta_from_submodel",
 ]
 
@@ -193,11 +192,6 @@ def parametric_quantile(
     avar = parametric_quantile_avar(family, p)
     return QuantileEstimate.normal(p, family.target.quantile(p), avar, family.n1, ci_level,
                                    f"parametric-{family.tag}")
-
-
-def parametric_cdf(family: ParametricFamily, x: float) -> float:
-    """Fitted CDF of the target population at x."""
-    return float(family.target.cdf(x))
 
 
 def theta_from_submodel(family: ParametricFamily) -> np.ndarray:

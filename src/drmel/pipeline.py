@@ -20,7 +20,7 @@ from itertools import compress
 import numpy as np
 from scipy import special
 
-from .errors import CsvParseError, EmptyGroupError, InvalidArgumentError
+from .errors import CsvParseError, EmptyGroupError, InvalidArgumentError, check_integer
 from .simulate import SimulationTable, _check_run, _resolve_methods, _run_replicates
 
 __all__ = [
@@ -172,11 +172,12 @@ class ResampleStudy:
         if not self.targets:
             raise InvalidArgumentError("at least one target population required")
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "n0_grid", tuple(int(v) for v in self.n0_grid))
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
-        for n in (*self.n0_grid, *self.n_grid):
-            if n < 1:
-                raise InvalidArgumentError(f"grid sample sizes must be >= 1, got {n}")
+        for name in ("n0_grid", "n_grid"):
+            grid = tuple(check_integer(v, name) for v in getattr(self, name))
+            if not grid or min(grid) < 1:
+                raise InvalidArgumentError(f"{name} needs one or more sample sizes >= 1, "
+                                           f"got {grid}")
+            object.__setattr__(self, name, grid)
 
 
 @dataclass(frozen=True)

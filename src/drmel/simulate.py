@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, InvalidArgumentError, check_level
+from .errors import DrmError, InvalidArgumentError, check_integer, check_level
 from .estimators import corollary_variance, drm_quantile, estimate_g1
 from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, empirical_quantile
@@ -47,9 +47,6 @@ __all__ = [
     "SimulationRow",
     "SimulationTable",
     "run_scenario",
-    "true_quantile",
-    "quantile_density",
-    "parametric_avar",
     "corollary_curve",
     "METHOD_DRM",
     "METHOD_EXPONENTIAL",
@@ -103,33 +100,19 @@ def sample(gen, size: int, rng: np.random.Generator) -> np.ndarray:
     return gen.draw(size, rng)
 
 
-def true_quantile(gen: Normal | Exponential, p: float) -> float:
-    """Analytic population quantile of the generator."""
-    return gen.quantile(p)
-
-
-def quantile_density(gen: Normal | Exponential, p: float) -> float:
-    """Population density evaluated at the p-quantile."""
-    return gen.density_at_quantile(p)
-
-
-def parametric_avar(gen: Normal | Exponential, p: float) -> float:
-    """Closed-form asymptotic variance of the quantile MLE under the generator."""
-    return gen.quantile_avar(p)
-
-
 def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
     """Limiting DRM quantile variance as a function of the size ratio k,
     for identical populations."""
-    g = quantile_density(gen, p)
-    avar = parametric_avar(gen, p)
+    g, avar = gen.density_at_quantile(p), gen.quantile_avar(p)
     return np.array([corollary_variance(float(k), p, g, avar) for k in k_grid])
 
 
 def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
-    """The checks a scenario and a study share: reps >= 1, at least one level
-    and one method, every level in (0, 1) and every method known; stores the
-    levels and methods as tuples."""
+    """The checks a scenario and a study share: whole reps >= 1 and seed, at
+    least one level and one method, every level in (0, 1) and every method
+    known; stores reps and seed as ints and the levels and methods as tuples."""
+    for name in ("reps", "seed"):
+        object.__setattr__(run, name, check_integer(getattr(run, name), name))
     if run.reps < 1:
         raise InvalidArgumentError("reps must be >= 1")
     object.__setattr__(run, "levels", tuple(check_level(p) for p in run.levels))
@@ -154,6 +137,7 @@ class Scenario:
 
     def __post_init__(self):
         _check_run(self, self.basis)
+        object.__setattr__(self, "n1", check_integer(self.n1, "n1"))
         if not 2 <= self.n1 < 2**63:  # a sample size numpy can hold
             raise InvalidArgumentError(f"n1 must be >= 2 and < 2**63, got {self.n1}")
         if not 0 < self.k < math.inf:

@@ -23,8 +23,6 @@ from drmel import (
     estimate_g1,
     evaluate_matrix,
     fit_mele,
-    parametric_avar,
-    quantile_density,
     run_scenario,
     score,
 )
@@ -222,8 +220,8 @@ def test_criterion_5_table3_reproduction(table3):
 @pytest.mark.slow
 def test_criterion_6_corollary_law(corollary_tables):
     p = 0.05
-    g = quantile_density(Normal(0, 1), p)
-    para = parametric_avar(Normal(0, 1), p)
+    g = Normal(0, 1).density_at_quantile(p)
+    para = Normal(0, 1).quantile_avar(p)
     details = []
     ok = True
     for k, table in corollary_tables.items():

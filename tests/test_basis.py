@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from drmel import BasisSpec, DomainError, InvalidArgumentError, evaluate, evaluate_matrix
+from drmel import BasisSpec, DomainError, InvalidArgumentError, evaluate_matrix
 from drmel import TwoSampleData, fit_mele
 
 
 def test_quadratic_point():
-    assert np.array_equal(evaluate(BasisSpec.quadratic(), 2.0), [1.0, 2.0, 4.0])
+    assert np.array_equal(evaluate_matrix(BasisSpec.quadratic(), [2.0])[0], [1.0, 2.0, 4.0])
 
 
 def test_linear_at_zero():
-    assert np.array_equal(evaluate(BasisSpec.linear(), 0.0), [1.0, 0.0])
+    assert np.array_equal(evaluate_matrix(BasisSpec.linear(), [0.0])[0], [1.0, 0.0])
 
 
 def test_linear_log_at_e():
     np.testing.assert_allclose(
-        evaluate(BasisSpec.linear_log(), math.e), [1.0, math.e, 1.0], rtol=1e-15
+        evaluate_matrix(BasisSpec.linear_log(), [math.e])[0], [1.0, math.e, 1.0], rtol=1e-15
     )
 
 
@@ -53,7 +53,7 @@ def test_from_name():
 
 def test_custom_basis_and_domain_error():
     spec = BasisSpec.custom([np.sqrt])
-    np.testing.assert_allclose(evaluate(spec, 4.0), [1.0, 2.0])
+    np.testing.assert_allclose(evaluate_matrix(spec, [4.0])[0], [1.0, 2.0])
     with pytest.raises(DomainError) as err:
         evaluate_matrix(spec, [1.0, 4.0, -1.0])
     assert err.value.index == 2
@@ -71,7 +71,7 @@ def test_first_component_is_one_and_rows_match(rng):
         assert mat.shape == (7, spec.dimension)
         assert np.all(mat[:, 0] == 1.0)
         for i, x in enumerate(xs):
-            np.testing.assert_array_equal(mat[i], evaluate(spec, x))
+            np.testing.assert_array_equal(mat[i], evaluate_matrix(spec, [x])[0])
 
 
 def column_stack_basis(spec, x):

@@ -175,8 +175,8 @@ def test_avar_quantile_scaling_and_consistency(rng):
     data = random_two_sample(rng)
     spec = BasisSpec.linear()
     fit = fit_mele(data, spec)
-    v1 = avar_quantile(fit, data, spec, 0.5, 1.0).value
-    v2 = avar_quantile(fit, data, spec, 0.5, 2.0).value
+    v1 = avar_quantile(fit, data, spec, 0.5, 1.0)
+    v2 = avar_quantile(fit, data, spec, 0.5, 2.0)
     assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
     with pytest.raises(NonpositiveDensityError):
         avar_quantile(fit, data, spec, 0.5, 0.0)
@@ -188,7 +188,7 @@ def test_avar_quantile_median_standard_normal_limit():
     gen = np.random.default_rng(17)
     spec = BasisSpec.quadratic()
     fit, data = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
-    v = avar_quantile(fit, data, spec, 0.5, float(norm.pdf(0.0))).value
+    v = avar_quantile(fit, data, spec, 0.5, float(norm.pdf(0.0)))
     assert v == pytest.approx(1.0, abs=0.05)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from drmel import (
     BasisSpec,
+    FittedDrm,
     NonConvergenceError,
     SingularBasisError,
-    SolverOptions,
     TwoSampleData,
     dual_log_el,
     evaluate_matrix,
@@ -200,10 +200,13 @@ def test_singular_basis_error():
         fit_mele(data, BasisSpec.linear())
 
 
-def test_non_convergence_reports_diagnostics(rng):
+def test_non_convergence_reports_diagnostics(rng, monkeypatch):
     data = random_two_sample(rng)
+    monkeypatch.setattr("drmel.fit.MAX_ITER", 1)
+    monkeypatch.setattr("drmel.fit.TOL_GRAD", 1e-16)
+    monkeypatch.setattr("drmel.fit.TOL_STEP", 1e-16)
     with pytest.raises(NonConvergenceError) as err:
-        fit_mele(data, BasisSpec.linear(), SolverOptions(max_iter=1, tol_grad=1e-16, tol_step=1e-16))
+        fit_mele(data, BasisSpec.linear())
     assert err.value.iterations == 1
     assert err.value.gradient_norm is not None
 
@@ -259,13 +262,16 @@ def test_fit_carries_normalized_weights_and_tilted_masses(rng):
         assert abs(fit.tilted_weights.sum() - 1.0) <= slack / data.n1
 
 
-def test_exhausted_line_search_keeps_theta():
+def test_exhausted_line_search_keeps_theta(monkeypatch):
     # An Armijo constant no step can meet: the search runs out at the first
     # iteration, theta stays at 0 and the gradient test there decides.
     data = TwoSampleData(x0=[0.0, 0.5, 1.0, 1.5], x1=[0.2, 0.9, 1.7])
     spec = BasisSpec.linear()
+    monkeypatch.setattr("drmel.fit.ARMIJO", 1e8)
+    monkeypatch.setattr("drmel.fit.TOL_STEP", 0.0)
+    monkeypatch.setattr("drmel.fit.MAX_ITER", 20)
     with pytest.raises(NonConvergenceError) as err:
-        fit_mele(data, spec, SolverOptions(armijo=1e8, tol_step=0.0, max_iter=20))
+        fit_mele(data, spec)
     assert err.value.iterations == 1
     at_zero = float(np.max(np.abs(score(data, spec, np.zeros(2)))))
     assert err.value.gradient_norm == pytest.approx(at_zero, rel=1e-12)
@@ -337,16 +343,19 @@ def test_identical_samples_converge_at_zero_without_a_step():
     np.testing.assert_allclose(fit.tilted_weights, 1 / data.n, rtol=1e-15)
 
 
-def test_iteration_budget_boundary_on_a_table1_fit():
+def test_iteration_budget_boundary_on_a_table1_fit(monkeypatch):
     data, spec = table1_data(0), BasisSpec.quadratic()
     iterations, theta = TABLE1_FITS[0]
     assert iterations == 4
-    fit = fit_mele(data, spec, SolverOptions(max_iter=4))
+    unlimited = fit_mele(data, spec)
+    monkeypatch.setattr("drmel.fit.MAX_ITER", 4)
+    fit = fit_mele(data, spec)
     assert fit.iterations == 4
-    assert np.array_equal(fit.theta_hat, fit_mele(data, spec).theta_hat)
+    assert np.array_equal(fit.theta_hat, unlimited.theta_hat)
     np.testing.assert_allclose(fit.theta_hat, theta, rtol=1e-12, atol=0)
+    monkeypatch.setattr("drmel.fit.MAX_ITER", 3)
     with pytest.raises(NonConvergenceError, match="after 3 iterations") as err:
-        fit_mele(data, spec, SolverOptions(max_iter=3))
+        fit_mele(data, spec)
     assert err.value.iterations == 3
     assert err.value.gradient_norm == pytest.approx(4.171326963842148e-07, rel=1e-6)
 
@@ -355,13 +364,14 @@ def test_iteration_budget_boundary_on_a_table1_fit():
     "tol_step, iterations, gradient_norm",
     [(0.5, 2, 0.04948136336281728), (1e-2, 4, 3.5540352882890147e-09)],
 )
-def test_step_below_tol_step_stalls_the_fit(tol_step, iterations, gradient_norm):
+def test_step_below_tol_step_stalls_the_fit(tol_step, iterations, gradient_norm, monkeypatch):
     # without the step test the fit converges after 5 iterations
     data = TwoSampleData(x0=np.linspace(0, 1, 40), x1=np.linspace(0.2, 1.3, 15))
     spec = BasisSpec.linear()
     assert fit_mele(data, spec).iterations == 5
+    monkeypatch.setattr("drmel.fit.TOL_STEP", tol_step)
     with pytest.raises(NonConvergenceError, match=f"after {iterations} iterations") as err:
-        fit_mele(data, spec, SolverOptions(tol_step=tol_step))
+        fit_mele(data, spec)
     assert err.value.iterations == iterations
     assert err.value.gradient_norm == pytest.approx(gradient_norm, rel=1e-9)
 
@@ -378,3 +388,25 @@ def test_descending_step_is_taken_when_the_ridge_is_zero(monkeypatch):
     with pytest.raises(NonConvergenceError, match="no convergence after 1 iterations") as err:
         fit_mele(data, BasisSpec.linear())
     assert err.value.iterations == 1
+
+
+def test_data_copies_the_caller_arrays_and_leaves_them_writeable():
+    x0, x1 = np.array([0.0, 1.0, 2.0]), np.array([1.5, 2.5])
+    data = TwoSampleData(x0=x0, x1=x1)
+    assert x0.flags.writeable and x1.flags.writeable
+    x0[0], x1[1] = 3.0, 9.0
+    assert np.array_equal(data.x0, [0.0, 1.0, 2.0]) and np.array_equal(data.x1, [1.5, 2.5])
+    assert np.array_equal(data.pooled(), [0.0, 1.0, 2.0, 1.5, 2.5])
+    for view in (data.x0, data.x1, data.pooled()):
+        assert not view.flags.writeable
+
+
+def test_a_sample_of_any_shape_is_flattened():
+    x0, x1 = np.linspace(0.0, 3.0, 12), np.array([1.5, 2.5, 2.7])
+    flat = TwoSampleData(x0=x0, x1=x1)
+    shaped = TwoSampleData(x0=x0.reshape(6, 2), x1=x1)
+    assert shaped.x0.shape == (12,) and np.array_equal(shaped.pooled(), flat.pooled())
+    spec = BasisSpec.linear()
+    fit = fit_mele(shaped, spec)
+    assert np.array_equal(fit.theta_hat, fit_mele(flat, spec).theta_hat)
+    assert np.array_equal(FittedDrm(shaped, spec, fit).support, np.sort(flat.pooled()))

@@ -53,3 +53,15 @@ def test_readme_scenario_keys_are_the_keys_the_cli_reads():
         "k": 2,
     }))
     assert _readme_table("Scenario JSON") == read
+
+
+def test_readme_api_table_is_the_public_names_of_the_package():
+    import inspect
+
+    import drmel
+
+    section = README.read_text().split("## API\n", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    public = [name for name, value in vars(drmel).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(table) == sorted(public)

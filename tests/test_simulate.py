@@ -13,10 +13,7 @@ from drmel import (
     Normal,
     Scenario,
     corollary_curve,
-    parametric_avar,
-    quantile_density,
     run_scenario,
-    true_quantile,
 )
 
 
@@ -37,20 +34,20 @@ def small_scenario(**overrides):
 
 
 def test_true_quantile_values():
-    assert true_quantile(Normal(0, 1), 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert true_quantile(Exponential(2.0), 0.5) == pytest.approx(2 * math.log(2), rel=1e-12)
+    assert Normal(0, 1).quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert Exponential(2.0).quantile(0.5) == pytest.approx(2 * math.log(2), rel=1e-12)
     expected = 1.0 + float(norm.ppf(0.05)) * math.sqrt(1.5)
     assert expected == pytest.approx(-1.0146, abs=2e-4)
-    assert true_quantile(Normal(1.0, math.sqrt(1.5)), 0.05) == pytest.approx(expected, rel=1e-12)
+    assert Normal(1.0, math.sqrt(1.5)).quantile(0.05) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(InvalidLevelError):
-        true_quantile(Normal(0, 1), 1.5)
+        Normal(0, 1).quantile(1.5)
 
 
 def test_quantile_density_and_parametric_avar():
-    assert quantile_density(Normal(0, 2), 0.5) == pytest.approx(float(norm.pdf(0)) / 2)
-    assert quantile_density(Exponential(1.0), 0.99) == pytest.approx(0.01, rel=1e-12)
-    assert parametric_avar(Normal(0, 1), 0.5) == 1.0
-    assert parametric_avar(Exponential(1.0), 0.99) == pytest.approx(21.2076, abs=1e-3)
+    assert Normal(0, 2).density_at_quantile(0.5) == pytest.approx(float(norm.pdf(0)) / 2)
+    assert Exponential(1.0).density_at_quantile(0.99) == pytest.approx(0.01, rel=1e-12)
+    assert Normal(0, 1).quantile_avar(0.5) == 1.0
+    assert Exponential(1.0).quantile_avar(0.99) == pytest.approx(21.2076, abs=1e-3)
 
 
 def test_corollary_curve_monotone_toward_parametric_limit():
@@ -60,7 +57,7 @@ def test_corollary_curve_monotone_toward_parametric_limit():
 
 
 def test_corollary_curve_endpoints():
-    g = quantile_density(Normal(0, 1), 0.5)
+    g = Normal(0, 1).density_at_quantile(0.5)
     emp = 0.5 * 0.5 / g**2
     assert emp == pytest.approx(math.pi / 2, rel=1e-12)
     curve = corollary_curve(Normal(0, 1), 0.5, [1e-9, 1.0, 1e9])

@@ -30,11 +30,8 @@ from drmel import (
     empirical_quantile_avar,
     fit_mele,
     fit_parametric,
-    parametric_avar,
     parametric_quantile,
     parametric_quantile_avar,
-    quantile_density,
-    true_quantile,
 )
 from drmel.parametric import NORMAL_COMMON
 
@@ -69,9 +66,6 @@ LEVEL_ENTRY_POINTS = {
     "Exponential.quantile": lambda m, p: Exponential(1.0).quantile(p),
     "Exponential.density_at_quantile": lambda m, p: Exponential(1.0).density_at_quantile(p),
     "Exponential.quantile_avar": lambda m, p: Exponential(1.0).quantile_avar(p),
-    "true_quantile": lambda m, p: true_quantile(Exponential(1.0), p),
-    "quantile_density": lambda m, p: quantile_density(Exponential(1.0), p),
-    "parametric_avar": lambda m, p: parametric_avar(Exponential(1.0), p),
     "corollary_curve": lambda m, p: corollary_curve(Normal(0, 1), p, [1.0]),
     "Scenario": lambda m, p: _scenario(p),
     "ResampleStudy": lambda m, p: ResampleStudy(base="a", targets=("b",), n0_grid=(5,),
@@ -137,12 +131,14 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(5,), levels=()),
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(5,),
                               levels=(0.5,), methods=()),
+        lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(), n_grid=(5,), levels=(0.5,)),
+        lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(), levels=(0.5,)),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
          "nan-mu", "infinite-sigma", "infinite-mean", "empty-base-sample",
          "scenario-without-levels", "scenario-without-methods", "study-without-levels",
-         "study-without-methods"],
+         "study-without-methods", "study-without-n0", "study-without-n"],
 )
 def test_invalid_input_raises_a_typed_error(make):
     with pytest.raises(InvalidArgumentError) as err:
@@ -153,3 +149,57 @@ def test_invalid_input_raises_a_typed_error(make):
 def test_scenario_rejects_an_unknown_generator():
     with pytest.raises(InvalidArgumentError, match="unknown generator"):
         Scenario(generator0=Normal(0, 1), generator1="normal", n1=10, k=2, basis=SPEC)
+
+
+def _scenario_with(**overrides):
+    return Scenario(**{"generator0": Normal(0, 1), "generator1": Normal(0, 1), "n1": 10, "k": 2,
+                       "basis": SPEC, **overrides})
+
+
+def _study(**overrides):
+    return ResampleStudy(**{"base": "a", "targets": ("b",), "n0_grid": (5,), "n_grid": (5,),
+                            "levels": (0.5,), **overrides})
+
+
+def _scenario_json(**overrides):
+    from drmel.cli import scenario_from_json
+
+    return scenario_from_json({"generator0": {"dist": "normal", "mu": 0, "sigma": 1},
+                               "generator1": {"dist": "normal", "mu": 0, "sigma": 1},
+                               "n1": 10, "k": 2, **overrides})
+
+
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("n1", lambda: _scenario_with(n1=10.5)),
+        ("reps", lambda: _scenario_with(reps=2.5)),
+        ("seed", lambda: _scenario_with(seed=1.5)),
+        ("n1", lambda: _scenario_with(n1=math.inf)),
+        ("reps", lambda: _scenario_with(reps=math.nan)),
+        ("reps", lambda: _study(reps=2.5)),
+        ("seed", lambda: _study(seed=math.inf)),
+        ("n0_grid", lambda: _study(n0_grid=(5.7,))),
+        ("n_grid", lambda: _study(n_grid=(5, math.nan))),
+        ("n1", lambda: _scenario_json(n1=10.7)),
+        ("reps", lambda: _scenario_json(reps=2.9)),
+        ("seed", lambda: _scenario_json(seed=1.5)),
+        ("n1", lambda: _scenario_json(n1="10")),
+    ],
+    ids=["scenario-n1", "scenario-reps", "scenario-seed", "scenario-infinite-n1",
+         "scenario-nan-reps", "study-reps", "study-infinite-seed", "study-n0-grid",
+         "study-nan-in-n-grid", "json-n1", "json-reps", "json-seed", "json-string-n1"],
+)
+def test_a_count_that_is_not_a_whole_number_is_rejected(field, make):
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be a whole number"):
+        make()
+
+
+def test_whole_floats_and_numpy_integers_are_stored_as_ints():
+    scenario = _scenario_with(n1=10.0, reps=np.int64(3), seed=7.0)
+    assert (scenario.n1, scenario.reps, scenario.seed) == (10, 3, 7)
+    assert all(type(v) is int for v in (scenario.n1, scenario.reps, scenario.seed))
+    study = _study(n0_grid=(np.int32(5), 6.0), n_grid=[4.0], reps=2.0)
+    assert (study.n0_grid, study.n_grid, study.reps) == ((5, 6), (4,), 2)
+    assert all(type(v) is int for v in (*study.n0_grid, *study.n_grid, study.reps))
+    assert _scenario_json(n1=10.0, reps=3.0, seed=2.0).n1 == 10

@@ -3,7 +3,9 @@
 A code line is a nonblank line that holds neither only a comment nor part of
 a docstring (the string statement that opens a module, class or function).
 The script prints one ``count path`` line per module, then the total, and
-the count of all lines, blank or not, for comparison.
+the count of all lines, blank or not, for comparison. Last it prints how many
+names ``__init__.py`` exports, the size of the public surface, counted from its
+source without importing it.
 
 Run it from anywhere: ``python3 tools/count_code_lines.py``. It counts the
 package of the checkout it lives in.
@@ -43,6 +45,12 @@ def code_lines(source: str) -> int:
     return len(code - skip)
 
 
+def exported_names(source: str) -> list:
+    """The names a module's top-level ``from ... import`` statements bind."""
+    return [alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
 def main() -> int:
     total = everything = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -52,6 +60,8 @@ def main() -> int:
         everything += len(source.splitlines())
         print(f"{count:5d} {path.name}")
     print(f"{total:5d} total code lines ({everything} lines in all)")
+    print(f"{len(exported_names((PACKAGE / '__init__.py').read_text())):5d} "
+          "names exported by __init__.py")
     return 0
 
 
