@@ -9,7 +9,13 @@ a smooth concave function maximized by a damped Newton iteration. With
 z = theta' q(x) + log(n1/n0) and e = exp(-|z|), each row's log-denominator is
 L = log n0 + max(z, 0) + log1p(e) and its tilt fraction is w = n1 exp(theta' q - L)
 = (1 if z > 0 else e) / (1 + e): two transcendentals, no overflow. q is the (n, d)
-view of a C-ordered (d, n) block; Hessian row i is -q.T @ (q.T[i] * w(1 - w)).
+view of a C-ordered (d, n) block. Each fit also builds once a C-ordered block of
+the products q_i q_j for 1 <= i <= j (x^2, x^3 and x^4 for the quadratic basis);
+q's own rows serve i = 0. The entries of q' diag(s) q are then one matvec of q
+and one of that block with s: the Gram matrix takes s = 1, the negative Hessian
+s = w(1 - w). At theta = 0, where every fit opens, w is one value c on every
+row, so the step there passes over no row: its gradient is q1_sum - c Gram[0]
+and its negative Hessian c(1 - c) Gram.
 
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
@@ -30,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,10 +121,11 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int) -> tuple:
     """Dual log-EL at theta and its per-point parts (value, L, w), where
     L = log(n0 + n1 exp(u)) and w = n1 exp(u - L) for u = q @ theta, by the
     module docstring's formulas. The base weights are exp(-L), the tilted
-    target masses w / n1."""
+    target masses w / n1. At theta = 0, L and w are read-only views of one
+    value each, so that call writes no row."""
     if not theta.any():  # every fit opens at theta = 0, where u = 0 on every row
         _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
-        L, w = np.full(q.shape[0], L[0]), np.full(q.shape[0], w[0])
+        L, w = np.broadcast_to(L, q.shape[:1]), np.broadcast_to(w, q.shape[:1])
         return float(-np.sum(L)), L, w
     z = q @ theta
     value = float(np.sum(z[n0:]))
@@ -132,10 +140,42 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int) -> tuple:
     return value - float(np.sum(z)), z, w
 
 
-def _neg_hessian(qT: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """q' diag(w(1-w)) q from the rows of qT, one row at a time through buf."""
-    s = w * (1.0 - w)
-    return np.array([qT @ np.multiply(row, s, out=buf) for row in qT])
+class _Moments(NamedTuple):
+    """What a fit builds once to read off q' diag(s) q: the C-ordered block of
+    the products q_i q_j, 1 <= i <= j, in the row-major order of the upper
+    triangle; the symmetric (d, d) array of the place of each entry among the
+    s-weighted row sums of q (places 0 to d - 1) and of the block; and the Gram
+    matrix q'q, which is not finite where the basis overflows."""
+
+    block: np.ndarray
+    place: np.ndarray
+    gram: np.ndarray
+
+
+def _moments(qT: np.ndarray) -> _Moments:
+    """The product block of the basis rows qT, and the Gram matrix from the row
+    sums of qT and of the block."""
+    d = qT.shape[0]
+    rows, cols = np.triu_indices(d)
+    place = np.empty((d, d), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    block = np.empty((rows.size - d, qT.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out, i, j in zip(block, rows[d:], cols[d:]):
+            np.multiply(qT[i], qT[j], out=out)
+        gram = np.concatenate([qT.sum(axis=1), block.sum(axis=1)])[place]
+    return _Moments(block, place, gram)
+
+
+def _neg_hessian(qT: np.ndarray, moments: _Moments, w) -> np.ndarray:
+    """q' diag(w(1-w)) q, from one matvec of qT and one of the product block.
+    A scalar w is the tilt fraction of every row, as at theta = 0, and scales
+    the Gram matrix instead."""
+    s = np.subtract(1.0, w)
+    s *= w
+    if np.ndim(s) == 0:
+        return s * moments.gram
+    return np.concatenate([qT @ s, moments.block @ s])[moments.place]
 
 
 def _oracle(data: TwoSampleData, spec: BasisSpec, theta) -> tuple:
@@ -158,8 +198,8 @@ def score(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
 def hessian(data: TwoSampleData, spec: BasisSpec, theta) -> np.ndarray:
     """Analytic Hessian of :func:`dual_log_el`; symmetric negative semidefinite."""
     q, (_, _, w) = _oracle(data, spec, theta)
-    h = -_neg_hessian(q.T, w, np.empty(data.n))
-    return (h + h.T) / 2.0
+    h = (q * (w * (1.0 - w))[:, None]).T @ q
+    return -(h + h.T) / 2.0
 
 
 def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
@@ -176,8 +216,8 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     q = evaluate_matrix(spec, data.x0, data.x1)
     qT, d = q.T, q.shape[1]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = qT @ q  # not finite when the basis overflows: then as good as singular
+    moments = _moments(qT)
+    gram = moments.gram  # not finite when the basis overflows: then as good as singular
     cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.inf
     if cond > MAX_CONDITION:
         raise SingularBasisError(
@@ -188,14 +228,15 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     q1_sum = q[n0:].sum(axis=0)
     theta = np.zeros(d)
     val, log_den, w = _kernel(q, theta, n0, n1)
-    buf = np.empty(data.n)
     grad_tol = n1 * TOL_GRAD
     stalled = False
 
     # attempt ``it`` starts after ``it`` steps; the gradient test is the one
     # way out that does not raise, and the budget test bounds the loop
     for it in itertools.count():
-        grad = q1_sum - qT @ w
+        at_zero = not theta.any()  # where every fit opens: w is one value on every row
+        tilt = w[0] if at_zero else w
+        grad = q1_sum - (tilt * gram[0] if at_zero else qT @ w)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= grad_tol:
             break
@@ -210,7 +251,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         # the Newton step, or the ridged one where the system is singular or
         # the step descends; the ridged step is taken as it is, and so is a
         # NaN step, which the line search then rejects
-        neg_hess = _neg_hessian(qT, w, buf)
+        neg_hess = _neg_hessian(qT, moments, tilt)
         for ridged, ridge in enumerate((0.0, RIDGE_SCALE * np.trace(neg_hess))):
             try:
                 step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)

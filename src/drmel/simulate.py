@@ -285,15 +285,16 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
             results = list(pool.map(_worker_replicate, keys,
                                     chunksize=max(1, len(keys) // (4 * workers))))
+    # one truth per target and level: FinitePopulation.quantile sorts the whole group
+    truths = [[population.quantile(p) for population in targets.values()] for p in levels]
     rows = []
     for c, (scenario_id, _, n) in enumerate(cells):
         cell = np.stack(results[c * reps:(c + 1) * reps])  # (rep, target, method, level)
         for j, p in enumerate(levels):
             for m, (method, _) in enumerate(methods):
                 per_target = [
-                    scaled_errors(col[~np.isnan(col)], population.quantile(p), n,
-                                  float(np.isnan(col).mean()))
-                    for col, population in zip(cell[:, :, m, j].T, targets.values())
+                    scaled_errors(col[~np.isnan(col)], truth, n, float(np.isnan(col).mean()))
+                    for col, truth in zip(cell[:, :, m, j].T, truths[j])
                 ]
                 agg = [float(np.mean(col)) for col in zip(*per_target)]
                 rows.append(SimulationRow(scenario_id, p, method, *agg))

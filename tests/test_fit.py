@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def test_kernel_at_zero_matches_general_path(n0, n1):
 
 
 def test_oracle_hessian_equals_fitter_curvature(rng):
-    from drmel.fit import _kernel, _neg_hessian
+    from drmel.fit import _kernel, _moments, _neg_hessian
 
     for _ in range(10):
         data = random_two_sample(rng)
@@ -323,9 +324,68 @@ def test_oracle_hessian_equals_fitter_curvature(rng):
         q = evaluate_matrix(spec, data.pooled())
         w = _kernel(q, theta, data.n0, data.n1)[2]
         reference = (q * (w * (1.0 - w))[:, None]).T @ q
-        h = _neg_hessian(q.T, w, np.empty(data.n))
+        h = _neg_hessian(q.T, _moments(q.T), w)
         np.testing.assert_allclose(h, reference, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(hessian(data, spec, theta), -(h + h.T) / 2.0, rtol=1e-15)
+        np.testing.assert_allclose(hessian(data, spec, theta),
+                                   -(reference + reference.T) / 2.0, rtol=1e-15)
+
+
+# each basis with the number of rows of its product block, q_i q_j for 1 <= i <= j
+BLOCK_BASES = {
+    "linear": (BasisSpec.linear(), 1),
+    "quadratic": (BasisSpec.quadratic(), 3),
+    "linear-log": (BasisSpec.linear_log(), 3),
+    "custom-4": (BasisSpec.custom([np.sqrt, np.log, np.square]), 6),  # scatter beyond d = 3
+}
+
+
+@pytest.mark.parametrize("spec, block_rows", BLOCK_BASES.values(), ids=BLOCK_BASES.keys())
+def test_block_curvature_matches_the_dense_hessian(spec, block_rows, rng, monkeypatch):
+    import drmel.fit
+    from drmel.fit import _kernel, _moments, _neg_hessian
+
+    # points above 1 keep every product positive, so no sum cancels
+    data = TwoSampleData(x0=1.0 + rng.gamma(4.0, 0.5, 300), x1=1.0 + rng.gamma(5.0, 0.5, 60))
+    q = evaluate_matrix(spec, data.pooled())
+    moments = _moments(q.T)
+    assert moments.block.shape == (block_rows, data.n)
+    np.testing.assert_allclose(moments.gram, q.T @ q, rtol=1e-12)
+    for _ in range(5):
+        theta = rng.normal(scale=0.3, size=spec.dimension)
+        w = _kernel(q, theta, data.n0, data.n1)[2]
+        np.testing.assert_allclose(_neg_hessian(q.T, moments, w),
+                                   -hessian(data, spec, theta), rtol=1e-12)
+
+    # the step at theta = 0 passes over no row: c = n1 / n on every row
+    zero = np.zeros(spec.dimension)
+    c = _kernel(q, zero, data.n0, data.n1)[2][0]
+    np.testing.assert_allclose(_neg_hessian(q.T, moments, c),
+                               -hessian(data, spec, zero), rtol=1e-12)
+    # its constant component is n1 - c n = 0, up to the rounding of n1 and c n
+    np.testing.assert_allclose(q[data.n0:].sum(axis=0) - c * moments.gram[0],
+                               score(data, spec, zero), rtol=1e-12, atol=1e-12 * data.n)
+
+    # the fitter takes that shortcut for its first step, and only there
+    scalar = []
+    monkeypatch.setattr(drmel.fit, "_neg_hessian",
+                        lambda *args: scalar.append(np.ndim(args[-1]) == 0) or _neg_hessian(*args))
+    assert fit_mele(data, spec).iterations == len(scalar) >= 1
+    assert scalar == [True] + [False] * (len(scalar) - 1)
+    monkeypatch.setattr(drmel.fit, "MAX_ITER", 0)
+    with pytest.raises(NonConvergenceError) as err:
+        fit_mele(data, spec)
+    at_zero = float(np.max(np.abs(score(data, spec, zero))))
+    assert err.value.gradient_norm == pytest.approx(at_zero, rel=1e-12)
+
+
+def test_a_basis_whose_products_overflow_is_singular_without_a_warning():
+    # x^2 near 1e160 is finite, x^4 is not
+    data = TwoSampleData(x0=np.array([-1.0, -0.5, 0.3, 0.9, 1.2]) * 1e80,
+                         x1=np.array([-0.7, 0.4, 1.1]) * 1e80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularBasisError, match="condition number inf"):
+            fit_mele(data, BasisSpec.quadratic())
 
 
 # Pins of each exit of fit_mele: a fit converges only through the gradient
@@ -383,7 +443,7 @@ def test_descending_step_is_taken_when_the_ridge_is_zero(monkeypatch):
     import drmel.fit
 
     monkeypatch.setattr(drmel.fit, "RIDGE_SCALE", 0.0)
-    monkeypatch.setattr(drmel.fit, "_neg_hessian", lambda qT, w, buf: -np.eye(qT.shape[0]))
+    monkeypatch.setattr(drmel.fit, "_neg_hessian", lambda qT, moments, w: -np.eye(qT.shape[0]))
     data = TwoSampleData(x0=[0.0, 0.5, 1.0, 1.5], x1=[0.2, 0.9, 1.7])
     with pytest.raises(NonConvergenceError, match="no convergence after 1 iterations") as err:
         fit_mele(data, BasisSpec.linear())

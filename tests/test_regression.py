@@ -20,6 +20,7 @@ from drmel import (
     run_resample_study,
     run_scenario,
 )
+from drmel.estimators import drm_quantile, estimate_g1
 from drmel.simulate import replicate_rng, sample
 
 
@@ -36,6 +37,14 @@ TABLE1_FITS = {
     0: (4, [-0.026424230646010065, 0.022161976392529516, 0.02565515405939887]),
     1: (3, [0.023880735759990692, -0.009715545123745383, -0.02450637707498111]),
     2: (3, [-0.0046691278024485194, 0.001484267883099111, 0.004617838479581348]),
+}
+
+# the estimate_g1 quantile picks of those fits at p = 0.01, 0.05 and 0.5;
+# the simulate CSV bytes follow from these picks, and theta alone does not pin them
+TABLE1_PICKS = {
+    0: (-2.3599938078799343, -1.6612081387053186, 0.022615914277038067),
+    1: (-2.279509262903705, -1.6193385723074725, -0.01311385558512243),
+    2: (-2.334678597459961, -1.6613670458429373, 0.0009066856830955062),
 }
 
 SMALL_TABLE = """\
@@ -122,6 +131,13 @@ def test_table1_fit_is_pinned(r):
     iterations, theta = TABLE1_FITS[r]
     assert fit.iterations == iterations
     np.testing.assert_allclose(fit.theta_hat, theta, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("r", sorted(TABLE1_PICKS))
+def test_table1_quantile_picks_are_pinned(r):
+    data, spec = table1_data(r), BasisSpec.quadratic()
+    g1 = estimate_g1(fit_mele(data, spec), data, spec)
+    assert tuple(drm_quantile(g1, p) for p in (0.01, 0.05, 0.5)) == TABLE1_PICKS[r]
 
 
 def test_small_scenario_table_is_pinned():
