@@ -11,7 +11,8 @@ keyed by the seed and ``c * reps + r``, so results are bit-identical
 regardless of how replicates are scheduled across workers.
 
 A method name resolves in one step, through the table ``_ESTIMATORS``, to
-an estimator ``(x0, x1, levels) -> estimates``: ``drm-<basis>`` for each of
+an estimator ``(data, levels) -> estimates`` of one
+:class:`~drmel.fit.TwoSampleData`: ``drm-<basis>`` for each of
 :data:`~drmel.basis.BASIS_NAMES`, ``parametric-<tag>`` for each of
 :data:`~drmel.parametric.FAMILY_TAGS`, and ``empirical``; a scenario adds
 ``drm``, the DRM under its own basis. Estimators are picklable, so they
@@ -58,24 +59,23 @@ METHOD_EXPONENTIAL = f"parametric-{EXPONENTIAL}"
 METHOD_EMPIRICAL = "empirical"
 
 
-def _drm(basis: BasisSpec, x0, x1, levels) -> list[float]:
-    data = TwoSampleData(x0=x0, x1=x1)
+def _drm(basis: BasisSpec, data: TwoSampleData, levels) -> list[float]:
     cdf = estimate_g1(fit_mele(data, basis), data, basis)
     return [drm_quantile(cdf, p) for p in levels]
 
 
-def _parametric(tag: str, x0, x1, levels) -> list[float]:
-    target = fit_parametric(TwoSampleData(x0=x0, x1=x1), tag).target
+def _parametric(tag: str, data: TwoSampleData, levels) -> list[float]:
+    target = fit_parametric(data, tag).target
     return [target.quantile(p) for p in levels]
 
 
-def _empirical(x0, x1, levels) -> list[float]:
-    ecdf = Ecdf.from_sample(x1)
+def _empirical(data: TwoSampleData, levels) -> list[float]:
+    ecdf = Ecdf.from_sample(data.x1)
     return [empirical_quantile(ecdf, p) for p in levels]
 
 
 # the estimator of each method name: quantile estimates of one sample pair,
-# in the order of ``levels``
+# a TwoSampleData, in the order of ``levels``
 _ESTIMATORS = {
     **{f"drm-{b}": partial(_drm, BasisSpec.from_name(b)) for b in BASIS_NAMES},
     **{f"parametric-{tag}": partial(_parametric, tag) for tag in FAMILY_TAGS},
@@ -226,8 +226,10 @@ def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
 
 def _replicate(state, key) -> np.ndarray:
     """Replicate r of cell ``cell``, for ``key = (cell, r)``: x0 is drawn
-    first, then each target in order. Returns the (target, method, level)
-    array of estimates, NaN where the method raised a DrmError."""
+    first, then each target in order, and each (x0, target sample) pair is
+    one TwoSampleData shared by every method. Returns the (target, method,
+    level) array of estimates, NaN where the method raised a DrmError, and
+    NaN for every method of a target whose pair is not valid data."""
     seed, base, targets, cells, reps, methods, levels = state
     cell, r = key
     _, n0, n = cells[cell]
@@ -236,9 +238,13 @@ def _replicate(state, key) -> np.ndarray:
     estimates = np.full((len(targets), len(methods), len(levels)), math.nan)
     for t, population in enumerate(targets.values()):
         x1 = sample(population, n, rng)
+        try:
+            data = TwoSampleData(x0=x0, x1=x1)
+        except DrmError:  # every method of this target keeps its NaNs
+            continue
         for m, (_, estimator) in enumerate(methods):
             with contextlib.suppress(DrmError):  # a failed method keeps its NaNs
-                estimates[t, m] = estimator(x0, x1, levels)
+                estimates[t, m] = estimator(data, levels)
     return estimates
 
 

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -285,8 +287,8 @@ def test_vanished_curvature_raises_typed_error(monkeypatch):
 
     kernel = drmel.fit._kernel
 
-    def saturated(q, theta, n0, n1):
-        value, log_den, w = kernel(q, theta, n0, n1)
+    def saturated(q, theta, n0, n1, out=None):
+        value, log_den, w = kernel(q, theta, n0, n1, out)
         return value, log_den, np.round(w)
 
     monkeypatch.setattr(drmel.fit, "_kernel", saturated)
@@ -470,3 +472,125 @@ def test_a_sample_of_any_shape_is_flattened():
     fit = fit_mele(shaped, spec)
     assert np.array_equal(fit.theta_hat, fit_mele(flat, spec).theta_hat)
     assert np.array_equal(FittedDrm(shaped, spec, fit).support, np.sort(flat.pooled()))
+
+
+# The fit workspace: each thread keeps the rows of its last fit size and
+# writes every Newton step into them; a returned fit owns its arrays.
+
+FIT_ARRAYS = ("theta_hat", "weights", "tilted_weights")
+
+
+def fit_bytes(fit):
+    return [getattr(fit, name).tobytes() for name in FIT_ARRAYS] + [
+        fit.log_el_at_max, fit.iterations, fit.final_gradient_norm]
+
+
+def fit_in_new_thread(data, spec):
+    """The fit of data in a thread of its own, so in a workspace of its own."""
+    fits = []
+    thread = threading.Thread(target=lambda: fits.append(fit_mele(data, spec)))
+    thread.start()
+    thread.join()
+    return fits[0]
+
+
+def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(monkeypatch):
+    import drmel.fit
+
+    spec = BasisSpec.quadratic()
+    first = fit_mele(table1_data(0), spec)
+    kept = fit_bytes(first)
+    for name in FIT_ARRAYS:
+        assert not np.may_share_memory(getattr(first, name), drmel.fit._local.rows)
+    assert fit_mele(table1_data(1), spec).iterations == 3
+    # a fit that raises after writing both (L, w) row pairs
+    monkeypatch.setattr("drmel.fit.MAX_ITER", 2)
+    with pytest.raises(NonConvergenceError, match="after 2 iterations"):
+        fit_mele(table1_data(2), spec)
+    assert fit_bytes(first) == kept
+
+
+def test_fits_in_two_threads_at_once_match_serial_fits():
+    spec = BasisSpec.quadratic()
+    pairs = [table1_data(0), table1_data(1)]
+    serial = [fit_bytes(fit_in_new_thread(data, spec)) for data in pairs]
+    start, results = threading.Barrier(2), [[], []]
+
+    def run(k):
+        start.wait()
+        results[k] = [fit_bytes(fit_mele(pairs[k], spec)) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [[serial[0]] * 3, [serial[1]] * 3]
+
+
+def test_a_fit_after_a_fit_of_another_size_matches_a_fresh_fit(rng):
+    x0, x1 = 1.0 + rng.gamma(4.0, 0.5, 300), 1.0 + rng.gamma(5.0, 0.5, 60)
+    small = TwoSampleData(x0=x0[:200], x1=x1)
+    large = TwoSampleData(x0=x0, x1=x1)
+    # each fit follows one of another n, another d, or both
+    for data, spec in [(small, BasisSpec.linear()), (small, BasisSpec.quadratic()),
+                       (large, BasisSpec.quadratic()), (small, BasisSpec.linear()),
+                       (large, BasisSpec.custom([np.sqrt, np.log, np.square])),
+                       (small, BasisSpec.linear_log())]:
+        fit = fit_mele(data, spec)
+        assert fit_bytes(fit) == fit_bytes(fit_in_new_thread(data, spec))
+        assert fit.weights.shape == fit.tilted_weights.shape == (data.n,)
+        assert np.max(np.abs(score(data, spec, fit.theta_hat))) <= data.n1 * 1e-10
+
+
+def test_an_exhausted_line_search_keeps_the_accepted_masses(monkeypatch):
+    # After one accepted step every candidate is refused, so the search runs
+    # out; the gradient test then reads the masses of the accepted point, not
+    # those of the last refused candidate, which were written meanwhile.
+    import drmel.fit
+
+    kernel, candidates = drmel.fit._kernel, []
+
+    def refuse_after_the_first_step(q, theta, n0, n1, out=None):
+        value, log_den, w = kernel(q, theta, n0, n1, out)
+        if out is not None:  # a candidate of the line search
+            candidates.append(theta)
+        return (value if len(candidates) <= 1 else -math.inf), log_den, w
+
+    monkeypatch.setattr(drmel.fit, "_kernel", refuse_after_the_first_step)
+    data = TwoSampleData(x0=np.linspace(0, 1, 40), x1=np.linspace(0.2, 1.3, 15))
+    spec = BasisSpec.linear()
+    with pytest.raises(NonConvergenceError, match="after 2 iterations") as err:
+        fit_mele(data, spec)
+    assert len(candidates) > 2
+    assert err.value.gradient_norm == float(np.max(np.abs(score(data, spec, candidates[0]))))
+
+
+def traced_peak(call):
+    """Peak bytes traced while ``call()`` runs, above those live before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(monkeypatch):
+    data, spec = table1_data(0), BasisSpec.quadratic()
+    row, d = 8 * data.n, spec.dimension
+    assert fit_mele(data, spec).iterations == 4  # warms this thread's workspace
+    # the basis block and the two returned mass vectors
+    assert traced_peak(lambda: fit_mele(data, spec)) <= (d + 2) * row + 64 * 1024
+
+    # a fit stopped after three steps returns no masses: only the basis block
+    def stopped_fit():
+        with pytest.raises(NonConvergenceError, match="after 3 iterations"):
+            fit_mele(data, spec)
+
+    monkeypatch.setattr("drmel.fit.MAX_ITER", 3)
+    assert traced_peak(stopped_fit) <= d * row + 64 * 1024

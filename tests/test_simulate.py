@@ -94,6 +94,24 @@ def test_single_replicate_zero_variance():
         assert math.isfinite(r.scaled_bias)
 
 
+def test_a_sample_pair_that_is_not_valid_data_fails_every_method_of_its_target():
+    # A non-finite draw makes the target's pair invalid, so every method of
+    # that target fails, the empirical quantile of x1 alone too; the other
+    # target of the replicate is estimated as usual.
+    from drmel.pipeline import FinitePopulation
+    from drmel.simulate import _replicate, _resolve_methods
+
+    rng = np.random.default_rng(5)
+    targets = {"finite": FinitePopulation(rng.normal(size=50)),
+               "infinite": FinitePopulation(np.array([0.5, math.inf]))}
+    methods = _resolve_methods(("drm-linear", "parametric-normal", "empirical"))
+    state = (3, FinitePopulation(rng.normal(size=200)), targets, [("cell", 100, 30)], 1,
+             methods, (0.1, 0.5))
+    estimates = _replicate(state, (0, 0))
+    assert estimates.shape == (2, 3, 2)
+    assert np.isfinite(estimates[0]).all() and np.isnan(estimates[1]).all()
+
+
 def test_exponential_method_requires_exponential_generators():
     with pytest.raises(InvalidArgumentError):
         small_scenario(methods=("parametric-exponential",))
