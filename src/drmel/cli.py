@@ -114,6 +114,13 @@ def _field(obj, key, convert, *default):
         raise InvalidArgumentError(f"bad value for {key!r}: {exc}") from None
 
 
+def _as_list(value) -> tuple:
+    """A JSON list as a tuple; any other value, a string included, is a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _generator_from_json(obj):
     dist = _field(obj, "dist", str)
     if dist == "normal":
@@ -130,10 +137,10 @@ def scenario_from_json(obj) -> Scenario:
         n1=_field(obj, "n1", functools.partial(check_integer, name="n1")),
         k=_field(obj, "k", float),
         basis=_field(obj, "basis", BasisSpec.from_name, "quadratic"),
-        levels=_field(obj, "levels", lambda v: tuple(map(float, v)), [0.5]),
+        levels=_field(obj, "levels", lambda v: tuple(map(float, _as_list(v))), [0.5]),
         reps=_field(obj, "reps", functools.partial(check_integer, name="reps"), 1000),
         seed=_field(obj, "seed", functools.partial(check_integer, name="seed"), 0),
-        methods=_field(obj, "methods", tuple, [METHOD_DRM, METHOD_EMPIRICAL]),
+        methods=_field(obj, "methods", _as_list, [METHOD_DRM, METHOD_EMPIRICAL]),
         scenario_id=_field(obj, "scenario_id", str, "scenario"),
     )
 

@@ -97,8 +97,10 @@ class FittedDrm:
     plug-in target moments of q and the KDE bandwidth are each computed on
     first use and then kept. Every estimator below accepts a FittedDrm in
     place of its ``fit`` argument, so estimates at any number of levels cost
-    one sort. The sort need not be stable: tied points share q(x) and so
-    carry equal masses, which makes the CDF independent of their order.
+    one sort. :class:`TwoSampleData` keeps each sample ascending, so the
+    pooled sample is two ascending runs and the stable sort is one linear
+    merge of them; tied points keep their pooled order, as in
+    :meth:`WeightedCdf.from_points`.
     """
 
     def __init__(self, data: TwoSampleData, spec: BasisSpec, fit: DrmFit):
@@ -111,7 +113,7 @@ class FittedDrm:
 
     @cached_property
     def _order(self) -> np.ndarray:
-        return np.argsort(self.data.pooled())
+        return np.argsort(self.data.pooled(), kind="stable")
 
     @cached_property
     def support(self) -> np.ndarray:

@@ -64,7 +64,10 @@ class Normal:
             raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        return self.mu + self.sigma * ndtri(u)
+        x = ndtri(u)  # mu + sigma * ndtri(u), written into the one array it returns
+        x *= self.sigma
+        x += self.mu
+        return x
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.ppf(rng.random(n))
@@ -97,7 +100,10 @@ class Exponential:
 
     # np.log1p (ppf) and math.log1p (scalars) can differ in the last bit; each keeps its outputs
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        return -self.mean * np.log1p(-u)
+        x = np.negative(u)  # -mean * log1p(-u), written into the one array it returns
+        np.log1p(x, out=x)
+        x *= -self.mean
+        return x
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.ppf(rng.random(n))

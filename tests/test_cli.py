@@ -46,6 +46,22 @@ def test_estimate_drm(data_csv, tmp_path, capsys):
     assert float(se) > 0
 
 
+@pytest.mark.parametrize("method", ["drm", "normal", "empirical"])
+def test_estimate_on_shuffled_rows_writes_the_same_bytes(data_csv, tmp_path, method):
+    header, *rows = data_csv.read_text().splitlines()
+    shuffled = tmp_path / "shuffled.csv"
+    order = np.random.default_rng(3).permutation(len(rows))
+    shuffled.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+    outputs = []
+    for path in (data_csv, shuffled):
+        out = tmp_path / f"{path.stem}-{method}.csv"
+        assert run_cli(["estimate", "--data", path, "--value-col", "revenue", "--group-col", "year",
+                        "--transform", "log", "--x0", "2015", "--x1", "2016", "--method", method,
+                        "--levels", "0.05,0.25,0.5,0.75,0.95", "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("method", ["normal", "normal-common", "empirical"])
 def test_estimate_other_methods(data_csv, capsys, method):
     code = run_cli(
@@ -171,8 +187,12 @@ def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
         (lambda obj: obj["generator1"].pop("sigma"), "'sigma'"),
         (lambda obj: obj.update(methods=["drm", "emprical"]),
          "'emprical'; known: drm, drm-linear,"),
+        (lambda obj: obj.update(methods="empirical"), "'methods': expected a list, got str"),
+        (lambda obj: obj.update(methods={"drm": 1}), "'methods': expected a list, got dict"),
+        (lambda obj: obj.update(levels="0.5"), "'levels': expected a list, got str"),
     ],
-    ids=["unknown-basis", "missing-n1", "missing-generator-field", "unknown-method"],
+    ids=["unknown-basis", "missing-n1", "missing-generator-field", "unknown-method",
+         "methods-a-string", "methods-an-object", "levels-a-string"],
 )
 def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, named):
     obj = json.loads(scenario_json.read_text())

@@ -252,6 +252,29 @@ def test_quantiles_do_not_depend_on_tie_order():
         assert drm_quantile(default, p) == drm_quantile(stable, p)
 
 
+def test_the_target_cdf_is_the_stable_sort_of_the_pooled_sample_bit_for_bit():
+    # ties within and across both samples, and zeros of both signs in each
+    gen = np.random.default_rng(31)
+    pop = np.append(np.round(gen.normal(0.0, 1.0, 60), 1), [0.0, -0.2])
+
+    def signed_zeros(x):
+        x[np.flatnonzero(x == 0.0)[::2]] = -0.0
+        return x
+
+    data = TwoSampleData(x0=signed_zeros(gen.choice(pop, 3000)),
+                         x1=signed_zeros(np.round(gen.choice(pop, 300) + 0.2, 1)))
+    for x in (data.x0, data.x1):
+        zeros = x[x == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert np.intersect1d(data.x0, data.x1).size > 5
+    spec = BasisSpec.quadratic()
+    fit = fit_mele(data, spec)
+    stable = WeightedCdf.from_points(data.pooled(), fit.tilted_weights)
+    g1 = FittedDrm(data, spec, fit).g1
+    for field in ("support", "mass", "cumulative"):
+        assert getattr(g1, field).tobytes() == getattr(stable, field).tobytes()
+
+
 def test_fitted_model_matches_separate_calls(rng):
     levels = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
     for _ in range(5):

@@ -463,6 +463,17 @@ def test_data_copies_the_caller_arrays_and_leaves_them_writeable():
         assert not view.flags.writeable
 
 
+def test_each_sample_is_stored_ascending_and_the_caller_arrays_are_left_alone():
+    x0, x1 = np.array([2.0, -1.0, 0.5, 2.0, -3.0]), np.array([0.7, -0.2, 0.1])
+    kept0, kept1 = x0.copy(), x1.copy()
+    data = TwoSampleData(x0=x0, x1=x1)
+    assert np.array_equal(data.x0, [-3.0, -1.0, 0.5, 2.0, 2.0])
+    assert np.array_equal(data.x1, [-0.2, 0.1, 0.7])
+    assert np.array_equal(data.pooled(), np.concatenate([data.x0, data.x1]))
+    assert np.array_equal(x0, kept0) and np.array_equal(x1, kept1)
+    assert x0.flags.writeable and x1.flags.writeable
+
+
 def test_a_sample_of_any_shape_is_flattened():
     x0, x1 = np.linspace(0.0, 3.0, 12), np.array([1.5, 2.5, 2.7])
     flat = TwoSampleData(x0=x0, x1=x1)

@@ -146,3 +146,15 @@ def test_generator_and_fitted_family_formulas_are_bit_equal(tag):
             assert parametric_quantile_avar(f, p) == 1.9**2 * (1.0 + 0.25 * z**2 / 2.0)
         else:
             assert parametric_quantile_avar(f, p) == gen.quantile_avar(p)
+
+
+def test_draws_are_bit_equal_to_the_closed_form_expressions():
+    u = np.concatenate([np.random.default_rng(5).random(10**5),
+                        [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
+    with np.errstate(divide="ignore"):
+        for mu, sigma in ((0.0, 1.0), (-3.5, 0.25), (1e6, 7.3)):
+            expected = mu + sigma * ndtri(u)
+            assert Normal(mu, sigma).ppf(u).tobytes() == expected.tobytes()
+        for mean in (1.0, 0.3, 2.5e4):
+            expected = -mean * np.log1p(-u)
+            assert Exponential(mean).ppf(u).tobytes() == expected.tobytes()

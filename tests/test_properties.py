@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from drmel import BasisSpec, DrmError, TwoSampleData, fit_mele
+from drmel import BasisSpec, DrmError, FittedDrm, TwoSampleData, drm_quantile_estimate, fit_mele
 
 BASES = [BasisSpec.linear(), BasisSpec.quadratic(), BasisSpec.linear_log()]
 
@@ -58,3 +58,24 @@ def test_only_typed_errors_escape_the_fitter(x0, x1, spec):
     except DrmError:
         return
     assert fit.converged and np.isfinite(fit.theta_hat).all() and np.isfinite(fit.weights).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n0=st.integers(5, 60), n1=st.integers(5, 40),
+       spec=st.sampled_from(BASES))
+def test_permuting_either_sample_changes_no_bit_of_the_fit_or_its_estimates(seed, n0, n1, spec):
+    rng = np.random.default_rng(seed)
+    x0, x1 = np.exp(rng.normal(0.0, 0.5, n0)), np.exp(rng.normal(0.2, 0.6, n1))
+    outputs = []
+    for a, b in ((x0, x1), (rng.permutation(x0), rng.permutation(x1))):
+        data = TwoSampleData(x0=a, x1=b)
+        try:
+            fit = fit_mele(data, spec)
+            model = FittedDrm(data, spec, fit)
+            estimates = [drm_quantile_estimate(model, data, spec, p) for p in (0.1, 0.5, 0.9)]
+        except DrmError as exc:
+            outputs.append(type(exc))
+            continue
+        outputs.append((fit.theta_hat.tobytes(), fit.weights.tobytes(),
+                        fit.tilted_weights.tobytes(), fit.iterations, estimates))
+    assume(isinstance(outputs[0], tuple))
+    assert outputs[1] == outputs[0]
