@@ -24,7 +24,6 @@ from drmel import (
     fit_mele,
     KdeModel,
     kde_density,
-    silverman_bandwidth,
 )
 
 rng = np.random.default_rng(11)
@@ -43,7 +42,7 @@ data = TwoSampleData(x0=rng.normal(0, 1, 20000), x1=rng.normal(0, 1, 1000))
 spec = BasisSpec.quadratic()
 fit = fit_mele(data, spec)
 
-kde = KdeModel(data.x1, silverman_bandwidth(data.x1))
+kde = KdeModel.silverman(data.x1)
 density = kde_density(kde, np.quantile(data.x1, p))
 plug_in = avar_quantile(fit, data, spec, p, density_at=float(density))
 print(f"\nplug-in variance at k=20: {plug_in:.4f} "

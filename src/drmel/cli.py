@@ -12,17 +12,8 @@ import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
 from .errors import DrmError, InvalidArgumentError, check_integer
-from .estimators import FittedDrm, QuantileEstimate, drm_quantile_estimate
-from .fit import TwoSampleData, fit_mele
-from .nonparametric import (
-    Ecdf,
-    KdeModel,
-    empirical_quantile,
-    empirical_quantile_avar,
-    kde_density,
-    silverman_bandwidth,
-)
-from .parametric import FAMILY_TAGS, fit_parametric, parametric_quantile
+from .fit import TwoSampleData
+from .nonparametric import KdeModel, kde_density
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
 from .simulate import (
     METHOD_DRM,
@@ -30,6 +21,7 @@ from .simulate import (
     Exponential,
     Normal,
     Scenario,
+    _resolve_methods,
     run_scenario,
 )
 
@@ -67,26 +59,11 @@ def _load(args, *labels):
 
 
 def _cmd_estimate(args) -> int:
-    levels, ci = _parse_levels(args.levels), args.ci_level
+    levels = _parse_levels(args.levels)
+    ((_, fitter),) = _resolve_methods((args.method,), BasisSpec.from_name(args.basis))
     populations = _load(args, args.x0, args.x1)
-    data = TwoSampleData(x0=populations[args.x0], x1=populations[args.x1])
-    if args.method == "drm":
-        spec = BasisSpec.from_name(args.basis)
-        model = FittedDrm(data, spec, fit_mele(data, spec))
-        estimates = [drm_quantile_estimate(model, data, spec, p, ci) for p in levels]
-    elif args.method == "empirical":
-        ecdf = Ecdf.from_sample(data.x1)
-        kde = KdeModel(sample=data.x1, bandwidth=silverman_bandwidth(data.x1))
-
-        def empirical(p):
-            point = empirical_quantile(ecdf, p)
-            avar = empirical_quantile_avar(p, kde_density(kde, point))
-            return QuantileEstimate.normal(p, point, avar, data.n1, ci, "empirical")
-
-        estimates = [empirical(p) for p in levels]
-    else:
-        family = fit_parametric(data, args.method)
-        estimates = [parametric_quantile(family, p, ci) for p in levels]
+    model = fitter(TwoSampleData(x0=populations[args.x0], x1=populations[args.x1]))
+    estimates = [model.estimate(p, args.ci_level) for p in levels]
     with _output(args.out) as out:
         out.write("level,method,point,std_error,ci_low,ci_high\n")
         for est in estimates:
@@ -161,8 +138,8 @@ def _cmd_kde(args) -> int:
     if args.grid_points < 1:
         raise InvalidArgumentError(f"--grid-points must be at least 1, got {args.grid_points}")
     sample = _load(args, args.group)[args.group]
-    h = silverman_bandwidth(sample)
-    model = KdeModel(sample=sample, bandwidth=h)
+    model = KdeModel.silverman(sample)
+    h = model.bandwidth
     grid = np.linspace(sample.min() - 3 * h, sample.max() + 3 * h, args.grid_points)
     dens = kde_density(model, grid)
     with _output(args.out) as out:
@@ -210,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_csv_args(p)
     p.add_argument("--x0", required=True, help="group label of the base sample")
     p.add_argument("--x1", required=True, help="group label of the target sample")
-    p.add_argument("--method", choices=["drm", *FAMILY_TAGS, "empirical"], default="drm")
+    p.add_argument("--method", default=METHOD_DRM,
+                   help="a method name, as in a scenario; drm fits the DRM under --basis")
     p.add_argument("--basis", choices=BASIS_NAMES, default="quadratic")
     p.add_argument("--levels", default="0.05,0.5,0.95")
     p.add_argument("--ci-level", type=float, default=0.95)

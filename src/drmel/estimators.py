@@ -26,12 +26,13 @@ from .errors import (
     check_level,
 )
 from .fit import DrmFit, TwoSampleData
-from .nonparametric import KdeModel, empirical_quantile_avar, kde_density, silverman_bandwidth
+from .nonparametric import Ecdf, KdeModel, empirical_quantile, empirical_quantile_avar, kde_density
 
 __all__ = [
     "WeightedCdf",
     "QuantileEstimate",
     "FittedDrm",
+    "EmpiricalModel",
     "estimate_g0",
     "estimate_g1",
     "drm_quantile",
@@ -94,10 +95,11 @@ class FittedDrm:
     estimators share.
 
     The pooled sort order, the support, both CDFs, the basis matrix, the
-    plug-in target moments of q and the KDE bandwidth are each computed on
-    first use and then kept. Every estimator below accepts a FittedDrm in
-    place of its ``fit`` argument, so estimates at any number of levels cost
-    one sort. :class:`TwoSampleData` keeps each sample ascending, so the
+    plug-in target moments of q and the KDE of the target sample are each
+    computed on first use and then kept. Every estimator below accepts a
+    FittedDrm in place of its ``fit`` argument, so estimates at any number
+    of levels cost one sort. Like every model a method name fits, it has
+    ``quantile(p)`` and ``estimate(p, ci_level)``. :class:`TwoSampleData` keeps each sample ascending, so the
     pooled sample is two ascending runs and the stable sort is one linear
     merge of them; tied points keep their pooled order, as in
     :meth:`WeightedCdf.from_points`.
@@ -156,9 +158,15 @@ class FittedDrm:
         return q_minus, mean_q, np.linalg.inv(var_q)
 
     @cached_property
-    def bandwidth(self) -> float:
-        """Silverman bandwidth of the target sample, for the density plug-in."""
-        return silverman_bandwidth(self.data.x1)
+    def kde(self) -> KdeModel:
+        """Silverman KDE of the target sample, for the density plug-in."""
+        return KdeModel.silverman(self.data.x1)
+
+    def quantile(self, p: float) -> float:
+        return drm_quantile(estimate_g1(self, self.data, self.spec), p)
+
+    def estimate(self, p: float, ci_level: float = 0.95) -> QuantileEstimate:
+        return drm_quantile_estimate(self, self.data, self.spec, p, ci_level)
 
     def _bracket_at(self, x: float) -> tuple[np.ndarray, float]:
         """Partial moment Q_hat(x) = sum mass*q_minus*1(support<=x) and G1_hat(x)."""
@@ -241,8 +249,9 @@ def avar_quantile(
     """
     model = _fitted(fit, data, spec)
     p = check_level(p)
-    if not density_at > 0:
-        raise NonpositiveDensityError(f"density plug-in must be positive, got {density_at}")
+    # below about 1.5e-162 a positive density's square underflows to 0
+    if not (density_at > 0 and density_at**2 > 0):
+        raise NonpositiveDensityError(f"density plug-in {density_at} or its square is not positive")
     _, mean_q, var_inv = model.target_moments
     xi = drm_quantile(model.g1, p)
     partial = model._bracket_at(xi)[0]
@@ -274,7 +283,28 @@ def drm_quantile_estimate(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, p: 
     pass one :class:`FittedDrm` as ``fit`` to every call.
     """
     model = _fitted(fit, data, spec)
-    point = drm_quantile(estimate_g1(model, data, spec), p)
-    g_hat = kde_density(KdeModel(sample=data.x1, bandwidth=model.bandwidth), point)
+    point = model.quantile(p)
+    g_hat = kde_density(model.kde, point)
     avar = avar_quantile(model, data, spec, p, g_hat)
     return QuantileEstimate.normal(p, point, avar, data.n1, ci_level, "drm")
+
+
+class EmpiricalModel:
+    """The type-1 empirical quantiles of the target sample, with plug-in
+    standard errors p(1-p)/g^2 from the Silverman KDE of that sample, which
+    is computed on first use."""
+
+    def __init__(self, data: TwoSampleData):
+        self.data, self.ecdf = data, Ecdf.from_sample(data.x1)
+
+    @cached_property
+    def kde(self) -> KdeModel:
+        return KdeModel.silverman(self.data.x1)
+
+    def quantile(self, p: float) -> float:
+        return empirical_quantile(self.ecdf, p)
+
+    def estimate(self, p: float, ci_level: float = 0.95) -> QuantileEstimate:
+        point = self.quantile(p)
+        avar = empirical_quantile_avar(p, kde_density(self.kde, point))
+        return QuantileEstimate.normal(p, point, avar, self.data.n1, ci_level, "empirical")

@@ -48,8 +48,9 @@ def empirical_quantile(ecdf: Ecdf, p: float) -> float:
 def empirical_quantile_avar(p: float, density_at: float) -> float:
     """Asymptotic variance p(1-p)/g^2 of the sample quantile."""
     p = check_level(p)
-    if not density_at > 0:
-        raise NonpositiveDensityError(f"density must be positive, got {density_at}")
+    # below about 1.5e-162 a positive density's square underflows to 0
+    if not (density_at > 0 and density_at**2 > 0):
+        raise NonpositiveDensityError(f"density {density_at} or its square is not positive")
     return p * (1.0 - p) / density_at**2
 
 
@@ -62,6 +63,11 @@ class KdeModel:
         if not self.bandwidth > 0:
             raise InvalidArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
+
+    @classmethod
+    def silverman(cls, sample) -> "KdeModel":
+        """The KDE of ``sample`` with :func:`silverman_bandwidth`."""
+        return cls(sample=sample, bandwidth=silverman_bandwidth(sample))
 
 
 def kde_density(model: KdeModel, x) -> float | np.ndarray:

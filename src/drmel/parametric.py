@@ -146,6 +146,12 @@ class ParametricFamily:
             return Exponential(self.mu1)
         return Normal(self.mu1, self.sigma1)
 
+    def quantile(self, p: float) -> float:
+        return self.target.quantile(p)
+
+    def estimate(self, p: float, ci_level: float = 0.95) -> QuantileEstimate:
+        return parametric_quantile(self, p, ci_level)
+
 
 def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
     """Closed-form MLEs; variance estimates use divisor n_k, not n_k - 1."""

@@ -11,16 +11,20 @@ keyed by the seed and ``c * reps + r``, so results are bit-identical
 regardless of how replicates are scheduled across workers.
 
 A method name resolves in one step, through the table ``_ESTIMATORS``, to
-an estimator ``(data, levels) -> estimates`` of one
-:class:`~drmel.fit.TwoSampleData`: ``drm-<basis>`` for each of
-:data:`~drmel.basis.BASIS_NAMES`, ``parametric-<tag>`` for each of
-:data:`~drmel.parametric.FAMILY_TAGS`, and ``empirical``; a scenario adds
-``drm``, the DRM under its own basis. Estimators are picklable, so they
-cross the process pool with the run. A replicate returns one (target,
-method, level) array of estimates, NaN where the method raised a
-:class:`DrmError`: an estimate from finite samples is finite, so NaN marks
-a failure and nothing else. Estimates are scored against each target's
-``quantile(p)``.
+a fitter ``(data) -> model`` of one :class:`~drmel.fit.TwoSampleData`:
+``drm-<basis>`` for each of :data:`~drmel.basis.BASIS_NAMES`, fitting a
+:class:`~drmel.estimators.FittedDrm`; ``parametric-<tag>`` for each of
+:data:`~drmel.parametric.FAMILY_TAGS`, fitting a
+:class:`~drmel.parametric.ParametricFamily`; and ``empirical``, an
+:class:`~drmel.estimators.EmpiricalModel`. A scenario and ``drmel
+estimate`` add ``drm``, the DRM under their own basis. Every model has
+``quantile(p)``, the point the engine reads at each level, and
+``estimate(p, ci_level)``, that point with its standard error and interval,
+which ``drmel estimate`` prints. Fitters are picklable, so they cross the
+process pool with the run. A replicate returns one (target, method, level)
+array of estimates, NaN where the method raised a :class:`DrmError`: an
+estimate from finite samples is finite, so NaN marks a failure and nothing
+else. Estimates are scored against each target's ``quantile(p)``.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
 from .errors import DrmError, InvalidArgumentError, check_integer, check_level
-from .estimators import corollary_variance, drm_quantile, estimate_g1
+from .estimators import EmpiricalModel, FittedDrm, corollary_variance
 from .fit import TwoSampleData, fit_mele
-from .nonparametric import Ecdf, empirical_quantile
-from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, fit_parametric
+from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, ParametricFamily, fit_parametric
 
 __all__ = [
     "Normal",
@@ -59,40 +62,35 @@ METHOD_EXPONENTIAL = f"parametric-{EXPONENTIAL}"
 METHOD_EMPIRICAL = "empirical"
 
 
-def _drm(basis: BasisSpec, data: TwoSampleData, levels) -> list[float]:
-    cdf = estimate_g1(fit_mele(data, basis), data, basis)
-    return [drm_quantile(cdf, p) for p in levels]
+# fit_mele and fit_parametric are called by this module's names, so that a
+# tracer that swaps module attributes (benchmarks/spans.py) sees the calls
+def _drm(basis: BasisSpec, data: TwoSampleData) -> FittedDrm:
+    return FittedDrm(data, basis, fit_mele(data, basis))
 
 
-def _parametric(tag: str, data: TwoSampleData, levels) -> list[float]:
-    target = fit_parametric(data, tag).target
-    return [target.quantile(p) for p in levels]
+def _parametric(tag: str, data: TwoSampleData) -> ParametricFamily:
+    return fit_parametric(data, tag)
 
 
-def _empirical(data: TwoSampleData, levels) -> list[float]:
-    ecdf = Ecdf.from_sample(data.x1)
-    return [empirical_quantile(ecdf, p) for p in levels]
-
-
-# the estimator of each method name: quantile estimates of one sample pair,
-# a TwoSampleData, in the order of ``levels``
+# the fitter of each method name: the model of one sample pair, a
+# TwoSampleData, with quantile(p) and estimate(p, ci_level)
 _ESTIMATORS = {
     **{f"drm-{b}": partial(_drm, BasisSpec.from_name(b)) for b in BASIS_NAMES},
     **{f"parametric-{tag}": partial(_parametric, tag) for tag in FAMILY_TAGS},
-    METHOD_EMPIRICAL: _empirical,
+    METHOD_EMPIRICAL: EmpiricalModel,
 }
 
 
 def _resolve_methods(names, drm_basis: BasisSpec | None = None) -> tuple:
-    """(name, estimator) per method name; ``drm`` is known only with a
+    """(name, fitter) per method name; ``drm`` is known only with a
     ``drm_basis``. Raises :class:`InvalidArgumentError`, naming the known
     methods, on an unknown name."""
-    estimators = _ESTIMATORS if drm_basis is None else {
+    fitters = _ESTIMATORS if drm_basis is None else {
         METHOD_DRM: partial(_drm, drm_basis), **_ESTIMATORS}
     for name in names:
-        if not isinstance(name, str) or name not in estimators:
-            raise InvalidArgumentError(f"unknown method {name!r}; known: {', '.join(estimators)}")
-    return tuple((name, estimators[name]) for name in names)
+        if not isinstance(name, str) or name not in fitters:
+            raise InvalidArgumentError(f"unknown method {name!r}; known: {', '.join(fitters)}")
+    return tuple((name, fitters[name]) for name in names)
 
 
 def sample(gen, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -242,9 +240,10 @@ def _replicate(state, key) -> np.ndarray:
             data = TwoSampleData(x0=x0, x1=x1)
         except DrmError:  # every method of this target keeps its NaNs
             continue
-        for m, (_, estimator) in enumerate(methods):
+        for m, (_, fitter) in enumerate(methods):
             with contextlib.suppress(DrmError):  # a failed method keeps its NaNs
-                estimates[t, m] = estimator(data, levels)
+                model = fitter(data)
+                estimates[t, m] = [model.quantile(p) for p in levels]
     return estimates
 
 
@@ -268,7 +267,7 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     each population of ``targets``, a ``{target: population}`` dict; the
     truth of a target at level p is its ``quantile(p)``. ``cells`` holds
     each cell's ``(scenario_id, n0, n)`` and ``methods`` the ``(name,
-    estimator)`` pairs of :func:`_resolve_methods`. A row averages the
+    fitter)`` pairs of :func:`_resolve_methods`. A row averages the
     scaled errors of the targets, unweighted. Results are collected in key
     order, so the table does not depend on the worker count. A pool opens no
     more workers than there are replicates, and a worker count below 1

@@ -46,7 +46,7 @@ def test_estimate_drm(data_csv, tmp_path, capsys):
     assert float(se) > 0
 
 
-@pytest.mark.parametrize("method", ["drm", "normal", "empirical"])
+@pytest.mark.parametrize("method", ["drm", "parametric-normal", "empirical"])
 def test_estimate_on_shuffled_rows_writes_the_same_bytes(data_csv, tmp_path, method):
     header, *rows = data_csv.read_text().splitlines()
     shuffled = tmp_path / "shuffled.csv"
@@ -62,7 +62,7 @@ def test_estimate_on_shuffled_rows_writes_the_same_bytes(data_csv, tmp_path, met
     assert outputs[1] == outputs[0]
 
 
-@pytest.mark.parametrize("method", ["normal", "normal-common", "empirical"])
+@pytest.mark.parametrize("method", ["parametric-normal", "parametric-normal-common", "empirical"])
 def test_estimate_other_methods(data_csv, capsys, method):
     code = run_cli(
         [
@@ -229,6 +229,14 @@ def test_study_asking_for_drm_is_told_the_known_methods(data_csv, capsys):
     assert err.startswith("error: unknown method 'drm'; known: drm-linear, drm-quadratic,")
 
 
+def test_estimate_with_a_family_tag_is_told_the_known_methods(data_csv, capsys):
+    # --method takes the engine's names, parametric-normal and so on, and
+    # knows plain "drm" because estimate has a --basis
+    assert run_cli(_estimate_args(data_csv, "--method", "normal")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown method 'normal'; known: drm, drm-linear,")
+
+
 def _scenario_json(tmp_path, **fields):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps({**VALID_SCENARIO, **fields}))
@@ -294,7 +302,7 @@ def _estimate_args(data_csv, *extra):
             "--transform", "log", "--x0", "2015", "--x1", "2016", *extra]
 
 
-@pytest.mark.parametrize("method", ["drm", "normal", "empirical"])
+@pytest.mark.parametrize("method", ["drm", "parametric-normal", "empirical"])
 @pytest.mark.parametrize("ci", ["1.5", "0", "1"])
 def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_path, capsys,
                                                                 method, ci):
@@ -330,11 +338,12 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
         lambda csv, tmp: ["study", "--data", csv, "--value-col", "revenue", "--group-col", "year",
                           "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
                           "--reps", 2, "--workers", -2],
+        lambda csv, tmp: _estimate_args(csv, "--method", "normal"),
     ],
     ids=["estimate-levels", "study-levels", "kde-grid-points", "missing-data",
          "missing-scenario", "scenario-not-json", "latin1-data", "estimate-no-levels",
          "study-no-levels", "scenario-no-levels", "scenario-no-methods", "scenario-empty-base",
-         "simulate-no-workers", "study-negative-workers"],
+         "simulate-no-workers", "study-negative-workers", "estimate-old-method-name"],
 )
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1

@@ -182,6 +182,18 @@ def test_avar_quantile_scaling_and_consistency(rng):
         avar_quantile(fit, data, spec, 0.5, 0.0)
 
 
+def test_a_kde_density_whose_square_underflows_is_a_typed_error():
+    # five points a side: the Silverman bandwidth is 0.019, and the pick at
+    # p = 0.9 lies so far from every target point that the KDE there is
+    # about 1e-167, whose square is 0.0
+    rng = np.random.default_rng(293)
+    x0 = np.exp(rng.normal(0.0, 0.5, 5))
+    data = TwoSampleData(x0=x0, x1=np.exp(rng.normal(0.2, 0.6, 5)))
+    spec = BasisSpec.linear()
+    with pytest.raises(NonpositiveDensityError):
+        drm_quantile_estimate(fit_mele(data, spec), data, spec, 0.9)
+
+
 def test_avar_quantile_median_standard_normal_limit():
     # population quantities at the median: bracket = (-phi(0), 0),
     # variance = phi(0)^2 / phi(0)^2 = 1

@@ -55,6 +55,8 @@ def test_empirical_quantile_avar_values():
     assert empirical_quantile_avar(0.5, 1.0) == 0.25
     with pytest.raises(NonpositiveDensityError):
         empirical_quantile_avar(0.5, 0.0)
+    with pytest.raises(NonpositiveDensityError):  # positive, but its square is 0.0
+        empirical_quantile_avar(0.5, 1e-170)
 
 
 def test_kde_single_point():

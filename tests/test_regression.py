@@ -2,7 +2,9 @@
 logaddexp kernel and row-major basis that the current kernel replaced, and a
 resampling-study table recorded from the engine with one sampler per front
 end; any change to the arithmetic of the Newton loop, or to the layout of the
-replicate streams, that moves them shows here."""
+replicate streams, that moves them shows here. The bytes ``drmel estimate``
+writes for each method are pinned too, as recorded from the front end that
+wrote each method's estimate in a branch of its own."""
 
 import io
 
@@ -21,6 +23,7 @@ from drmel import (
     run_scenario,
 )
 from drmel.estimators import drm_quantile, estimate_g1
+from drmel.cli import main
 from drmel.simulate import replicate_rng, sample
 
 
@@ -247,3 +250,60 @@ def test_failure_heavy_scenario_table_is_pinned(workers):
     buf = io.StringIO()
     run_scenario(scenario, workers=workers).to_csv(buf)
     assert buf.getvalue() == FAILURE_HEAVY_TABLE
+
+
+# drmel estimate on estimate_pair_csv, levels 0.05, 0.5 and 0.95
+ESTIMATE_CSVS = {
+    "drm": """\
+level,method,point,std_error,ci_low,ci_high
+0.05,drm,0.04681057541,0.01951918817,0.008553669597,0.08506748122
+0.5,drm,0.7729712784,0.1091223197,0.5590954619,0.9868470949
+0.95,drm,4.570021348,0.4091141929,3.768172264,5.371870431
+""",
+    "parametric-normal": """\
+level,method,point,std_error,ci_low,ci_high
+0.05,parametric-normal,-1.012612692,0.2364525236,-1.476051122,-0.5491742611
+0.5,parametric-normal,1.255299875,0.154153737,0.9531641029,1.557435648
+0.95,parametric-normal,3.523212442,0.2364525236,3.059774012,3.986650873
+""",
+    "parametric-normal-common": """\
+level,method,point,std_error,ci_low,ci_high
+0.05,parametric-normal-common,-0.6277375,0.1480628333,-0.9179353207,-0.3375396793
+0.5,parametric-normal-common,1.255299875,0.1279931389,1.004437933,1.506161818
+0.95,parametric-normal-common,3.138337251,0.1480628333,2.84813943,3.428535072
+""",
+    "parametric-exponential": """\
+level,method,point,std_error,ci_low,ci_high
+0.05,parametric-exponential,0.06438846606,0.007198849353,0.05027898059,0.07849795152
+0.5,parametric-exponential,0.8701075694,0.09728098365,0.6794403451,1.060774794
+0.95,parametric-exponential,3.76054235,0.4204414163,2.936492316,4.584592383
+""",
+    "empirical": """\
+level,method,point,std_error,ci_low,ci_high
+0.05,empirical,0.0249548848,0.06247367338,-0.09749126502,0.1474010346
+0.5,empirical,0.776111261,0.1280266461,0.5251836456,1.027038876
+0.95,empirical,4.530793654,0.4814029846,3.587261142,5.474326166
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def estimate_pair_csv(tmp_path_factory):
+    """240 base points from Exponential(1.0) and 80 target points from
+    Exponential(1.3), positive and of unit scale, so every method applies."""
+    rng = np.random.default_rng(20241019)
+    rows = ["group,value"]
+    for label, population, n in (("base", Exponential(1.0), 240), ("target", Exponential(1.3), 80)):
+        rows += [f"{label},{float(v)!r}" for v in population.ppf(rng.random(n))]
+    path = tmp_path_factory.mktemp("estimate") / "pair.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("method", sorted(ESTIMATE_CSVS))
+def test_estimate_csv_is_pinned(estimate_pair_csv, tmp_path, method):
+    out = tmp_path / "estimate.csv"
+    assert main(["estimate", "--data", str(estimate_pair_csv), "--value-col", "value",
+                 "--group-col", "group", "--x0", "base", "--x1", "target", "--method", method,
+                 "--basis", "quadratic", "--levels", "0.05,0.5,0.95", "--out", str(out)]) == 0
+    assert out.read_text() == ESTIMATE_CSVS[method]

@@ -112,6 +112,23 @@ def test_a_sample_pair_that_is_not_valid_data_fails_every_method_of_its_target()
     assert np.isfinite(estimates[0]).all() and np.isnan(estimates[1]).all()
 
 
+def test_every_method_fits_a_model_whose_estimate_is_its_quantile():
+    # the engine reads model.quantile(p) and drmel estimate prints
+    # model.estimate(p, ci_level): both points come from one place
+    from drmel import TwoSampleData
+    from drmel.simulate import _ESTIMATORS, _resolve_methods
+
+    rng = np.random.default_rng(11)
+    data = TwoSampleData(x0=Exponential(1.0).ppf(rng.random(120)),
+                         x1=Exponential(1.4).ppf(rng.random(40)))
+    methods = _resolve_methods(("drm", *_ESTIMATORS), BasisSpec.linear())
+    assert len(methods) == len(_ESTIMATORS) + 1
+    for name, fitter in methods:
+        model = fitter(data)
+        for p in (0.05, 0.3, 0.5, 0.9):
+            assert model.estimate(p, 0.9).point == model.quantile(p), (name, p)
+
+
 def test_exponential_method_requires_exponential_generators():
     with pytest.raises(InvalidArgumentError):
         small_scenario(methods=("parametric-exponential",))
