@@ -60,7 +60,7 @@ def _load(args, *labels):
 
 def _cmd_estimate(args) -> int:
     levels = _parse_levels(args.levels)
-    ((_, fitter),) = _resolve_methods((args.method,), BasisSpec.from_name(args.basis))
+    ((method, fitter),) = _resolve_methods((args.method,), BasisSpec.from_name(args.basis))
     populations = _load(args, args.x0, args.x1)
     model = fitter(TwoSampleData(x0=populations[args.x0], x1=populations[args.x1]))
     estimates = [model.estimate(p, args.ci_level) for p in levels]
@@ -68,7 +68,7 @@ def _cmd_estimate(args) -> int:
         out.write("level,method,point,std_error,ci_low,ci_high\n")
         for est in estimates:
             out.write(
-                f"{est.level:g},{est.method},{est.point:.10g},{est.std_error:.10g},"
+                f"{est.level:g},{method},{est.point:.10g},{est.std_error:.10g},"
                 f"{est.ci_low:.10g},{est.ci_high:.10g}\n"
             )
     return 0
@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", required=True, help="group label of the target sample")
     p.add_argument("--method", default=METHOD_DRM,
                    help="a method name, as in a scenario; drm fits the DRM under --basis")
-    p.add_argument("--basis", choices=BASIS_NAMES, default="quadratic")
+    p.add_argument("--basis", choices=BASIS_NAMES, default="quadratic",
+                   help="the basis of --method drm; drm-<basis> names its own")
     p.add_argument("--levels", default="0.05,0.5,0.95")
     p.add_argument("--ci-level", type=float, default=0.95)
     p.add_argument("--out")

@@ -9,6 +9,12 @@ with closed-form MLEs, normal with free per-sample variances, normal with a
 common variance, and exponential, are the efficiency benchmarks the
 density-ratio estimators are compared against; :attr:`ParametricFamily.target`
 is the fitted target population.
+
+``cdf`` and ``density_at_quantile`` write out the expressions that
+``scipy.stats.norm`` and ``scipy.stats.expon`` evaluate, on the ``ndtr``,
+``ndtri`` and ``expm1`` of ``scipy.special``: they keep scipy's bits (the sign
+of a NaN aside), at ±0 and ±inf too, without the start-up cost of importing
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -17,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import expon, norm
+from scipy.special import expm1, ndtr, ndtri
 
 from .errors import (
     DegenerateSampleError,
@@ -29,6 +34,7 @@ from .errors import (
 )
 from .estimators import QuantileEstimate
 from .fit import TwoSampleData
+from .nonparametric import _norm_pdf
 
 __all__ = [
     "Normal",
@@ -76,10 +82,10 @@ class Normal:
         return self.mu + self.sigma * float(ndtri(check_level(p)))
 
     def cdf(self, x):
-        return norm.cdf(x, loc=self.mu, scale=self.sigma)
+        return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def density_at_quantile(self, p: float) -> float:
-        return float(norm.pdf(ndtri(check_level(p)))) / self.sigma
+        return float(_norm_pdf(ndtri(check_level(p)))) / self.sigma
 
     def quantile_avar(self, p: float, share: float = 1.0) -> float:
         """sigma^2 * (1 + share * z_p^2 / 2), where ``share`` is the target's
@@ -112,7 +118,9 @@ class Exponential:
         return -self.mean * math.log1p(-check_level(p))
 
     def cdf(self, x):
-        return expon.cdf(x, scale=self.mean)
+        z = np.asarray(x, dtype=float) / self.mean
+        # -expm1(-z) on the support z > 0, so 0 below it (-0.0 and -inf too); NaN stays NaN
+        return -expm1(-np.where(z <= 0, 0.0, z))
 
     def density_at_quantile(self, p: float) -> float:
         return (1.0 - check_level(p)) / self.mean

@@ -302,6 +302,19 @@ def _estimate_args(data_csv, *extra):
             "--transform", "log", "--x0", "2015", "--x1", "2016", *extra]
 
 
+def test_estimate_writes_the_method_name_it_was_given(data_csv, tmp_path):
+    # drm-linear says which basis made the estimate; drm under --basis linear keeps "drm"
+    outs = {}
+    for method in ("drm-linear", "drm"):
+        out = tmp_path / f"{method}.csv"
+        assert run_cli(_estimate_args(data_csv, "--method", method, "--basis", "linear",
+                                      "--out", out)) == 0
+        outs[method] = out.read_text()
+    methods = [line.split(",")[1] for line in outs["drm-linear"].splitlines()[1:]]
+    assert methods == ["drm-linear"] * 3
+    assert outs["drm-linear"] == outs["drm"].replace(",drm,", ",drm-linear,")
+
+
 @pytest.mark.parametrize("method", ["drm", "parametric-normal", "empirical"])
 @pytest.mark.parametrize("ci", ["1.5", "0", "1"])
 def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_path, capsys,
