@@ -11,6 +11,7 @@ from .basis import BasisSpec, evaluate_matrix
 from .errors import (
     CsvParseError,
     DegenerateSampleError,
+    DegenerateVarianceError,
     DomainError,
     DrmError,
     EmptyGroupError,

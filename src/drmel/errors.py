@@ -63,6 +63,11 @@ class NonpositiveDensityError(InvalidArgumentError):
     """A density plug-in value must be strictly positive."""
 
 
+class DegenerateVarianceError(DrmError):
+    """A plug-in asymptotic variance is not positive and finite, so the
+    estimate has no standard error."""
+
+
 class DegenerateSampleError(DrmError):
     """A sample has zero spread where positive spread is required."""
 

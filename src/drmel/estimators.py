@@ -19,6 +19,7 @@ from scipy.special import ndtri
 
 from .basis import BasisSpec, evaluate_matrix
 from .errors import (
+    DegenerateVarianceError,
     InvalidArgumentError,
     NonpositiveDensityError,
     NotConvergedError,
@@ -82,9 +83,13 @@ class QuantileEstimate:
     def normal(cls, level: float, point: float, avar: float, n: int, ci_level: float,
                method: str) -> "QuantileEstimate":
         """``point`` with standard error sqrt(avar / n) and the normal confidence
-        interval of coverage ``ci_level``, which must lie strictly between 0 and 1."""
+        interval of coverage ``ci_level``, which must lie strictly between 0 and 1.
+        Raises :class:`DegenerateVarianceError` unless avar is positive and finite:
+        every estimate is built here, so none reports an infinite, zero or NaN error."""
         if not 0.0 < ci_level < 1.0:
             raise InvalidArgumentError(f"ci_level must be strictly between 0 and 1, got {ci_level}")
+        if not 0.0 < avar < np.inf:
+            raise DegenerateVarianceError(f"plug-in variance {avar} is not positive and finite")
         se = float(np.sqrt(avar / n))
         z = float(ndtri(0.5 + ci_level / 2.0))
         return cls(level, point, se, point - z * se, point + z * se, method)
@@ -196,7 +201,7 @@ def estimate_g0(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> WeightedCd
 
 def drm_quantile(cdf: WeightedCdf, p: float) -> float:
     """Smallest support point whose cumulative mass reaches p."""
-    idx = int(np.searchsorted(cdf.cumulative, check_level(p), side="left"))
+    idx = int(cdf.cumulative.searchsorted(check_level(p), side="left"))
     idx = min(idx, cdf.support.size - 1)
     return float(cdf.support[idx])
 

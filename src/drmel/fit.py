@@ -27,6 +27,13 @@ basis. The workspace is kept for the last (n, d) only, a fit of another size
 replaces it, and it has no setting. A returned :class:`DrmFit` owns its
 arrays, so later fits leave it as it is.
 
+What depends on a fit's shape alone is built once per shape and kept, as
+read-only arrays, in small bounded caches: per basis dimension d, the place of
+each Gram entry among the row sums and the index pairs of the product block;
+per (n0, n1, n), the kernel at theta = 0, where L and w are one value each.
+The ridged system and the trace it needs are built only for a ridged step.
+A fit computes the same bits with the caches warm or cold.
+
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
 is solved again with a ridge of ``RIDGE_SCALE`` times the trace of the
@@ -47,6 +54,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -86,9 +94,9 @@ class TwoSampleData:
         x1 = np.ravel(np.asarray(self.x1, dtype=float))
         if x0.size < 1 or x1.size < 1:
             raise InvalidArgumentError("both samples must be nonempty")
-        if not (np.isfinite(x0).all() and np.isfinite(x1).all()):
-            raise InvalidArgumentError("samples must contain only finite values")
         pooled = np.concatenate([x0, x1])
+        if not np.isfinite(pooled).all():
+            raise InvalidArgumentError("samples must contain only finite values")
         pooled[:x0.size].sort()
         pooled[x0.size:].sort()
         pooled.setflags(write=False)
@@ -145,14 +153,12 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
     and a boolean mask of q's length go in the rest; without ``out`` the
     call allocates them."""
     if not theta.any():  # every fit opens at theta = 0, where u = 0 on every row
-        _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
-        L, w = np.broadcast_to(L, q.shape[:1]), np.broadcast_to(w, q.shape[:1])
-        return float(-np.sum(L)), L, w
+        return _kernel_at_zero(n0, n1, q.shape[0])
     if out is None:
         out = (*np.empty((4, q.shape[0])), np.empty(q.shape[0], dtype=bool))
     z, w, e, t, mask = out
     np.matmul(q, theta, out=z)
-    value = float(np.sum(z[n0:]))
+    value = float(z[n0:].sum())
     z += math.log(n1 / n0)
     np.abs(z, out=e)
     np.exp(np.negative(e, out=e), out=e)
@@ -162,7 +168,16 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
     np.maximum(z, 0.0, out=z)
     z += math.log(n0)
     z += np.log1p(e, out=e)
-    return value - float(np.sum(z)), z, w
+    return value - float(z.sum()), z, w
+
+
+@lru_cache(maxsize=16)
+def _kernel_at_zero(n0: int, n1: int, n: int) -> tuple:
+    """:func:`_kernel` at theta = 0 on n rows: L and w are read-only views of
+    the one value each that a row of u = 0 gives."""
+    _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
+    L, w = np.broadcast_to(L, n), np.broadcast_to(w, n)
+    return float(-np.sum(L)), L, w
 
 
 class _Moments(NamedTuple):
@@ -179,19 +194,27 @@ class _Moments(NamedTuple):
     s: np.ndarray
 
 
+@lru_cache(maxsize=8)
+def _layout(d: int) -> tuple:
+    """What depends on the basis dimension d alone: the read-only ``place``
+    array of :class:`_Moments` and the (i, j) pairs of the product block's rows."""
+    rows, cols = np.triu_indices(d)
+    place = np.empty((d, d), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    place.setflags(write=False)
+    return place, tuple(zip(rows[d:].tolist(), cols[d:].tolist()))
+
+
 def _moments(qT: np.ndarray, out=None) -> _Moments:
     """The product block of the basis rows qT, and the Gram matrix from the row
     sums of qT and of the block. The row s and then the block are the rows of
     ``out``, allocated when it is not given."""
-    d = qT.shape[0]
-    rows, cols = np.triu_indices(d)
-    place = np.empty((d, d), dtype=np.intp)
-    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    place, products = _layout(qT.shape[0])
     if out is None:
-        out = np.empty((1 + rows.size - d, qT.shape[1]))
+        out = np.empty((1 + len(products), qT.shape[1]))
     block = out[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, i, j in zip(block, rows[d:], cols[d:]):
+        for row, (i, j) in zip(block, products):
             np.multiply(qT[i], qT[j], out=row)
         gram = np.concatenate([qT.sum(axis=1), block.sum(axis=1)])[place]
     return _Moments(block, place, gram, out[0])
@@ -285,10 +308,10 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     # attempt ``it`` starts after ``it`` steps; the gradient test is the one
     # way out that does not raise, and the budget test bounds the loop
     for it in itertools.count():
-        at_zero = not theta.any()  # where every fit opens: w is one value on every row
+        at_zero = not any(theta.tolist())  # where every fit opens: w is one value on every row
         tilt = w[0] if at_zero else w
         grad = q1_sum - (tilt * gram[0] if at_zero else qT @ w)
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = max(map(abs, grad.tolist()))
         if grad_norm <= grad_tol:
             break
         if stalled or it >= MAX_ITER:
@@ -303,28 +326,30 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         # the step descends; the ridged step is taken as it is, and so is a
         # NaN step, which the line search then rejects
         neg_hess = _neg_hessian(qT, moments, tilt)
-        for ridged, ridge in enumerate((0.0, RIDGE_SCALE * np.trace(neg_hess))):
+        try:
+            step = np.linalg.solve(neg_hess, grad)
+            slope = float(grad @ step)
+        except np.linalg.LinAlgError:
+            slope = -math.inf  # singular: the ridged step
+        if slope <= 0:
             try:
-                step = np.linalg.solve(neg_hess + ridge * np.eye(d), grad)
-            except np.linalg.LinAlgError:
-                continue
-            if ridged or not grad @ step <= 0:
-                break
-        else:  # every curvature weight w(1-w) underflowed, so the ridge is 0
-            raise NonConvergenceError(
-                f"singular Newton system at iteration {it + 1} "
-                f"(gradient sup-norm {grad_norm:.3e})",
-                iterations=it + 1,
-                gradient_norm=grad_norm,
-            )
+                step = np.linalg.solve(neg_hess + RIDGE_SCALE * np.trace(neg_hess) * np.eye(d), grad)
+            except np.linalg.LinAlgError:  # every curvature weight w(1-w) underflowed: no ridge
+                raise NonConvergenceError(
+                    f"singular Newton system at iteration {it + 1} "
+                    f"(gradient sup-norm {grad_norm:.3e})",
+                    iterations=it + 1,
+                    gradient_norm=grad_norm,
+                ) from None
+            slope = float(grad @ step)
 
         # backtracking line search, Armijo condition; skipped once the
         # predicted gain is below the rounding error of the objective
-        slope = float(grad @ step)
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(val))
+        noise = 16.0 * math.ulp(1.0) * (1.0 + abs(val))  # 16 machine epsilons
         t = 1.0
         while t >= 1e-14:
-            cand = theta + t * step
+            dx = t * step
+            cand = theta + dx
             cand_parts = _kernel(q, cand, n0, n1, spare + scratch)
             if cand_parts[0] >= val + ARMIJO * t * slope - noise:
                 theta, (val, log_den, w) = cand, cand_parts
@@ -332,7 +357,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
                 break
             t *= 0.5
         # an exhausted search keeps theta; either way the next gradient test decides
-        stalled = t < 1e-14 or float(np.max(np.abs(t * step))) <= TOL_STEP
+        stalled = t < 1e-14 or max(map(abs, dx.tolist())) <= TOL_STEP
 
     # l(theta) < -n0 log n0 - n1 log n1, and only theta -> infinity on samples
     # the basis separates comes this close: no finite maximizer exists

@@ -77,6 +77,8 @@ class KdeModel:
         if not self.bandwidth > 0:
             raise InvalidArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
+        if self.sample.size < 1 or not np.isfinite(self.sample).all():
+            raise InvalidArgumentError("a KDE sample must be nonempty and finite")
 
     @classmethod
     def silverman(cls, sample) -> "KdeModel":

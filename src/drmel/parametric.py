@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expm1, ndtr, ndtri
@@ -147,9 +148,9 @@ class ParametricFamily:
     n0: int
     n1: int
 
-    @property
+    @cached_property
     def target(self) -> Normal | Exponential:
-        """The fitted target population."""
+        """The fitted target population, built on first use."""
         if self.tag == EXPONENTIAL:
             return Exponential(self.mu1)
         return Normal(self.mu1, self.sigma1)
@@ -168,24 +169,24 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
             f"unknown family tag {family_tag!r}; known: {', '.join(FAMILY_TAGS)}"
         )
     x0, x1 = data.x0, data.x1
-    mu0, mu1 = float(np.mean(x0)), float(np.mean(x1))
+    mu0, mu1 = float(x0.mean()), float(x1.mean())
 
     if family_tag == EXPONENTIAL:
-        if np.any(x0 <= 0) or np.any(x1 <= 0):
+        if x0[0] <= 0 or x1[0] <= 0:  # each sample is ascending
             raise DomainError("exponential family requires strictly positive data")
         return ParametricFamily(EXPONENTIAL, mu0, mu1, None, None, data.n0, data.n1)
 
     if data.n0 < 2 or data.n1 < 2:
         raise DegenerateSampleError("need at least two points per sample")
     if family_tag == NORMAL_FREE:
-        v0 = float(np.mean((x0 - mu0) ** 2))
-        v1 = float(np.mean((x1 - mu1) ** 2))
+        v0 = float(np.square(x0 - mu0).mean())
+        v1 = float(np.square(x1 - mu1).mean())
         if v0 <= 0 or v1 <= 0:
             raise DegenerateSampleError("zero sample variance")
         return ParametricFamily(
             NORMAL_FREE, mu0, mu1, math.sqrt(v0), math.sqrt(v1), data.n0, data.n1
         )
-    pooled = (np.sum((x0 - mu0) ** 2) + np.sum((x1 - mu1) ** 2)) / data.n
+    pooled = (np.square(x0 - mu0).sum() + np.square(x1 - mu1).sum()) / data.n
     if pooled <= 0:
         raise DegenerateSampleError("zero pooled variance")
     s = math.sqrt(float(pooled))

@@ -76,19 +76,21 @@ def _split_columns(text: str, spec: ColumnSpec) -> list:
     a cell may carry whitespace around it, which the caller strips.
 
     A regular file has a nonblank header line, no quote character, ``\\n`` or
-    ``\\r\\n`` line ends and the header's field count on every nonblank
-    line. Its rows are split by one ``str.split`` over their joined text, with
-    a comma before each line break, so a row's first cell starts with that
-    line break. Any other file is read by ``csv.reader``.
+    ``\\r\\n`` line ends and the header's field count on every line. A blank
+    line is one field, so only a one-field file drops its blank lines first.
+    Its rows are split by one ``str.split`` over their joined text, with a
+    comma before each line break, so a row's first cell starts with that line
+    break. Any other file is read by ``csv.reader``, which skips blank lines.
     """
-    body = text.replace("\r\n", "\n")
+    body = text.replace("\r\n", "\n") if "\r" in text else text
     head, _, data = body.partition("\n")
     data = data.strip("\n")
-    if "\n\n" in data:  # blank lines are neither counted nor numbered
-        data = "\n".join(filter(None, data.split("\n")))
-    n = data.count("\n") + 1 if data else 0
     step = head.count(",") + 1
-    cells = data.replace("\n", ",\n").split(",") if data else []
+    if step == 1 and "\n\n" in data:
+        data = "\n".join(filter(None, data.split("\n")))
+    joined = data.replace("\n", ",\n")  # one more character per line break
+    n = len(joined) - len(data) + 1 if data else 0
+    cells = joined.split(",") if data else []
     names = (spec.value_column, spec.group_column)
     # the n - 1 cells that start a line fall every ``step`` cells exactly when
     # every row has ``step`` fields

@@ -214,10 +214,10 @@ def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
     if err.size == 0:
         return (math.nan,) * 4 + (1.0,)
     return (
-        math.sqrt(n) * float(np.mean(err)),
-        math.sqrt(n) * float(np.mean(np.abs(err))),
-        n * float(np.var(err)),
-        n * float(np.mean(err**2)),
+        math.sqrt(n) * float(err.mean()),
+        math.sqrt(n) * float(np.abs(err).mean()),
+        n * float(err.var()),
+        n * float(np.square(err).mean()),
         fail_frac,
     )
 

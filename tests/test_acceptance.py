@@ -2,6 +2,7 @@
 PASS/FAIL line (run with pytest -s to see them on success)."""
 
 import math
+import os
 import time
 
 import numpy as np
@@ -31,6 +32,8 @@ from drmel.simulate import replicate_rng, sample
 from test_fit import finite_difference_gradient, grid_search_mele
 
 REPS = 1000
+# a table is the same at any worker count, so the Monte Carlo fixtures use the pool
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def report(num, ok, detail):
@@ -54,7 +57,7 @@ def table1():
         methods=("drm", "parametric-normal", "empirical"),
         scenario_id="normal-k100",
     )
-    return run_scenario(scenario)
+    return run_scenario(scenario, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +75,7 @@ def table3():
         methods=("drm", "parametric-exponential", "empirical"),
         scenario_id="exponential-k100",
     )
-    return run_scenario(scenario)
+    return run_scenario(scenario, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +94,7 @@ def corollary_tables():
             methods=("drm", "parametric-normal", "empirical"),
             scenario_id=f"normal-k{k}",
         )
-        tables[k] = run_scenario(scenario)
+        tables[k] = run_scenario(scenario, workers=WORKERS)
     return tables
 
 

@@ -8,12 +8,14 @@ from scipy.stats import norm
 
 from drmel import (
     BasisSpec,
+    DegenerateVarianceError,
     DrmFit,
     FittedDrm,
     InvalidArgumentError,
     InvalidLevelError,
     NonpositiveDensityError,
     NotConvergedError,
+    QuantileEstimate,
     TwoSampleData,
     WeightedCdf,
     avar_g1_at,
@@ -246,6 +248,12 @@ def test_quantile_estimate_interface(rng):
     z = float(norm.ppf(0.975))
     assert est.ci_high - est.ci_low == pytest.approx(2 * z * est.std_error, rel=1e-10)
     assert est.method == "drm"
+
+
+@pytest.mark.parametrize("avar", [math.inf, math.nan, -1.0, 0.0])
+def test_a_variance_that_is_not_positive_and_finite_is_a_typed_error(avar):
+    with pytest.raises(DegenerateVarianceError, match="not positive and finite"):
+        QuantileEstimate.normal(0.5, 1.0, avar, 10, 0.9, "drm")
 
 
 def test_quantiles_do_not_depend_on_tie_order():

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from drmel import (
     DegenerateSampleError,
     Ecdf,
+    InvalidArgumentError,
     InvalidLevelError,
     KdeModel,
     NonpositiveDensityError,
@@ -62,6 +63,12 @@ def test_empirical_quantile_avar_values():
 def test_kde_single_point():
     model = KdeModel(sample=[0.0], bandwidth=1.0)
     assert kde_density(model, 0.0) == pytest.approx(float(norm.pdf(0.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("sample", [[], [1.0, math.nan], [math.inf, 0.0]], ids=["empty", "nan", "inf"])
+def test_kde_rejects_an_empty_or_nonfinite_sample(sample):
+    with pytest.raises(InvalidArgumentError, match="nonempty and finite"):
+        KdeModel(sample=sample, bandwidth=1.0)
 
 
 def test_kde_symmetry():

@@ -212,6 +212,14 @@ def test_ingest_blank_lines_are_skipped_and_not_numbered(csv_file):
     with pytest.raises(CsvParseError) as err:
         ingest_csv(path, ColumnSpec("revenue", "year"))
     assert err.value.row == 3
+    # in a one-field file a blank line has the header's field count
+    path = csv_file(["1.0", "", "2.0", "", "x"], header="revenue")
+    with pytest.raises(CsvParseError) as err:
+        ingest_csv(path, ColumnSpec("revenue", "revenue"))
+    assert err.value.row == 4
+    path = csv_file(["1.0", "", "2.0", ""], header="revenue")
+    pops, report = ingest_csv(path, ColumnSpec("revenue", "revenue"))
+    assert report.rows_in == 2 and list(pops) == ["1.0", "2.0"]
 
 
 def test_ingest_short_rows_read_empty_cells(csv_file):

@@ -128,6 +128,91 @@ n0=120,n=40,0.9,empirical,-0.606749653145,2.39323093376,9.09263634102,9.56588698
 """
 
 
+def study_size_data(r):
+    """Replicate ``r`` of a study-size stream (seed 16): 5000 points of
+    N(10, 0.8) and 500 of N(10.3, 0.9), near the log-scale groups of a
+    revenue study."""
+    rng = replicate_rng(16, r)
+    return TwoSampleData(x0=sample(Normal(10.0, 0.8), 5000, rng),
+                         x1=sample(Normal(10.3, 0.9), 500, rng))
+
+
+def near_separated_data(r):
+    """Replicate ``r`` of a stream (seed 30) of 30 points of N(0, 1) and 3 of
+    N(2.5, 0.3), which the quadratic basis nearly separates: theta runs to
+    50-260 over 14-16 steps."""
+    rng = replicate_rng(30, r)
+    return TwoSampleData(x0=sample(Normal(0.0, 1.0), 30, rng),
+                         x1=sample(Normal(2.5, 0.3), 3, rng))
+
+
+def other_split_data(r):
+    """Replicate ``r`` of a stream (seed 17) of the populations of
+    :func:`study_size_data` at 5100 and 400 points: the same n, another
+    (n0, n1)."""
+    rng = replicate_rng(17, r)
+    return TwoSampleData(x0=sample(Normal(10.0, 0.8), 5100, rng),
+                         x1=sample(Normal(10.3, 0.9), 400, rng))
+
+
+# iterations, theta_hat and final gradient sup-norm, as float.hex, of the
+# quadratic fit, recorded before each fit built its shape-only parts once
+STUDY_SIZE_FITS = {
+    (study_size_data, 0): (5, ["0x1.462c24029b1bbp+4", "-0x1.1c62801ac53cep+2",
+                               "0x1.e7d4589fe9bccp-3"], "0x1.0000000000000p-36"),
+    (study_size_data, 1): (5, ["0x1.192569cd7ececp+4", "-0x1.f0375adfef558p+1",
+                               "0x1.adf536395d82ap-3"], "0x1.2000000000000p-34"),
+    (study_size_data, 2): (5, ["0x1.dff396b452ef8p+2", "-0x1.0147820cce79ap+1",
+                               "0x1.fd34fd2cc17d7p-4"], "0x1.6000000000000p-34"),
+    (study_size_data, 3): (5, ["0x1.cbbeefcecb1fap+2", "-0x1.c8fc492f1b135p+0",
+                               "0x1.b04636e16efe3p-4"], "0x1.4000000000000p-35"),
+    (study_size_data, 4): (5, ["-0x1.a1eff03f561bcp+2", "0x1.c5e9d57b80128p-1",
+                               "-0x1.85d2fb5233ecbp-6"], "0x1.c000000000000p-35"),
+    (other_split_data, 0): (5, ["0x1.9a12ccab330f9p+3", "-0x1.7bb9155fa9d05p+1",
+                                "0x1.5587f5376d8d7p-3"], "0x1.0000000000000p-37"),
+    (near_separated_data, 4): (15, ["-0x1.682b715739439p+7", "0x1.3efaa1e3a54c3p+7",
+                                    "-0x1.1509f12d64082p+5"], "0x1.0400000000000p-42"),
+    (near_separated_data, 82): (14, ["-0x1.6fe16200285f3p+6", "0x1.2bfc09309956bp+6",
+                                     "-0x1.d1b7d7a53c3e7p+3"], "0x1.38e0000000000p-37"),
+    (near_separated_data, 132): (15, ["-0x1.034ae2f574901p+8", "0x1.c31e8fba67ad3p+7",
+                                      "-0x1.812ceb5c45789p+5"], "0x1.56c0000000000p-38"),
+}
+
+
+def _fit_record(fit):
+    return (fit.iterations, [t.hex() for t in fit.theta_hat.tolist()],
+            fit.final_gradient_norm.hex())
+
+
+@pytest.mark.parametrize("make, r", list(STUDY_SIZE_FITS),
+                         ids=[f"{make.__name__}-{r}" for make, r in STUDY_SIZE_FITS])
+def test_study_size_fit_is_pinned(make, r):
+    assert _fit_record(fit_mele(make(r), BasisSpec.quadratic())) == STUDY_SIZE_FITS[make, r]
+
+
+def test_fits_of_other_shapes_in_between_change_no_bit():
+    # the per-shape caches and the workspace are keyed by shape: fits of
+    # another (n0, n1) at the same n, of another n and of another dimension
+    # in between change no bit of the fits that follow them
+    import drmel.fit
+
+    def everything(fit):
+        return (_fit_record(fit), fit.log_el_at_max.hex(), fit.weights.tobytes(),
+                fit.tilted_weights.tobytes())
+
+    quadratic, linear = BasisSpec.quadratic(), BasisSpec.linear()
+    drmel.fit._kernel_at_zero.cache_clear()
+    drmel.fit._layout.cache_clear()
+    drmel.fit._local.shape = None
+    cold = everything(fit_mele(study_size_data(1), linear))
+    for make, r in [(near_separated_data, 4), (study_size_data, 0), (other_split_data, 0),
+                    (near_separated_data, 82), (other_split_data, 0), (study_size_data, 0)]:
+        assert _fit_record(fit_mele(make(r), quadratic)) == STUDY_SIZE_FITS[make, r]
+        assert everything(fit_mele(study_size_data(1), linear)) == cold
+    _, log_den, w = drmel.fit._kernel_at_zero(5000, 500, 5500)
+    assert not any(a.flags.writeable for a in (drmel.fit._layout(3)[0], log_den, w))
+
+
 @pytest.mark.parametrize("r", sorted(TABLE1_FITS))
 def test_table1_fit_is_pinned(r):
     fit = fit_mele(table1_data(r), BasisSpec.quadratic())
