@@ -271,10 +271,10 @@ def corollary_variance(k: float, p: float, density_at: float, parametric_avar: f
     (weight 1/(k+1)) and the parametric-MLE variance (weight k/(k+1)),
     where k is the base-to-target sample size ratio.
     """
-    if not k >= 0:
-        raise InvalidArgumentError(f"sample size ratio k must be nonnegative, got {k}")
-    if parametric_avar < 0:
-        raise InvalidArgumentError("parametric variance must be nonnegative")
+    if not 0 <= k < np.inf:
+        raise InvalidArgumentError(f"sample size ratio k must be finite and nonnegative, got {k}")
+    if not 0 <= parametric_avar < np.inf:
+        raise InvalidArgumentError("parametric variance must be finite and nonnegative")
     empirical = empirical_quantile_avar(p, density_at)
     return empirical / (k + 1.0) + parametric_avar * k / (k + 1.0)
 

@@ -14,8 +14,9 @@ the products q_i q_j for 1 <= i <= j (x^2, x^3 and x^4 for the quadratic basis);
 q's own rows serve i = 0. The entries of q' diag(s) q are then one matvec of q
 and one of that block with s: the Gram matrix takes s = 1, the negative Hessian
 s = w(1 - w). At theta = 0, where every fit opens, w is one value c on every
-row, so the step there passes over no row: its gradient is q1_sum - c Gram[0]
-and its negative Hessian c(1 - c) Gram.
+row, so :func:`fit_mele` takes its first step there over no row: the gradient
+is q1_sum - c Gram[0] and the negative Hessian c(1 - c) Gram. That step is
+taken only there; the kernel and the Hessian have no case for theta = 0.
 
 Every Newton step writes its rows into one fit workspace per thread, so after
 the first fit of a size the loop allocates no row of n: the (L, w) rows of the
@@ -147,13 +148,10 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
     """Dual log-EL at theta and its per-point parts (value, L, w), where
     L = log(n0 + n1 exp(u)) and w = n1 exp(u - L) for u = q @ theta, by the
     module docstring's formulas. The base weights are exp(-L), the tilted
-    target masses w / n1. At theta = 0, L and w are read-only views of one
-    value each, so that call writes no row. Elsewhere L and w are written to
-    the first two rows of ``out = (L, w, e, t, mask)``, and two scratch rows
-    and a boolean mask of q's length go in the rest; without ``out`` the
-    call allocates them."""
-    if not theta.any():  # every fit opens at theta = 0, where u = 0 on every row
-        return _kernel_at_zero(n0, n1, q.shape[0])
+    target masses w / n1. L and w are written to the first two rows of
+    ``out = (L, w, e, t, mask)``, and two scratch rows and a boolean mask of
+    q's length go in the rest; without ``out`` the call allocates them. The
+    fitter's start at theta = 0 is :func:`_kernel_at_zero`, not this."""
     if out is None:
         out = (*np.empty((4, q.shape[0])), np.empty(q.shape[0], dtype=bool))
     z, w, e, t, mask = out
@@ -220,12 +218,9 @@ def _moments(qT: np.ndarray, out=None) -> _Moments:
     return _Moments(block, place, gram, out[0])
 
 
-def _neg_hessian(qT: np.ndarray, moments: _Moments, w) -> np.ndarray:
+def _neg_hessian(qT: np.ndarray, moments: _Moments, w: np.ndarray) -> np.ndarray:
     """q' diag(w(1-w)) q, from one matvec of qT and one of the product block.
-    A scalar w is the tilt fraction of every row, as at theta = 0, and scales
-    the Gram matrix instead."""
-    if np.ndim(w) == 0:
-        return (1.0 - w) * w * moments.gram
+    The fitter's first step, at theta = 0, scales the Gram matrix instead."""
     s = np.subtract(1.0, w, out=moments.s)
     s *= w
     return np.concatenate([qT @ s, moments.block @ s])[moments.place]
@@ -247,9 +242,13 @@ def _workspace(n: int, d: int) -> tuple:
 
 
 def _oracle(data: TwoSampleData, spec: BasisSpec, theta) -> tuple:
-    """Basis matrix of the pooled sample and the kernel at theta."""
+    """Basis matrix of the pooled sample and the kernel at theta, which must
+    have one entry per basis component."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (spec.dimension,):
+        raise InvalidArgumentError(f"theta must have shape ({spec.dimension},), got {theta.shape}")
     q = evaluate_matrix(spec, data.x0, data.x1)
-    return q, _kernel(q, np.asarray(theta, dtype=float), data.n0, data.n1)
+    return q, _kernel(q, theta, data.n0, data.n1)
 
 
 def dual_log_el(data: TwoSampleData, spec: BasisSpec, theta) -> float:
@@ -299,18 +298,19 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
             f"(Gram condition number {cond:.3e})"
         )
 
+    # every fit opens at theta = 0, where w is one value c on every row: its
+    # gradient and its curvature c(1 - c) Gram pass over no row
     q1_sum = q[n0:].sum(axis=0)
     theta = np.zeros(d)
-    val, log_den, w = _kernel(q, theta, n0, n1)
+    val, log_den, w = _kernel_at_zero(n0, n1, data.n)
+    c = w[0]
+    grad = q1_sum - c * gram[0]
     grad_tol = n1 * TOL_GRAD
     stalled = False
 
     # attempt ``it`` starts after ``it`` steps; the gradient test is the one
     # way out that does not raise, and the budget test bounds the loop
     for it in itertools.count():
-        at_zero = not any(theta.tolist())  # where every fit opens: w is one value on every row
-        tilt = w[0] if at_zero else w
-        grad = q1_sum - (tilt * gram[0] if at_zero else qT @ w)
         grad_norm = max(map(abs, grad.tolist()))
         if grad_norm <= grad_tol:
             break
@@ -325,7 +325,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         # the Newton step, or the ridged one where the system is singular or
         # the step descends; the ridged step is taken as it is, and so is a
         # NaN step, which the line search then rejects
-        neg_hess = _neg_hessian(qT, moments, tilt)
+        neg_hess = (1.0 - c) * c * gram if it == 0 else _neg_hessian(qT, moments, w)
         try:
             step = np.linalg.solve(neg_hess, grad)
             slope = float(grad @ step)
@@ -354,6 +354,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
             if cand_parts[0] >= val + ARMIJO * t * slope - noise:
                 theta, (val, log_den, w) = cand, cand_parts
                 spare, held = held, spare
+                grad = q1_sum - qT @ w
                 break
             t *= 0.5
         # an exhausted search keeps theta; either way the next gradient test decides

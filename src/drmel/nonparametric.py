@@ -74,8 +74,8 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise InvalidArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise InvalidArgumentError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
         if self.sample.size < 1 or not np.isfinite(self.sample).all():
             raise InvalidArgumentError("a KDE sample must be nonempty and finite")
@@ -113,6 +113,8 @@ def silverman_bandwidth(sample) -> float:
     s = np.asarray(sample, dtype=float)
     if s.size < 2:
         raise DegenerateSampleError("need at least two points for a bandwidth")
+    if not np.isfinite(s).all():
+        raise InvalidArgumentError("a bandwidth sample must be finite")
     sd = float(np.std(s, ddof=1))
     ecdf = Ecdf.from_sample(s)
     iqr = empirical_quantile(ecdf, 0.75) - empirical_quantile(ecdf, 0.25)

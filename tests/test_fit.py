@@ -9,6 +9,7 @@ import pytest
 from drmel import (
     BasisSpec,
     FittedDrm,
+    InvalidArgumentError,
     NonConvergenceError,
     SingularBasisError,
     TwoSampleData,
@@ -242,6 +243,15 @@ def two_branch_log_denom(u, n0, n1):
     return out
 
 
+@pytest.mark.parametrize("oracle", [dual_log_el, score, hessian])
+@pytest.mark.parametrize("theta", [[0.1, 0.2, 0.3], 0.0, [0.0, 0.0, 0.0], [[0.0, 0.0]]],
+                         ids=["long", "scalar", "long-zero", "row"])
+def test_the_oracle_rejects_a_theta_of_the_wrong_shape(oracle, theta):
+    data = TwoSampleData(x0=[0.0, 1.0, 2.0, 3.0], x1=[1.5, 2.5])
+    with pytest.raises(InvalidArgumentError, match=r"theta must have shape \(2,\)"):
+        oracle(data, BasisSpec.linear(), theta)
+
+
 def test_kernel_matches_two_branch_log_denominator():
     from drmel.fit import _kernel
 
@@ -282,16 +292,18 @@ def test_exhausted_line_search_keeps_theta(monkeypatch):
 
 def test_vanished_curvature_raises_typed_error(monkeypatch):
     # Tilt fractions that all round to 0 or 1 make every w(1-w), and so the
-    # ridge, zero: the Newton system is singular even after ridging.
+    # ridge, zero: the Newton system is singular even after ridging. The fit
+    # opens at theta = 0, whose kernel comes from the cached _kernel_at_zero,
+    # so the stub replaces that function rather than _kernel.
     import drmel.fit
 
-    kernel = drmel.fit._kernel
+    kernel_at_zero = drmel.fit._kernel_at_zero
 
-    def saturated(q, theta, n0, n1, out=None):
-        value, log_den, w = kernel(q, theta, n0, n1, out)
+    def saturated(n0, n1, n):
+        value, log_den, w = kernel_at_zero(n0, n1, n)
         return value, log_den, np.round(w)
 
-    monkeypatch.setattr(drmel.fit, "_kernel", saturated)
+    monkeypatch.setattr(drmel.fit, "_kernel_at_zero", saturated)
     data = TwoSampleData(x0=[0.0, 1.0, 2.0, 3.0], x1=[1.5, 2.5])
     with pytest.raises(NonConvergenceError) as err:
         fit_mele(data, BasisSpec.linear())
@@ -301,13 +313,13 @@ def test_vanished_curvature_raises_typed_error(monkeypatch):
 
 @pytest.mark.parametrize("n0, n1", [(100_000, 1_000), (3, 7), (1, 1)])
 def test_kernel_at_zero_matches_general_path(n0, n1):
-    from drmel.fit import _kernel
+    from drmel.fit import _kernel, _kernel_at_zero
 
     n = n0 + n1
     q = np.column_stack([np.ones(n), np.linspace(-3.0, 3.0, n)])
-    value, log_den, w = _kernel(q, np.zeros(2), n0, n1)
-    # rows of zeros give u = 0 with theta nonzero, so the general path runs
-    ref_value, ref_log_den, ref_w = _kernel(np.zeros((n, 1)), np.ones(1), n0, n1)
+    value, log_den, w = _kernel_at_zero(n0, n1, n)
+    assert not (log_den.flags.writeable or w.flags.writeable)
+    ref_value, ref_log_den, ref_w = _kernel(q, np.zeros(2), n0, n1)
     np.testing.assert_array_max_ulp(value, ref_value, maxulp=4)
     np.testing.assert_array_max_ulp(log_den, ref_log_den, maxulp=4)
     np.testing.assert_array_max_ulp(w, ref_w, maxulp=4)
@@ -344,7 +356,7 @@ BLOCK_BASES = {
 @pytest.mark.parametrize("spec, block_rows", BLOCK_BASES.values(), ids=BLOCK_BASES.keys())
 def test_block_curvature_matches_the_dense_hessian(spec, block_rows, rng, monkeypatch):
     import drmel.fit
-    from drmel.fit import _kernel, _moments, _neg_hessian
+    from drmel.fit import _kernel, _kernel_at_zero, _moments, _neg_hessian
 
     # points above 1 keep every product positive, so no sum cancels
     data = TwoSampleData(x0=1.0 + rng.gamma(4.0, 0.5, 300), x1=1.0 + rng.gamma(5.0, 0.5, 60))
@@ -358,21 +370,23 @@ def test_block_curvature_matches_the_dense_hessian(spec, block_rows, rng, monkey
         np.testing.assert_allclose(_neg_hessian(q.T, moments, w),
                                    -hessian(data, spec, theta), rtol=1e-12)
 
-    # the step at theta = 0 passes over no row: c = n1 / n on every row
+    # the fitter's step at theta = 0 passes over no row: c = n1 / n on every
+    # row, the negative Hessian is c(1 - c) Gram
     zero = np.zeros(spec.dimension)
-    c = _kernel(q, zero, data.n0, data.n1)[2][0]
-    np.testing.assert_allclose(_neg_hessian(q.T, moments, c),
+    c = _kernel_at_zero(data.n0, data.n1, data.n)[2][0]
+    np.testing.assert_allclose((1.0 - c) * c * moments.gram,
                                -hessian(data, spec, zero), rtol=1e-12)
     # its constant component is n1 - c n = 0, up to the rounding of n1 and c n
     np.testing.assert_allclose(q[data.n0:].sum(axis=0) - c * moments.gram[0],
                                score(data, spec, zero), rtol=1e-12, atol=1e-12 * data.n)
 
-    # the fitter takes that shortcut for its first step, and only there
-    scalar = []
+    # the fitter calls _neg_hessian for every step but that first one, each
+    # time with the tilt fractions of a point away from theta = 0
+    constant = []
     monkeypatch.setattr(drmel.fit, "_neg_hessian",
-                        lambda *args: scalar.append(np.ndim(args[-1]) == 0) or _neg_hessian(*args))
-    assert fit_mele(data, spec).iterations == len(scalar) >= 1
-    assert scalar == [True] + [False] * (len(scalar) - 1)
+                        lambda *args: constant.append(np.ptp(args[-1]) == 0) or _neg_hessian(*args))
+    assert fit_mele(data, spec).iterations == len(constant) + 1 >= 2
+    assert constant == [False] * len(constant)
     monkeypatch.setattr(drmel.fit, "MAX_ITER", 0)
     with pytest.raises(NonConvergenceError) as err:
         fit_mele(data, spec)
@@ -441,15 +455,17 @@ def test_step_below_tol_step_stalls_the_fit(tol_step, iterations, gradient_norm,
 def test_descending_step_is_taken_when_the_ridge_is_zero(monkeypatch):
     # A negative-definite system makes the Newton step descend; with a zero
     # ridge scale the second solve returns that same step, which is taken
-    # (the line search then decides), not reported as a singular system.
+    # (the line search then decides), not reported as a singular system. The
+    # stub first applies at the second step: the first, at theta = 0, scales
+    # the Gram matrix without calling _neg_hessian.
     import drmel.fit
 
     monkeypatch.setattr(drmel.fit, "RIDGE_SCALE", 0.0)
     monkeypatch.setattr(drmel.fit, "_neg_hessian", lambda qT, moments, w: -np.eye(qT.shape[0]))
     data = TwoSampleData(x0=[0.0, 0.5, 1.0, 1.5], x1=[0.2, 0.9, 1.7])
-    with pytest.raises(NonConvergenceError, match="no convergence after 1 iterations") as err:
+    with pytest.raises(NonConvergenceError, match="no convergence after 2 iterations") as err:
         fit_mele(data, BasisSpec.linear())
-    assert err.value.iterations == 1
+    assert err.value.iterations == 2
 
 
 def test_data_copies_the_caller_arrays_and_leaves_them_writeable():

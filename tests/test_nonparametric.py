@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,3 +112,14 @@ def test_silverman_degenerate():
         silverman_bandwidth([2.0, 2.0, 2.0])
     with pytest.raises(DegenerateSampleError):
         silverman_bandwidth([1.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_sample_that_is_not_finite_has_no_bandwidth(bad):
+    # rejected before np.std, which would warn and then report zero spread
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            silverman_bandwidth([1.0, 2.0, bad])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            KdeModel.silverman([1.0, 2.0, bad])

@@ -1,6 +1,6 @@
 """Caller input is rejected with a typed DrmError: quantile levels at every
 public entry point that takes one, confidence levels, and empty or invalid
-samples, bandwidths and bases."""
+samples, bandwidths, bases and limiting-variance inputs."""
 
 import math
 
@@ -111,6 +111,12 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: TwoSampleData(x0=[1.0], x1=[math.nan]),
         lambda: Ecdf.from_sample([]),
         lambda: KdeModel(sample=[1.0, 2.0], bandwidth=0.0),
+        lambda: KdeModel(sample=[1.0, 2.0], bandwidth=math.inf),
+        lambda: KdeModel(sample=[1.0, 2.0], bandwidth=math.nan),
+        lambda: corollary_variance(math.inf, 0.5, 0.3, 1.0),
+        lambda: corollary_variance(1.0, 0.5, 0.3, math.nan),
+        lambda: corollary_variance(1.0, 0.5, 0.3, math.inf),
+        lambda: corollary_curve(Normal(0, 1), 0.5, [1.0, math.inf]),
         lambda: BasisSpec.custom([]),
         lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=1e308,
                          basis=SPEC),
@@ -135,6 +141,9 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(), levels=(0.5,)),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
+         "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
+         "corollary-nan-parametric-avar", "corollary-infinite-parametric-avar",
+         "corollary-curve-infinite-k",
          "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
          "nan-mu", "infinite-sigma", "infinite-mean", "empty-base-sample",
          "scenario-without-levels", "scenario-without-methods", "study-without-levels",
