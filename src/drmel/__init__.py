@@ -19,10 +19,8 @@ from .errors import (
     InvalidLevelError,
     NonConvergenceError,
     NonpositiveDensityError,
-    NotConvergedError,
     SingularBasisError,
     SingularMomentError,
-    UnsupportedCombinationError,
 )
 from .estimators import (
     FittedDrm,

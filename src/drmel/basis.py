@@ -74,17 +74,17 @@ class BasisSpec:
         return 3
 
 
-def evaluate_matrix(spec: BasisSpec, *xs) -> np.ndarray:
-    """Row i is q(x_i) for the points of ``xs`` (one array, or several pooled
-    in order); shape (n, spec.dimension), the transpose of a C-ordered (d, n)
-    block. Raises :class:`DomainError` naming the first offending index when
-    a transform is undefined at some point.
+def evaluate_matrix(spec: BasisSpec, x) -> np.ndarray:
+    """Row i is q(x_i) for the points of ``x``; shape (n, spec.dimension), the
+    transpose of a C-ordered (d, n) block. A custom transform receives a copy
+    of ``x`` of its own. Raises :class:`DomainError` naming the first
+    offending index when a transform is undefined at some point.
     """
-    parts = [np.ravel(np.asarray(x, dtype=float)) for x in xs]
-    n = sum(x.size for x in parts)
-    block = np.empty((spec.dimension, n))
+    x = np.ravel(np.asarray(x, dtype=float))
+    block = np.empty((spec.dimension, x.size))
     block[0] = 1.0
-    x = np.concatenate(parts, out=np.empty(n) if spec.kind == "custom" else block[1])
+    if spec.kind != "custom":
+        block[1] = x
     if spec.kind == "quadratic":
         with np.errstate(over="ignore"):  # an infinite x^2 makes fit_mele's Gram check fail
             np.multiply(x, x, out=block[2])
@@ -97,7 +97,7 @@ def evaluate_matrix(spec: BasisSpec, *xs) -> np.ndarray:
     elif spec.kind == "custom":
         for row, t in zip(block[1:], spec.transforms):
             with np.errstate(all="ignore"):
-                row[:] = np.asarray(t(x), dtype=float)
+                row[:] = np.asarray(t(x.copy()), dtype=float)
             bad = np.flatnonzero(~np.isfinite(row))
             if bad.size:
                 i = int(bad[0])

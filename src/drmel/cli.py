@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, InvalidArgumentError, check_integer
+from .errors import DrmError, EmptyGroupError, InvalidArgumentError, check_integer
 from .fit import TwoSampleData
 from .nonparametric import KdeModel, kde_density
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
@@ -52,7 +52,7 @@ def _load(args, *labels):
     populations, report = ingest_csv(args.data, spec)
     for label in labels:
         if label not in populations:
-            raise InvalidArgumentError(f"group {label!r} not found in {args.data}")
+            raise EmptyGroupError(f"group {label!r} not found in {args.data}")
     if report.rows_dropped:
         print(f"# dropped {report.rows_dropped} of {report.rows_in} rows", file=sys.stderr)
     return populations

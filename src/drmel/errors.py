@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package."""
 
+import math
 import numbers
 
 
@@ -8,7 +9,8 @@ class DrmError(Exception):
 
 
 class DomainError(DrmError):
-    """A basis transform was evaluated outside its domain."""
+    """A basis transform was evaluated outside its domain, or a parametric
+    family was fitted to data outside its support."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -26,10 +28,6 @@ class NonConvergenceError(DrmError):
         super().__init__(message)
         self.iterations = iterations
         self.gradient_norm = gradient_norm
-
-
-class NotConvergedError(DrmError):
-    """An estimator was requested from a fit that did not converge."""
 
 
 class InvalidArgumentError(DrmError, ValueError):
@@ -55,6 +53,18 @@ def check_integer(value, name: str) -> int:
     raise InvalidArgumentError(f"{name} must be a whole number, got {value!r}")
 
 
+def check_density(density_at) -> float:
+    """``density_at**2``, the divisor of a quantile's asymptotic variance;
+    raises :class:`NonpositiveDensityError` unless the density is finite and
+    positive and its square is positive. Below about 1.5e-162 the square
+    underflows to 0, and an infinite density would make the variance 0."""
+    square = density_at**2 if 0 < density_at < math.inf else 0.0
+    if not square > 0:
+        raise NonpositiveDensityError(f"density plug-in {density_at} is not finite and positive, "
+                                      "or its square underflows to 0")
+    return square
+
+
 class SingularMomentError(DrmError):
     """A plug-in moment matrix is not positive definite."""
 
@@ -70,10 +80,6 @@ class DegenerateVarianceError(DrmError):
 
 class DegenerateSampleError(DrmError):
     """A sample has zero spread where positive spread is required."""
-
-
-class UnsupportedCombinationError(DrmError):
-    """Requested parametric family / basis combination is not supported."""
 
 
 class CsvParseError(DrmError):

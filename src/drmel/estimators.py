@@ -21,9 +21,8 @@ from .basis import BasisSpec, evaluate_matrix
 from .errors import (
     DegenerateVarianceError,
     InvalidArgumentError,
-    NonpositiveDensityError,
-    NotConvergedError,
     SingularMomentError,
+    check_density,
     check_level,
 )
 from .fit import DrmFit, TwoSampleData
@@ -77,11 +76,10 @@ class QuantileEstimate:
     std_error: float
     ci_low: float
     ci_high: float
-    method: str
 
     @classmethod
-    def normal(cls, level: float, point: float, avar: float, n: int, ci_level: float,
-               method: str) -> "QuantileEstimate":
+    def normal(cls, level: float, point: float, avar: float, n: int,
+               ci_level: float) -> "QuantileEstimate":
         """``point`` with standard error sqrt(avar / n) and the normal confidence
         interval of coverage ``ci_level``, which must lie strictly between 0 and 1.
         Raises :class:`DegenerateVarianceError` unless avar is positive and finite:
@@ -92,7 +90,7 @@ class QuantileEstimate:
             raise DegenerateVarianceError(f"plug-in variance {avar} is not positive and finite")
         se = float(np.sqrt(avar / n))
         z = float(ndtri(0.5 + ci_level / 2.0))
-        return cls(level, point, se, point - z * se, point + z * se, method)
+        return cls(level, point, se, point - z * se, point + z * se)
 
 
 class FittedDrm:
@@ -112,7 +110,7 @@ class FittedDrm:
 
     def __init__(self, data: TwoSampleData, spec: BasisSpec, fit: DrmFit):
         if not fit.converged:
-            raise NotConvergedError("fit did not converge; estimators unavailable")
+            raise InvalidArgumentError("fit did not converge; estimators unavailable")
         for masses in (fit.weights, fit.tilted_weights):
             if masses.size != data.n:
                 raise InvalidArgumentError(f"fit has {masses.size} masses for {data.n} points")
@@ -254,14 +252,12 @@ def avar_quantile(
     """
     model = _fitted(fit, data, spec)
     p = check_level(p)
-    # below about 1.5e-162 a positive density's square underflows to 0
-    if not (density_at > 0 and density_at**2 > 0):
-        raise NonpositiveDensityError(f"density plug-in {density_at} or its square is not positive")
+    square = check_density(density_at)
     _, mean_q, var_inv = model.target_moments
     xi = drm_quantile(model.g1, p)
     partial = model._bracket_at(xi)[0]
     bracket = partial - p * mean_q
-    return float(bracket @ var_inv @ bracket) / density_at**2
+    return float(bracket @ var_inv @ bracket) / square
 
 
 def corollary_variance(k: float, p: float, density_at: float, parametric_avar: float) -> float:
@@ -291,7 +287,7 @@ def drm_quantile_estimate(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, p: 
     point = model.quantile(p)
     g_hat = kde_density(model.kde, point)
     avar = avar_quantile(model, data, spec, p, g_hat)
-    return QuantileEstimate.normal(p, point, avar, data.n1, ci_level, "drm")
+    return QuantileEstimate.normal(p, point, avar, data.n1, ci_level)
 
 
 class EmpiricalModel:
@@ -312,4 +308,4 @@ class EmpiricalModel:
     def estimate(self, p: float, ci_level: float = 0.95) -> QuantileEstimate:
         point = self.quantile(p)
         avar = empirical_quantile_avar(p, kde_density(self.kde, point))
-        return QuantileEstimate.normal(p, point, avar, self.data.n1, ci_level, "empirical")
+        return QuantileEstimate.normal(p, point, avar, self.data.n1, ci_level)

@@ -247,7 +247,7 @@ def _oracle(data: TwoSampleData, spec: BasisSpec, theta) -> tuple:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.dimension,):
         raise InvalidArgumentError(f"theta must have shape ({spec.dimension},), got {theta.shape}")
-    q = evaluate_matrix(spec, data.x0, data.x1)
+    q = evaluate_matrix(spec, data.pooled())
     return q, _kernel(q, theta, data.n0, data.n1)
 
 
@@ -280,7 +280,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     system, the attempt that failed.
     """
     n0, n1 = data.n0, data.n1
-    q = evaluate_matrix(spec, data.x0, data.x1)
+    q = evaluate_matrix(spec, data.pooled())
     qT, d = q.T, q.shape[1]
 
     # rows 0-3: the candidate's (L, w) and the accepted point's, swapped when

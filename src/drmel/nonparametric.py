@@ -8,11 +8,12 @@ expression ``scipy.stats.norm.pdf`` evaluates, so drmel needs only
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InvalidArgumentError, NonpositiveDensityError, check_level
+from .errors import DegenerateSampleError, InvalidArgumentError, check_density, check_level
 
 __all__ = [
     "Ecdf",
@@ -62,10 +63,7 @@ def empirical_quantile(ecdf: Ecdf, p: float) -> float:
 def empirical_quantile_avar(p: float, density_at: float) -> float:
     """Asymptotic variance p(1-p)/g^2 of the sample quantile."""
     p = check_level(p)
-    # below about 1.5e-162 a positive density's square underflows to 0
-    if not (density_at > 0 and density_at**2 > 0):
-        raise NonpositiveDensityError(f"density {density_at} or its square is not positive")
-    return p * (1.0 - p) / density_at**2
+    return p * (1.0 - p) / check_density(density_at)
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,10 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < math.inf:
-            raise InvalidArgumentError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        # from the smallest normal float up, dividing a kernel value by it stays finite
+        if not sys.float_info.min <= self.bandwidth < math.inf:
+            raise InvalidArgumentError("bandwidth must be finite and at least "
+                                       f"{sys.float_info.min}, got {self.bandwidth}")
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
         if self.sample.size < 1 or not np.isfinite(self.sample).all():
             raise InvalidArgumentError("a KDE sample must be nonempty and finite")
@@ -91,16 +91,18 @@ def kde_density(model: KdeModel, x) -> float | np.ndarray:
 
     The points are taken in blocks of at most ``_KDE_BLOCK_CELLS`` kernel
     values; each point's density is the mean of its own row, so the blocks
-    do not change its bits.
+    do not change its bits. A kernel argument that overflows is infinite, and
+    its kernel value exactly 0.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     points = np.atleast_1d(x_arr)
     dens = np.empty(len(points))
     rows = max(1, _KDE_BLOCK_CELLS // max(1, model.sample.size))
-    for i in range(0, len(points), rows):
-        z = (points[i:i + rows, None] - model.sample[None, :]) / model.bandwidth
-        dens[i:i + rows] = _norm_pdf(z).mean(axis=1)
+    with np.errstate(over="ignore"):
+        for i in range(0, len(points), rows):
+            z = (points[i:i + rows, None] - model.sample[None, :]) / model.bandwidth
+            dens[i:i + rows] = _norm_pdf(z).mean(axis=1)
     dens /= model.bandwidth
     return float(dens[0]) if scalar else dens
 

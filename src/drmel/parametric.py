@@ -30,7 +30,6 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     InvalidArgumentError,
-    UnsupportedCombinationError,
     check_level,
 )
 from .estimators import QuantileEstimate
@@ -165,7 +164,7 @@ class ParametricFamily:
 def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
     """Closed-form MLEs; variance estimates use divisor n_k, not n_k - 1."""
     if family_tag not in FAMILY_TAGS:
-        raise UnsupportedCombinationError(
+        raise InvalidArgumentError(
             f"unknown family tag {family_tag!r}; known: {', '.join(FAMILY_TAGS)}"
         )
     x0, x1 = data.x0, data.x1
@@ -211,8 +210,7 @@ def parametric_quantile(
 ) -> QuantileEstimate:
     """Closed-form quantile MLE with its plug-in standard error and CI."""
     avar = parametric_quantile_avar(family, p)
-    return QuantileEstimate.normal(p, family.target.quantile(p), avar, family.n1, ci_level,
-                                   f"parametric-{family.tag}")
+    return QuantileEstimate.normal(p, family.target.quantile(p), avar, family.n1, ci_level)
 
 
 def theta_from_submodel(family: ParametricFamily) -> np.ndarray:
@@ -242,4 +240,4 @@ def theta_from_submodel(family: ParametricFamily) -> np.ndarray:
         beta1 = family.mu1 / v1 - family.mu0 / v0
         beta2 = 1.0 / (2.0 * v0) - 1.0 / (2.0 * v1)
         return np.array([alpha, beta1, beta2])
-    raise UnsupportedCombinationError(f"unknown family tag {family.tag!r}")
+    raise InvalidArgumentError(f"unknown family tag {family.tag!r}")

@@ -75,26 +75,24 @@ def _split_columns(text: str, spec: ColumnSpec) -> list:
     """The value cells and the group cells of the nonblank data rows of ``text``;
     a cell may carry whitespace around it, which the caller strips.
 
-    A regular file has a nonblank header line, no quote character, ``\\n`` or
-    ``\\r\\n`` line ends and the header's field count on every line. A blank
-    line is one field, so only a one-field file drops its blank lines first.
-    Its rows are split by one ``str.split`` over their joined text, with a
-    comma before each line break, so a row's first cell starts with that line
-    break. Any other file is read by ``csv.reader``, which skips blank lines.
+    A regular file has more than one header field, no quote character,
+    ``\\n`` or ``\\r\\n`` line ends and the header's field count on every
+    line, so no blank line. Its rows are split by one ``str.split`` over their
+    joined text, with a comma before each line break, so a row's first cell
+    starts with that line break. Any other file, a one-field file among them,
+    is read by ``csv.reader``, which skips blank lines.
     """
     body = text.replace("\r\n", "\n") if "\r" in text else text
     head, _, data = body.partition("\n")
     data = data.strip("\n")
     step = head.count(",") + 1
-    if step == 1 and "\n\n" in data:
-        data = "\n".join(filter(None, data.split("\n")))
     joined = data.replace("\n", ",\n")  # one more character per line break
     n = len(joined) - len(data) + 1 if data else 0
     cells = joined.split(",") if data else []
     names = (spec.value_column, spec.group_column)
     # the n - 1 cells that start a line fall every ``step`` cells exactly when
     # every row has ``step`` fields
-    regular = head and '"' not in body and "\r" not in body and len(cells) == step * n
+    regular = step > 1 and '"' not in body and "\r" not in body and len(cells) == step * n
     if regular and "".join(cells[step::step]).count("\n") == n - 1:
         header = head.split(",")
         return [cells[_column_index(header, name)::step] for name in names]

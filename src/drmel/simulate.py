@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -270,14 +271,14 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     fitter)`` pairs of :func:`_resolve_methods`. A row averages the
     scaled errors of the targets, unweighted. Results are collected in key
     order, so the table does not depend on the worker count. A pool opens no
-    more workers than there are replicates, and a worker count below 1
-    raises :class:`InvalidArgumentError`.
+    more workers than there are replicates or CPUs, and a worker count below
+    1 raises :class:`InvalidArgumentError`.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     state = (seed, base, targets, cells, reps, methods, levels)
     keys = [(c, r) for c in range(len(cells)) for r in range(reps)]
-    workers = min(workers, len(keys))
+    workers = min(workers, len(keys), os.cpu_count() or 1)
     if workers <= 1:  # also a run of no replicates
         results = [_replicate(state, key) for key in keys]
     else:

@@ -102,18 +102,6 @@ def test_matrix_is_bitwise_the_column_build(spec, rng):
     assert mat.shape == ref.shape and mat.dtype == ref.dtype
     assert np.ascontiguousarray(mat).tobytes() == ref.tobytes()
     assert mat.T.flags.c_contiguous
-    # the samples of a pooled pair, passed in order, give the same rows
-    split = evaluate_matrix(spec, x[:600], x[600:])
-    assert np.ascontiguousarray(split).tobytes() == ref.tobytes()
-
-
-def test_domain_error_index_counts_across_parts():
-    with pytest.raises(DomainError) as err:
-        evaluate_matrix(BasisSpec.linear_log(), [1.0, 2.0], [3.0, 0.0, -1.0])
-    assert err.value.index == 3
-    with pytest.raises(DomainError) as err:
-        evaluate_matrix(BasisSpec.custom([np.sqrt]), [1.0], [4.0, -1.0])
-    assert err.value.index == 2
 
 
 def test_unknown_basis_name_is_a_typed_error():

@@ -14,7 +14,6 @@ from drmel import (
     InvalidArgumentError,
     InvalidLevelError,
     NonpositiveDensityError,
-    NotConvergedError,
     QuantileEstimate,
     TwoSampleData,
     WeightedCdf,
@@ -180,8 +179,9 @@ def test_avar_quantile_scaling_and_consistency(rng):
     v1 = avar_quantile(fit, data, spec, 0.5, 1.0)
     v2 = avar_quantile(fit, data, spec, 0.5, 2.0)
     assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
-    with pytest.raises(NonpositiveDensityError):
-        avar_quantile(fit, data, spec, 0.5, 0.0)
+    for density in (0.0, math.inf, math.nan):
+        with pytest.raises(NonpositiveDensityError):
+            avar_quantile(fit, data, spec, 0.5, density)
 
 
 def test_a_kde_density_whose_square_underflows_is_a_typed_error():
@@ -235,7 +235,7 @@ def test_not_converged_fit_rejected(rng):
         final_gradient_norm=fit.final_gradient_norm,
         tilted_weights=fit.tilted_weights,
     )
-    with pytest.raises(NotConvergedError):
+    with pytest.raises(InvalidArgumentError, match="did not converge"):
         estimate_g1(broken, data, spec)
 
 
@@ -247,13 +247,12 @@ def test_quantile_estimate_interface(rng):
     assert est.ci_low <= est.point <= est.ci_high
     z = float(norm.ppf(0.975))
     assert est.ci_high - est.ci_low == pytest.approx(2 * z * est.std_error, rel=1e-10)
-    assert est.method == "drm"
 
 
 @pytest.mark.parametrize("avar", [math.inf, math.nan, -1.0, 0.0])
 def test_a_variance_that_is_not_positive_and_finite_is_a_typed_error(avar):
     with pytest.raises(DegenerateVarianceError, match="not positive and finite"):
-        QuantileEstimate.normal(0.5, 1.0, avar, 10, 0.9, "drm")
+        QuantileEstimate.normal(0.5, 1.0, avar, 10, 0.9)
 
 
 def test_quantiles_do_not_depend_on_tie_order():

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -55,10 +56,18 @@ def test_empirical_quantile_avar_values():
     )
     assert empirical_quantile_avar(0.99, 0.01) == pytest.approx(99.0, rel=1e-12)
     assert empirical_quantile_avar(0.5, 1.0) == 0.25
-    with pytest.raises(NonpositiveDensityError):
-        empirical_quantile_avar(0.5, 0.0)
-    with pytest.raises(NonpositiveDensityError):  # positive, but its square is 0.0
-        empirical_quantile_avar(0.5, 1e-170)
+    for density in (0.0, 1e-170, math.inf, math.nan):  # 1e-170: positive, but its square is 0.0
+        with pytest.raises(NonpositiveDensityError):
+            empirical_quantile_avar(0.5, density)
+
+
+def test_a_tiny_bandwidth_gives_a_finite_density_or_a_typed_error():
+    with pytest.raises(InvalidArgumentError, match="bandwidth"):
+        KdeModel(sample=[1.0, 2.0], bandwidth=5e-324)  # dividing by it overflows
+    model = KdeModel(sample=[1.0, 2.0], bandwidth=1e-300)
+    assert kde_density(model, 1e10) == 0.0  # every kernel argument overflows
+    assert kde_density(model, 1.0) == float(norm.pdf(0.0)) / 2.0 / 1e-300  # one of them does
+    assert math.isfinite(kde_density(KdeModel(sample=[1.0, 2.0], bandwidth=sys.float_info.min), 1.0))
 
 
 def test_kde_single_point():

@@ -10,10 +10,10 @@ from drmel import (
     DegenerateSampleError,
     DomainError,
     Exponential,
+    InvalidArgumentError,
     InvalidLevelError,
     Normal,
     TwoSampleData,
-    UnsupportedCombinationError,
     fit_parametric,
     parametric_quantile,
     parametric_quantile_avar,
@@ -118,7 +118,7 @@ def test_theta_from_submodel():
     f = family(EXPONENTIAL, 1.0, 2.0)
     np.testing.assert_allclose(theta_from_submodel(f), [math.log(0.5), 0.5])
 
-    with pytest.raises(UnsupportedCombinationError):
+    with pytest.raises(InvalidArgumentError, match="gamma"):
         theta_from_submodel(family("gamma", 1.0, 1.0))
 
 

@@ -139,7 +139,10 @@ def test_unknown_method_rejected_at_construction():
         small_scenario(methods=("drm", "emprical"))
 
 
-def test_unpicklable_basis_with_workers_raises_typed_error():
+def test_unpicklable_basis_with_workers_raises_typed_error(monkeypatch):
+    import drmel.simulate
+
+    monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: 2)  # a pool opens on one core too
     scenario = small_scenario(basis=BasisSpec.custom([lambda x: x]), methods=("drm",), reps=2)
     assert run_scenario(scenario, workers=1).row(0.5, "drm").fail_frac == 0.0
     with pytest.raises(InvalidArgumentError, match="workers=1"):
@@ -159,9 +162,14 @@ def test_pool_is_sized_by_the_replicates(monkeypatch):
             raise RuntimeError("no pool in this test")
 
     monkeypatch.setattr(drmel.simulate, "ProcessPoolExecutor", RecordingPool)
-    with pytest.raises(RuntimeError, match="no pool"):
-        run_scenario(small_scenario(reps=2), workers=64)
-    assert requested == [2]
+    monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: 3)
+    for reps in (2, 5):
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_scenario(small_scenario(reps=reps), workers=64)
+    assert requested == [2, 3]  # capped by the replicates, then by the CPUs
+    monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: None)  # unknown: one worker
+    run_scenario(small_scenario(reps=5), workers=64)
+    assert requested == [2, 3]
 
 
 def test_scenario_validation():

@@ -81,7 +81,7 @@ def test_every_level_entry_point_rejects_levels_outside_the_unit_interval(model,
 
 
 CI_ENTRY_POINTS = {
-    "QuantileEstimate.normal": lambda m, ci: QuantileEstimate.normal(0.5, 0.0, 1.0, 10, ci, "x"),
+    "QuantileEstimate.normal": lambda m, ci: QuantileEstimate.normal(0.5, 0.0, 1.0, 10, ci),
     "drm_quantile_estimate": lambda m, ci: drm_quantile_estimate(m, m.data, SPEC, 0.5, ci),
     "parametric_quantile": lambda m, ci: parametric_quantile(
         fit_parametric(m.data, NORMAL_COMMON), 0.5, ci),
@@ -96,11 +96,11 @@ def test_confidence_level_outside_the_unit_interval_is_rejected(model, entry, ci
 
 
 def test_normal_interval_is_point_plus_minus_z_standard_errors():
-    est = QuantileEstimate.normal(0.3, 2.0, 9.0, 4, 0.95, "m")
+    est = QuantileEstimate.normal(0.3, 2.0, 9.0, 4, 0.95)
     assert est.std_error == 1.5
     half = 1.959963984540054 * 1.5
     assert (est.ci_low, est.ci_high) == pytest.approx((2.0 - half, 2.0 + half), rel=1e-15)
-    assert (est.level, est.method) == (0.3, "m")
+    assert est.level == 0.3
 
 
 @pytest.mark.parametrize(
@@ -116,6 +116,7 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: corollary_variance(math.inf, 0.5, 0.3, 1.0),
         lambda: corollary_variance(1.0, 0.5, 0.3, math.nan),
         lambda: corollary_variance(1.0, 0.5, 0.3, math.inf),
+        lambda: corollary_variance(1.0, 0.5, math.inf, 1.0),
         lambda: corollary_curve(Normal(0, 1), 0.5, [1.0, math.inf]),
         lambda: BasisSpec.custom([]),
         lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=1e308,
@@ -143,7 +144,7 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
          "corollary-nan-parametric-avar", "corollary-infinite-parametric-avar",
-         "corollary-curve-infinite-k",
+         "corollary-infinite-density", "corollary-curve-infinite-k",
          "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
          "nan-mu", "infinite-sigma", "infinite-mean", "empty-base-sample",
          "scenario-without-levels", "scenario-without-methods", "study-without-levels",
