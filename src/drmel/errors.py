@@ -53,16 +53,26 @@ def check_integer(value, name: str) -> int:
     raise InvalidArgumentError(f"{name} must be a whole number, got {value!r}")
 
 
+def square(x) -> float:
+    """``x**2`` by C ``pow``, whose bits the variances keep, or inf where it
+    overflows, about 1.3e154 and up, where ``**`` raises OverflowError."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def check_density(density_at) -> float:
     """``density_at**2``, the divisor of a quantile's asymptotic variance;
     raises :class:`NonpositiveDensityError` unless the density is finite and
-    positive and its square is positive. Below about 1.5e-162 the square
-    underflows to 0, and an infinite density would make the variance 0."""
-    square = density_at**2 if 0 < density_at < math.inf else 0.0
-    if not square > 0:
+    positive and its square is positive and finite. Below about 1.5e-162 the
+    square underflows to 0; an overflowing square, like an infinite density,
+    would make the variance 0."""
+    squared = square(density_at) if 0 < density_at < math.inf else 0.0
+    if not 0 < squared < math.inf:
         raise NonpositiveDensityError(f"density plug-in {density_at} is not finite and positive, "
-                                      "or its square underflows to 0")
-    return square
+                                      "or its square underflows to 0 or overflows")
+    return squared
 
 
 class SingularMomentError(DrmError):
@@ -79,7 +89,8 @@ class DegenerateVarianceError(DrmError):
 
 
 class DegenerateSampleError(DrmError):
-    """A sample has zero spread where positive spread is required."""
+    """A sample has zero spread where positive spread is required, or a mean,
+    variance or spread that overflows."""
 
 
 class CsvParseError(DrmError):

@@ -19,21 +19,18 @@ is q1_sum - c Gram[0] and the negative Hessian c(1 - c) Gram. That step is
 taken only there; the kernel and the Hessian have no case for theta = 0.
 
 Every Newton step writes its rows into one fit workspace per thread, so after
-the first fit of a size the loop allocates no row of n: the (L, w) rows of the
+the first fit of a shape the loop allocates no row of n: the (L, w) rows of the
 line search's candidate and of the accepted point, swapped when a step is
 accepted, two scratch rows (the second also holds the Hessian's weights), the
 kernel's boolean mask, and the product block. That is 6 + d(d - 1)/2 rows of n
 floats and one of n bytes: 7 373 000 bytes at n = 101 000 on the quadratic
-basis. The workspace is kept for the last (n, d) only, a fit of another size
-replaces it, and it has no setting. A returned :class:`DrmFit` owns its
-arrays, so later fits leave it as it is.
-
-What depends on a fit's shape alone is built once per shape and kept, as
-read-only arrays, in small bounded caches: per basis dimension d, the place of
-each Gram entry among the row sums and the index pairs of the product block;
-per (n0, n1, n), the kernel at theta = 0, where L and w are one value each.
+basis. The workspace also holds what depends on the shape alone: the place of
+each Gram entry among the row sums, the index pairs of the product block, and
+the kernel at theta = 0, where L and w are one value each. It is kept for the
+last (n0, n1, d) only, a fit of another shape replaces it, and it has no
+setting. A fit computes the same bits with the workspace warm or cold, and a
+returned :class:`DrmFit` owns its arrays, so later fits leave it as it is.
 The ridged system and the trace it needs are built only for a ridged step.
-A fit computes the same bits with the caches warm or cold.
 
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
@@ -55,8 +52,6 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -151,7 +146,7 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
     target masses w / n1. L and w are written to the first two rows of
     ``out = (L, w, e, t, mask)``, and two scratch rows and a boolean mask of
     q's length go in the rest; without ``out`` the call allocates them. The
-    fitter's start at theta = 0 is :func:`_kernel_at_zero`, not this."""
+    fitter's start at theta = 0 is :attr:`_Workspace.zero`, not this."""
     if out is None:
         out = (*np.empty((4, q.shape[0])), np.empty(q.shape[0], dtype=bool))
     z, w, e, t, mask = out
@@ -169,76 +164,69 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
     return value - float(z.sum()), z, w
 
 
-@lru_cache(maxsize=16)
-def _kernel_at_zero(n0: int, n1: int, n: int) -> tuple:
-    """:func:`_kernel` at theta = 0 on n rows: L and w are read-only views of
-    the one value each that a row of u = 0 gives."""
-    _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
-    L, w = np.broadcast_to(L, n), np.broadcast_to(w, n)
-    return float(-np.sum(L)), L, w
+class _Workspace:
+    """What a fit of n0 + n1 points on a basis of dimension d writes and reads
+    besides the basis block, built once per shape: 6 + d(d - 1)/2 rows of n
+    floats and one of n bytes, with views of them by role.
 
+    ``spare`` and ``held`` are the (L, w) rows of the line search's candidate
+    and of the accepted point, swapped when a step is accepted; ``scratch``
+    is the kernel's two scratch rows and its mask; ``s`` (the second scratch
+    row) takes the Hessian's weights; ``block`` is the C-ordered block of the
+    products q_i q_j, 1 <= i <= j, whose (i, j) pairs are ``products`` in the
+    row-major order of the upper triangle. ``place`` is the read-only
+    symmetric (d, d) array of the place of each q' diag(s) q entry among the
+    s-weighted row sums of q (places 0 to d - 1) and of the block. ``zero``
+    is :func:`_kernel` at theta = 0, where L and w are read-only views of the
+    one value each that a row of u = 0 gives."""
 
-class _Moments(NamedTuple):
-    """What a fit builds once to read off q' diag(s) q: the C-ordered block of
-    the products q_i q_j, 1 <= i <= j, in the row-major order of the upper
-    triangle; the symmetric (d, d) array of the place of each entry among the
-    s-weighted row sums of q (places 0 to d - 1) and of the block; the Gram
-    matrix q'q, which is not finite where the basis overflows; and a row s for
-    the weights."""
-
-    block: np.ndarray
-    place: np.ndarray
-    gram: np.ndarray
-    s: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _layout(d: int) -> tuple:
-    """What depends on the basis dimension d alone: the read-only ``place``
-    array of :class:`_Moments` and the (i, j) pairs of the product block's rows."""
-    rows, cols = np.triu_indices(d)
-    place = np.empty((d, d), dtype=np.intp)
-    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
-    place.setflags(write=False)
-    return place, tuple(zip(rows[d:].tolist(), cols[d:].tolist()))
-
-
-def _moments(qT: np.ndarray, out=None) -> _Moments:
-    """The product block of the basis rows qT, and the Gram matrix from the row
-    sums of qT and of the block. The row s and then the block are the rows of
-    ``out``, allocated when it is not given."""
-    place, products = _layout(qT.shape[0])
-    if out is None:
-        out = np.empty((1 + len(products), qT.shape[1]))
-    block = out[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, (i, j) in zip(block, products):
-            np.multiply(qT[i], qT[j], out=row)
-        gram = np.concatenate([qT.sum(axis=1), block.sum(axis=1)])[place]
-    return _Moments(block, place, gram, out[0])
-
-
-def _neg_hessian(qT: np.ndarray, moments: _Moments, w: np.ndarray) -> np.ndarray:
-    """q' diag(w(1-w)) q, from one matvec of qT and one of the product block.
-    The fitter's first step, at theta = 0, scales the Gram matrix instead."""
-    s = np.subtract(1.0, w, out=moments.s)
-    s *= w
-    return np.concatenate([qT @ s, moments.block @ s])[moments.place]
+    def __init__(self, n0: int, n1: int, d: int):
+        n = n0 + n1
+        self.shape = (n0, n1, d)
+        self.rows = np.empty((6 + d * (d - 1) // 2, n))
+        mask = np.empty(n, dtype=bool)
+        self.spare, self.held = tuple(self.rows[0:2]), tuple(self.rows[2:4])
+        self.scratch = (self.rows[4], self.rows[5], mask)
+        self.s, self.block = self.rows[5], self.rows[6:]
+        rows, cols = np.triu_indices(d)
+        self.place = np.empty((d, d), dtype=np.intp)
+        self.place[rows, cols] = self.place[cols, rows] = np.arange(rows.size)
+        self.place.setflags(write=False)
+        self.products = tuple(zip(rows[d:].tolist(), cols[d:].tolist()))
+        _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
+        L, w = np.broadcast_to(L, n), np.broadcast_to(w, n)
+        self.zero = (float(-np.sum(L)), L, w)
 
 
 _local = threading.local()  # this thread's fit workspace, see _workspace
 
 
-def _workspace(n: int, d: int) -> tuple:
-    """This thread's rows for a fit of n points on a basis of dimension d: a
-    (6 + d(d - 1)/2, n) array and a boolean row of n, reused by every fit of
-    that size and replaced by a fit of another."""
-    if getattr(_local, "shape", None) != (n, d):
-        _local.shape = _local.rows = _local.mask = None  # free the old rows first
-        _local.rows = np.empty((6 + d * (d - 1) // 2, n))
-        _local.mask = np.empty(n, dtype=bool)
-        _local.shape = (n, d)
-    return _local.rows, _local.mask
+def _workspace(n0: int, n1: int, d: int) -> _Workspace:
+    """This thread's workspace for a fit of that shape, reused by every fit of
+    it and replaced by a fit of another."""
+    if getattr(_local, "ws", None) is None or _local.ws.shape != (n0, n1, d):
+        _local.ws = None  # free the old rows first
+        _local.ws = _Workspace(n0, n1, d)
+    return _local.ws
+
+
+def _moments(qT: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Fill the workspace's product block from the basis rows qT and return the
+    Gram matrix q'q from the row sums of qT and of the block; it is not finite
+    where the basis overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (i, j) in zip(ws.block, ws.products):
+            np.multiply(qT[i], qT[j], out=row)
+        return np.concatenate([qT.sum(axis=1), ws.block.sum(axis=1)])[ws.place]
+
+
+def _neg_hessian(qT: np.ndarray, ws: _Workspace, w: np.ndarray) -> np.ndarray:
+    """q' diag(w(1-w)) q, from one matvec of qT and one of the workspace's
+    product block. The fitter's first step, at theta = 0, scales the Gram
+    matrix instead."""
+    s = np.subtract(1.0, w, out=ws.s)
+    s *= w
+    return np.concatenate([qT @ s, ws.block @ s])[ws.place]
 
 
 def _oracle(data: TwoSampleData, spec: BasisSpec, theta) -> tuple:
@@ -283,14 +271,9 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     q = evaluate_matrix(spec, data.pooled())
     qT, d = q.T, q.shape[1]
 
-    # rows 0-3: the candidate's (L, w) and the accepted point's, swapped when
-    # a step is accepted; 4-5 and the mask: the kernel's scratch, with row 5
-    # also the Hessian's weights s; 6 on: the product block
-    rows, mask = _workspace(data.n, d)
-    spare, held = (rows[0], rows[1]), (rows[2], rows[3])
-    scratch = (rows[4], rows[5], mask)
-    moments = _moments(qT, rows[5:])
-    gram = moments.gram  # not finite when the basis overflows: then as good as singular
+    ws = _workspace(n0, n1, d)
+    spare, held = ws.spare, ws.held
+    gram = _moments(qT, ws)  # not finite when the basis overflows: then as good as singular
     cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.inf
     if cond > MAX_CONDITION:
         raise SingularBasisError(
@@ -302,7 +285,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     # gradient and its curvature c(1 - c) Gram pass over no row
     q1_sum = q[n0:].sum(axis=0)
     theta = np.zeros(d)
-    val, log_den, w = _kernel_at_zero(n0, n1, data.n)
+    val, log_den, w = ws.zero
     c = w[0]
     grad = q1_sum - c * gram[0]
     grad_tol = n1 * TOL_GRAD
@@ -325,7 +308,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         # the Newton step, or the ridged one where the system is singular or
         # the step descends; the ridged step is taken as it is, and so is a
         # NaN step, which the line search then rejects
-        neg_hess = (1.0 - c) * c * gram if it == 0 else _neg_hessian(qT, moments, w)
+        neg_hess = (1.0 - c) * c * gram if it == 0 else _neg_hessian(qT, ws, w)
         try:
             step = np.linalg.solve(neg_hess, grad)
             slope = float(grad @ step)
@@ -350,7 +333,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         while t >= 1e-14:
             dx = t * step
             cand = theta + dx
-            cand_parts = _kernel(q, cand, n0, n1, spare + scratch)
+            cand_parts = _kernel(q, cand, n0, n1, spare + ws.scratch)
             if cand_parts[0] >= val + ARMIJO * t * slope - noise:
                 theta, (val, log_den, w) = cand, cand_parts
                 spare, held = held, spare

@@ -117,10 +117,11 @@ def silverman_bandwidth(sample) -> float:
         raise DegenerateSampleError("need at least two points for a bandwidth")
     if not np.isfinite(s).all():
         raise InvalidArgumentError("a bandwidth sample must be finite")
-    sd = float(np.std(s, ddof=1))
+    with np.errstate(over="ignore"):  # an sd that overflows is caught below
+        sd = float(np.std(s, ddof=1))
     ecdf = Ecdf.from_sample(s)
     iqr = empirical_quantile(ecdf, 0.75) - empirical_quantile(ecdf, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    if not spread > 0:
-        raise DegenerateSampleError("sample has zero spread")
+    if not 0 < spread < math.inf:
+        raise DegenerateSampleError("sample has zero or overflowing spread")
     return 0.9 * spread * s.size ** (-0.2)

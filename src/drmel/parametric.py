@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     check_level,
+    square,
 )
 from .estimators import QuantileEstimate
 from .fit import TwoSampleData
@@ -91,7 +92,7 @@ class Normal:
         """sigma^2 * (1 + share * z_p^2 / 2), where ``share`` is the target's
         share of the data sigma was fitted on: n1/n for a pooled variance."""
         z = float(ndtri(check_level(p)))
-        return self.sigma**2 * (1.0 + share * z**2 / 2.0)
+        return square(self.sigma) * (1.0 + share * z**2 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class Exponential:
 
     def quantile_avar(self, p: float) -> float:
         """mean^2 * log^2(1 - p)."""
-        return self.mean**2 * math.log1p(-check_level(p)) ** 2
+        return square(self.mean) * math.log1p(-check_level(p)) ** 2
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,10 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
             f"unknown family tag {family_tag!r}; known: {', '.join(FAMILY_TAGS)}"
         )
     x0, x1 = data.x0, data.x1
-    mu0, mu1 = float(x0.mean()), float(x1.mean())
+    with np.errstate(over="ignore"):  # a sum that overflows is caught below
+        mu0, mu1 = float(x0.mean()), float(x1.mean())
+    if not (math.isfinite(mu0) and math.isfinite(mu1)):
+        raise DegenerateSampleError("sample mean overflows")
 
     if family_tag == EXPONENTIAL:
         if x0[0] <= 0 or x1[0] <= 0:  # each sample is ascending
@@ -177,19 +181,15 @@ def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
 
     if data.n0 < 2 or data.n1 < 2:
         raise DegenerateSampleError("need at least two points per sample")
-    if family_tag == NORMAL_FREE:
-        v0 = float(np.square(x0 - mu0).mean())
-        v1 = float(np.square(x1 - mu1).mean())
-        if v0 <= 0 or v1 <= 0:
-            raise DegenerateSampleError("zero sample variance")
-        return ParametricFamily(
-            NORMAL_FREE, mu0, mu1, math.sqrt(v0), math.sqrt(v1), data.n0, data.n1
-        )
-    pooled = (np.square(x0 - mu0).sum() + np.square(x1 - mu1).sum()) / data.n
-    if pooled <= 0:
-        raise DegenerateSampleError("zero pooled variance")
-    s = math.sqrt(float(pooled))
-    return ParametricFamily(NORMAL_COMMON, mu0, mu1, s, s, data.n0, data.n1)
+    with np.errstate(over="ignore"):  # a square that overflows is caught below
+        if family_tag == NORMAL_FREE:
+            v0 = float(np.square(x0 - mu0).mean())
+            v1 = float(np.square(x1 - mu1).mean())
+        else:
+            v0 = v1 = float((np.square(x0 - mu0).sum() + np.square(x1 - mu1).sum()) / data.n)
+    if not (0 < v0 < math.inf and 0 < v1 < math.inf):
+        raise DegenerateSampleError("zero or overflowing sample variance")
+    return ParametricFamily(family_tag, mu0, mu1, math.sqrt(v0), math.sqrt(v1), data.n0, data.n1)
 
 
 def parametric_quantile_avar(family: ParametricFamily, p: float) -> float:

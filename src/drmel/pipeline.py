@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CsvParseError, EmptyGroupError, InvalidArgumentError, check_integer
+from .nonparametric import Ecdf, empirical_quantile
 from .simulate import SimulationTable, _check_run, _resolve_methods, _run_replicates
 
 __all__ = [
@@ -191,7 +192,7 @@ class FinitePopulation:
         return self.values[rng.integers(0, self.values.size, n)]
 
     def quantile(self, p: float) -> float:
-        return float(np.quantile(self.values, p, method="inverted_cdf"))
+        return empirical_quantile(Ecdf.from_sample(self.values), p)
 
 
 def run_resample_study(

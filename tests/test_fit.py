@@ -293,17 +293,17 @@ def test_exhausted_line_search_keeps_theta(monkeypatch):
 def test_vanished_curvature_raises_typed_error(monkeypatch):
     # Tilt fractions that all round to 0 or 1 make every w(1-w), and so the
     # ridge, zero: the Newton system is singular even after ridging. The fit
-    # opens at theta = 0, whose kernel comes from the cached _kernel_at_zero,
-    # so the stub replaces that function rather than _kernel.
+    # opens at theta = 0, whose kernel comes from the workspace's ``zero``,
+    # so the stub replaces the workspace rather than _kernel.
     import drmel.fit
 
-    kernel_at_zero = drmel.fit._kernel_at_zero
+    class Saturated(drmel.fit._Workspace):
+        def __init__(self, n0, n1, d):
+            super().__init__(n0, n1, d)
+            value, log_den, w = self.zero
+            self.zero = value, log_den, np.round(w)
 
-    def saturated(n0, n1, n):
-        value, log_den, w = kernel_at_zero(n0, n1, n)
-        return value, log_den, np.round(w)
-
-    monkeypatch.setattr(drmel.fit, "_kernel_at_zero", saturated)
+    monkeypatch.setattr(drmel.fit, "_workspace", Saturated)
     data = TwoSampleData(x0=[0.0, 1.0, 2.0, 3.0], x1=[1.5, 2.5])
     with pytest.raises(NonConvergenceError) as err:
         fit_mele(data, BasisSpec.linear())
@@ -313,11 +313,11 @@ def test_vanished_curvature_raises_typed_error(monkeypatch):
 
 @pytest.mark.parametrize("n0, n1", [(100_000, 1_000), (3, 7), (1, 1)])
 def test_kernel_at_zero_matches_general_path(n0, n1):
-    from drmel.fit import _kernel, _kernel_at_zero
+    from drmel.fit import _kernel, _Workspace
 
     n = n0 + n1
     q = np.column_stack([np.ones(n), np.linspace(-3.0, 3.0, n)])
-    value, log_den, w = _kernel_at_zero(n0, n1, n)
+    value, log_den, w = _Workspace(n0, n1, 2).zero
     assert not (log_den.flags.writeable or w.flags.writeable)
     ref_value, ref_log_den, ref_w = _kernel(q, np.zeros(2), n0, n1)
     np.testing.assert_array_max_ulp(value, ref_value, maxulp=4)
@@ -329,7 +329,7 @@ def test_kernel_at_zero_matches_general_path(n0, n1):
 
 
 def test_oracle_hessian_equals_fitter_curvature(rng):
-    from drmel.fit import _kernel, _moments, _neg_hessian
+    from drmel.fit import _kernel, _moments, _neg_hessian, _Workspace
 
     for _ in range(10):
         data = random_two_sample(rng)
@@ -338,7 +338,9 @@ def test_oracle_hessian_equals_fitter_curvature(rng):
         q = evaluate_matrix(spec, data.pooled())
         w = _kernel(q, theta, data.n0, data.n1)[2]
         reference = (q * (w * (1.0 - w))[:, None]).T @ q
-        h = _neg_hessian(q.T, _moments(q.T), w)
+        ws = _Workspace(data.n0, data.n1, spec.dimension)
+        _moments(q.T, ws)
+        h = _neg_hessian(q.T, ws, w)
         np.testing.assert_allclose(h, reference, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(hessian(data, spec, theta),
                                    -(reference + reference.T) / 2.0, rtol=1e-15)
@@ -356,28 +358,29 @@ BLOCK_BASES = {
 @pytest.mark.parametrize("spec, block_rows", BLOCK_BASES.values(), ids=BLOCK_BASES.keys())
 def test_block_curvature_matches_the_dense_hessian(spec, block_rows, rng, monkeypatch):
     import drmel.fit
-    from drmel.fit import _kernel, _kernel_at_zero, _moments, _neg_hessian
+    from drmel.fit import _kernel, _moments, _neg_hessian, _Workspace
 
     # points above 1 keep every product positive, so no sum cancels
     data = TwoSampleData(x0=1.0 + rng.gamma(4.0, 0.5, 300), x1=1.0 + rng.gamma(5.0, 0.5, 60))
     q = evaluate_matrix(spec, data.pooled())
-    moments = _moments(q.T)
-    assert moments.block.shape == (block_rows, data.n)
-    np.testing.assert_allclose(moments.gram, q.T @ q, rtol=1e-12)
+    ws = _Workspace(data.n0, data.n1, spec.dimension)
+    gram = _moments(q.T, ws)
+    assert ws.block.shape == (block_rows, data.n)
+    np.testing.assert_allclose(gram, q.T @ q, rtol=1e-12)
     for _ in range(5):
         theta = rng.normal(scale=0.3, size=spec.dimension)
         w = _kernel(q, theta, data.n0, data.n1)[2]
-        np.testing.assert_allclose(_neg_hessian(q.T, moments, w),
+        np.testing.assert_allclose(_neg_hessian(q.T, ws, w),
                                    -hessian(data, spec, theta), rtol=1e-12)
 
     # the fitter's step at theta = 0 passes over no row: c = n1 / n on every
     # row, the negative Hessian is c(1 - c) Gram
     zero = np.zeros(spec.dimension)
-    c = _kernel_at_zero(data.n0, data.n1, data.n)[2][0]
-    np.testing.assert_allclose((1.0 - c) * c * moments.gram,
+    c = ws.zero[2][0]
+    np.testing.assert_allclose((1.0 - c) * c * gram,
                                -hessian(data, spec, zero), rtol=1e-12)
     # its constant component is n1 - c n = 0, up to the rounding of n1 and c n
-    np.testing.assert_allclose(q[data.n0:].sum(axis=0) - c * moments.gram[0],
+    np.testing.assert_allclose(q[data.n0:].sum(axis=0) - c * gram[0],
                                score(data, spec, zero), rtol=1e-12, atol=1e-12 * data.n)
 
     # the fitter calls _neg_hessian for every step but that first one, each
@@ -461,7 +464,7 @@ def test_descending_step_is_taken_when_the_ridge_is_zero(monkeypatch):
     import drmel.fit
 
     monkeypatch.setattr(drmel.fit, "RIDGE_SCALE", 0.0)
-    monkeypatch.setattr(drmel.fit, "_neg_hessian", lambda qT, moments, w: -np.eye(qT.shape[0]))
+    monkeypatch.setattr(drmel.fit, "_neg_hessian", lambda qT, ws, w: -np.eye(qT.shape[0]))
     data = TwoSampleData(x0=[0.0, 0.5, 1.0, 1.5], x1=[0.2, 0.9, 1.7])
     with pytest.raises(NonConvergenceError, match="no convergence after 2 iterations") as err:
         fit_mele(data, BasisSpec.linear())
@@ -528,7 +531,7 @@ def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(monkeypatch):
     first = fit_mele(table1_data(0), spec)
     kept = fit_bytes(first)
     for name in FIT_ARRAYS:
-        assert not np.may_share_memory(getattr(first, name), drmel.fit._local.rows)
+        assert not np.may_share_memory(getattr(first, name), drmel.fit._local.ws.rows)
     assert fit_mele(table1_data(1), spec).iterations == 3
     # a fit that raises after writing both (L, w) row pairs
     monkeypatch.setattr("drmel.fit.MAX_ITER", 2)
@@ -559,9 +562,11 @@ def test_a_fit_after_a_fit_of_another_size_matches_a_fresh_fit(rng):
     x0, x1 = 1.0 + rng.gamma(4.0, 0.5, 300), 1.0 + rng.gamma(5.0, 0.5, 60)
     small = TwoSampleData(x0=x0[:200], x1=x1)
     large = TwoSampleData(x0=x0, x1=x1)
-    # each fit follows one of another n, another d, or both
+    resplit = TwoSampleData(x0=x0[:240], x1=np.concatenate([x1, x0[240:]]))  # large's n
+    # each fit follows one of another n, another d, both, or only another split
     for data, spec in [(small, BasisSpec.linear()), (small, BasisSpec.quadratic()),
-                       (large, BasisSpec.quadratic()), (small, BasisSpec.linear()),
+                       (large, BasisSpec.quadratic()), (resplit, BasisSpec.quadratic()),
+                       (small, BasisSpec.linear()),
                        (large, BasisSpec.custom([np.sqrt, np.log, np.square])),
                        (small, BasisSpec.linear_log())]:
         fit = fit_mele(data, spec)

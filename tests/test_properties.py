@@ -95,9 +95,11 @@ TINY_X1 = [-5.81671898245728e-07, -4.1499565346996173e-07, -6.9034765759017e-07]
 
 @st.composite
 def small_finite_pairs(draw):
-    """Samples of 1-12 points on a scale of 1e-8 to 1e8, with ties, an
+    """Samples of 1-12 points on a scale of 1e-8 to 1e8, or near the ends of
+    the float range, where squares and densities overflow, with ties, an
     all-positive pair half the time and sometimes a constant x0."""
-    scale, shift = 10.0 ** draw(st.integers(-8, 8)), draw(st.sampled_from([0.0, 4.0]))
+    exponent = draw(st.one_of(st.integers(-8, 8), st.sampled_from([-300, -160, 150, 200, 300])))
+    scale, shift = 10.0 ** exponent, draw(st.sampled_from([0.0, 4.0]))
     cell = st.one_of(st.floats(-3.0, 3.0), st.integers(-2, 2).map(float))
     x0 = draw(st.lists(cell, min_size=1, max_size=12))
     if draw(st.integers(0, 4)) == 0:

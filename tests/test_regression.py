@@ -191,9 +191,9 @@ def test_study_size_fit_is_pinned(make, r):
 
 
 def test_fits_of_other_shapes_in_between_change_no_bit():
-    # the per-shape caches and the workspace are keyed by shape: fits of
-    # another (n0, n1) at the same n, of another n and of another dimension
-    # in between change no bit of the fits that follow them
+    # the workspace is keyed by shape: fits of another (n0, n1) at the same
+    # n, of another n and of another dimension in between change no bit of
+    # the fits that follow them
     import drmel.fit
 
     def everything(fit):
@@ -201,16 +201,15 @@ def test_fits_of_other_shapes_in_between_change_no_bit():
                 fit.tilted_weights.tobytes())
 
     quadratic, linear = BasisSpec.quadratic(), BasisSpec.linear()
-    drmel.fit._kernel_at_zero.cache_clear()
-    drmel.fit._layout.cache_clear()
-    drmel.fit._local.shape = None
+    drmel.fit._local.ws = None
     cold = everything(fit_mele(study_size_data(1), linear))
     for make, r in [(near_separated_data, 4), (study_size_data, 0), (other_split_data, 0),
                     (near_separated_data, 82), (other_split_data, 0), (study_size_data, 0)]:
         assert _fit_record(fit_mele(make(r), quadratic)) == STUDY_SIZE_FITS[make, r]
         assert everything(fit_mele(study_size_data(1), linear)) == cold
-    _, log_den, w = drmel.fit._kernel_at_zero(5000, 500, 5500)
-    assert not any(a.flags.writeable for a in (drmel.fit._layout(3)[0], log_den, w))
+    ws = drmel.fit._workspace(5000, 500, 3)
+    _, log_den, w = ws.zero
+    assert not any(a.flags.writeable for a in (ws.place, log_den, w))
 
 
 @pytest.mark.parametrize("r", sorted(TABLE1_FITS))

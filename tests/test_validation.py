@@ -118,6 +118,10 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         lambda: corollary_variance(1.0, 0.5, 0.3, math.inf),
         lambda: corollary_variance(1.0, 0.5, math.inf, 1.0),
         lambda: corollary_curve(Normal(0, 1), 0.5, [1.0, math.inf]),
+        lambda: empirical_quantile_avar(0.5, 1.99e299),
+        lambda: corollary_variance(1.0, 0.5, 1e200, 1.0),
+        lambda: corollary_curve(Normal(0, 1e200), 0.5, [1.0]),
+        lambda: corollary_curve(Exponential(1e200), 0.5, [1.0]),
         lambda: BasisSpec.custom([]),
         lambda: Scenario(generator0=Normal(0, 1), generator1=Normal(0, 1), n1=10, k=1e308,
                          basis=SPEC),
@@ -145,6 +149,9 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
          "corollary-nan-parametric-avar", "corollary-infinite-parametric-avar",
          "corollary-infinite-density", "corollary-curve-infinite-k",
+         "overflowing-density-square", "corollary-overflowing-density-square",
+         "corollary-curve-overflowing-normal-variance",
+         "corollary-curve-overflowing-exponential-variance",
          "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
          "nan-mu", "infinite-sigma", "infinite-mean", "empty-base-sample",
          "scenario-without-levels", "scenario-without-methods", "study-without-levels",
