@@ -74,14 +74,16 @@ class BasisSpec:
         return 3
 
 
-def evaluate_matrix(spec: BasisSpec, x) -> np.ndarray:
+def evaluate_matrix(spec: BasisSpec, x, out=None) -> np.ndarray:
     """Row i is q(x_i) for the points of ``x``; shape (n, spec.dimension), the
-    transpose of a C-ordered (d, n) block. A custom transform receives a copy
+    transpose of a C-ordered (d, n) block. That block is ``out`` when given,
+    a C-ordered float array of shape (spec.dimension, n) whose rows the call
+    overwrites, and a new array otherwise. A custom transform receives a copy
     of ``x`` of its own. Raises :class:`DomainError` naming the first
     offending index when a transform is undefined at some point.
     """
     x = np.ravel(np.asarray(x, dtype=float))
-    block = np.empty((spec.dimension, x.size))
+    block = np.empty((spec.dimension, x.size)) if out is None else out
     block[0] = 1.0
     if spec.kind != "custom":
         block[1] = x

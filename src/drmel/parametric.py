@@ -219,25 +219,32 @@ def theta_from_submodel(family: ParametricFamily) -> np.ndarray:
     Expanding log(g1/g0) for the fitted densities gives theta for the
     basis containing that family: exponential and common-variance normal
     fit the linear basis (1, x); free-variance normal fits the quadratic
-    basis (1, x, x^2).
+    basis (1, x, x^2). Raises :class:`DegenerateSampleError` when theta
+    overflows, as it does for normal means near 1e154 and up or for an
+    exponential mean ratio outside the float range.
     """
     if family.tag == EXPONENTIAL:
-        alpha = math.log(family.mu0 / family.mu1)
+        ratio = family.mu0 / family.mu1  # 0 or inf where it under- or overflows
+        alpha = math.log(ratio) if ratio > 0 else -math.inf
         beta = 1.0 / family.mu0 - 1.0 / family.mu1
-        return np.array([alpha, beta])
-    if family.tag == NORMAL_COMMON:
-        v = family.sigma1**2
+        theta = np.array([alpha, beta])
+    elif family.tag == NORMAL_COMMON:
+        v = square(family.sigma1)
         beta = (family.mu1 - family.mu0) / v
-        alpha = (family.mu0**2 - family.mu1**2) / (2.0 * v)
-        return np.array([alpha, beta])
-    if family.tag == NORMAL_FREE:
-        v0, v1 = family.sigma0**2, family.sigma1**2
+        alpha = (square(family.mu0) - square(family.mu1)) / (2.0 * v)
+        theta = np.array([alpha, beta])
+    elif family.tag == NORMAL_FREE:
+        v0, v1 = square(family.sigma0), square(family.sigma1)
         alpha = (
             math.log(family.sigma0 / family.sigma1)
-            + family.mu0**2 / (2.0 * v0)
-            - family.mu1**2 / (2.0 * v1)
+            + square(family.mu0) / (2.0 * v0)
+            - square(family.mu1) / (2.0 * v1)
         )
         beta1 = family.mu1 / v1 - family.mu0 / v0
         beta2 = 1.0 / (2.0 * v0) - 1.0 / (2.0 * v1)
-        return np.array([alpha, beta1, beta2])
-    raise InvalidArgumentError(f"unknown family tag {family.tag!r}")
+        theta = np.array([alpha, beta1, beta2])
+    else:
+        raise InvalidArgumentError(f"unknown family tag {family.tag!r}")
+    if not np.isfinite(theta).all():
+        raise DegenerateSampleError(f"the tilt of the fitted {family.tag} family overflows")
+    return theta

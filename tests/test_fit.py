@@ -504,10 +504,13 @@ def test_a_sample_of_any_shape_is_flattened():
     assert np.array_equal(FittedDrm(shaped, spec, fit).support, np.sort(flat.pooled()))
 
 
-# The fit workspace: each thread keeps the rows of its last fit size and
-# writes every Newton step into them; a returned fit owns its arrays.
+# The fit workspace: a fit below the cutoff writes every Newton step into the
+# rows its thread keeps for the last fit size, a larger fit into one block of
+# its own that also holds its basis rows; a returned fit owns its arrays.
 
 FIT_ARRAYS = ("theta_hat", "weights", "tilted_weights")
+# the Table-1 stream at 20,000 rows, whose fit takes 1.9 MB of rows: below the cutoff
+SMALL_N0 = 19_000
 
 
 def fit_bytes(fit):
@@ -524,20 +527,27 @@ def fit_in_new_thread(data, spec):
     return fits[0]
 
 
-def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(monkeypatch):
+@pytest.mark.parametrize("n0", [SMALL_N0, 100_000], ids=["thread-workspace", "own-block"])
+def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(n0, monkeypatch):
     import drmel.fit
 
+    spaces, workspace = [], drmel.fit._workspace
+    monkeypatch.setattr(drmel.fit, "_workspace",
+                        lambda *shape: spaces.append(workspace(*shape)) or spaces[-1])
     spec = BasisSpec.quadratic()
-    first = fit_mele(table1_data(0), spec)
+    first = fit_mele(table1_data(0, n0), spec)
     kept = fit_bytes(first)
-    for name in FIT_ARRAYS:
-        assert not np.may_share_memory(getattr(first, name), drmel.fit._local.ws.rows)
-    assert fit_mele(table1_data(1), spec).iterations == 3
+    assert fit_mele(table1_data(1, n0), spec).iterations == 3
     # a fit that raises after writing both (L, w) row pairs
     monkeypatch.setattr("drmel.fit.MAX_ITER", 2)
     with pytest.raises(NonConvergenceError, match="after 2 iterations"):
-        fit_mele(table1_data(2), spec)
+        fit_mele(table1_data(2, n0), spec)
     assert fit_bytes(first) == kept
+    assert [ws.basis is not None for ws in spaces] == [n0 != SMALL_N0] * 3
+    for ws in spaces:
+        for name in FIT_ARRAYS:
+            assert not np.may_share_memory(getattr(first, name), ws.rows)
+            assert ws.basis is None or not np.may_share_memory(getattr(first, name), ws.basis)
 
 
 def test_fits_in_two_threads_at_once_match_serial_fits():
@@ -612,17 +622,52 @@ def traced_peak(call):
             tracemalloc.stop()
 
 
-def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(monkeypatch):
-    data, spec = table1_data(0), BasisSpec.quadratic()
-    row, d = 8 * data.n, spec.dimension
-    assert fit_mele(data, spec).iterations == 4  # warms this thread's workspace
-    # the basis block and the two returned mass vectors
-    assert traced_peak(lambda: fit_mele(data, spec)) <= (d + 2) * row + 64 * 1024
+@pytest.mark.parametrize("n0", [SMALL_N0, 100_000], ids=["thread-workspace", "own-block"])
+def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(n0, monkeypatch):
+    import drmel.fit
 
-    # a fit stopped after three steps returns no masses: only the basis block
+    data, spec = table1_data(0, n0), BasisSpec.quadratic()
+    row, d = 8 * data.n, spec.dimension
+    steps = fit_mele(data, spec).iterations - 1  # warms this thread's workspace, if it is used
+    # below the cutoff the fit allocates its basis block; above it one block
+    # of the basis and Newton rows, and the mask
+    block = d * row
+    if n0 != SMALL_N0:
+        block = (d + 6 + d * (d - 1) // 2) * row + data.n
+        assert block >= drmel.fit._OWN_BLOCK_BYTES
+    # and the two returned mass vectors
+    assert traced_peak(lambda: fit_mele(data, spec)) <= block + 2 * row + 64 * 1024
+
+    # a fit stopped a step short returns no masses
     def stopped_fit():
-        with pytest.raises(NonConvergenceError, match="after 3 iterations"):
+        with pytest.raises(NonConvergenceError, match=f"after {steps} iterations"):
             fit_mele(data, spec)
 
-    monkeypatch.setattr("drmel.fit.MAX_ITER", 3)
-    assert traced_peak(stopped_fit) <= d * row + 64 * 1024
+    monkeypatch.setattr("drmel.fit.MAX_ITER", steps)
+    assert traced_peak(stopped_fit) <= block + 64 * 1024
+
+
+def test_a_large_fit_changes_no_bit_and_leaves_the_thread_workspace_alone():
+    # a large fit gives the same bits cold (in a new thread, where it leaves
+    # no workspace behind), after fits below the cutoff and between them
+    import drmel.fit
+
+    spec, large, small = BasisSpec.quadratic(), table1_data(0), table1_data(0, SMALL_N0)
+    left = []
+
+    def cold_fit():
+        left.append(fit_bytes(fit_mele(large, spec)))
+        left.append(getattr(drmel.fit._local, "ws", None))
+
+    thread = threading.Thread(target=cold_fit)
+    thread.start()
+    thread.join()
+    cold, after_cold = left
+    assert after_cold is None
+    small_fit = fit_bytes(fit_mele(small, spec))
+    ws = drmel.fit._local.ws
+    for _ in range(2):
+        assert fit_bytes(fit_mele(large, spec)) == cold
+        assert drmel.fit._local.ws is ws and ws.basis is None
+        assert fit_bytes(fit_mele(small, spec)) == small_fit
+    assert drmel.fit._local.ws is ws

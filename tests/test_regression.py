@@ -27,10 +27,10 @@ from drmel.cli import main
 from drmel.simulate import replicate_rng, sample
 
 
-def table1_data(r):
-    """Replicate ``r`` of the Table-1 stream (seed 20240824): N(0,1) at 100,000 and 1,000."""
+def table1_data(r, n0=100_000):
+    """Replicate ``r`` of the Table-1 stream (seed 20240824): N(0,1) at n0 (100,000) and 1,000."""
     rng = replicate_rng(20240824, r)
-    x0 = sample(Normal(0.0, 1.0), 100_000, rng)
+    x0 = sample(Normal(0.0, 1.0), n0, rng)
     x1 = sample(Normal(0.0, 1.0), 1_000, rng)
     return TwoSampleData(x0=x0, x1=x1)
 

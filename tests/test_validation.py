@@ -9,6 +9,7 @@ import pytest
 
 from drmel import (
     BasisSpec,
+    DegenerateSampleError,
     DrmError,
     Ecdf,
     Exponential,
@@ -32,10 +33,18 @@ from drmel import (
     fit_parametric,
     parametric_quantile,
     parametric_quantile_avar,
+    theta_from_submodel,
 )
-from drmel.parametric import NORMAL_COMMON
+from drmel.parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE
 
 SPEC = BasisSpec.quadratic()
+# normal samples with means near 1e160, whose squares overflow
+HUGE_MEANS = TwoSampleData(x0=[1e160, 1.0000001e160, 1.0000002e160],
+                           x1=[1.00000005e160, 1.0000003e160, 1.0000004e160])
+
+
+def _tilt(x0, x1, tag):
+    return theta_from_submodel(fit_parametric(TwoSampleData(x0=x0, x1=x1), tag))
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +113,8 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
 
 
 @pytest.mark.parametrize(
-    "make",
-    [
+    "make, error",
+    [(make, InvalidArgumentError) for make in [
         lambda: TwoSampleData(x0=[], x1=[1.0]),
         lambda: TwoSampleData(x0=[1.0, math.inf], x1=[1.0]),
         lambda: TwoSampleData(x0=[1.0], x1=[math.nan]),
@@ -144,7 +153,12 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
                               levels=(0.5,), methods=()),
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(), n_grid=(5,), levels=(0.5,)),
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(), levels=(0.5,)),
-    ],
+    ]] + [(make, DegenerateSampleError) for make in [
+        lambda: _tilt(HUGE_MEANS.x0, HUGE_MEANS.x1, NORMAL_COMMON),
+        lambda: _tilt(HUGE_MEANS.x0, HUGE_MEANS.x1, NORMAL_FREE),
+        lambda: _tilt([1e200, 2e200], [1e-200, 2e-200], EXPONENTIAL),
+        lambda: _tilt([1e-200, 2e-200], [1e200, 2e200], EXPONENTIAL),
+    ]],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
          "corollary-nan-parametric-avar", "corollary-infinite-parametric-avar",
@@ -155,10 +169,12 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "empty-custom-basis", "overflowing-k", "infinite-k", "overflowing-n1", "infinite-mu",
          "nan-mu", "infinite-sigma", "infinite-mean", "empty-base-sample",
          "scenario-without-levels", "scenario-without-methods", "study-without-levels",
-         "study-without-methods", "study-without-n0", "study-without-n"],
+         "study-without-methods", "study-without-n0", "study-without-n",
+         "overflowing-normal-common-tilt", "overflowing-normal-tilt",
+         "overflowing-exponential-tilt", "underflowing-exponential-tilt"],
 )
-def test_invalid_input_raises_a_typed_error(make):
-    with pytest.raises(InvalidArgumentError) as err:
+def test_invalid_input_raises_a_typed_error(make, error):
+    with pytest.raises(error) as err:
         make()
     assert isinstance(err.value, DrmError)
 
