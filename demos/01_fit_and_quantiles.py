@@ -12,6 +12,7 @@ import numpy as np
 
 from drmel import (
     BasisSpec,
+    FittedDrm,
     TwoSampleData,
     drm_quantile,
     drm_quantile_estimate,
@@ -32,16 +33,19 @@ print("theta_hat:", np.round(fit.theta_hat, 4))
 print(f"converged in {fit.iterations} iterations, "
       f"gradient norm {fit.final_gradient_norm:.2e}")
 
-g0 = estimate_g0(fit, data, spec)
-g1 = estimate_g1(fit, data, spec)
+# one FittedDrm carries the fit with its data and basis; every estimand reads it,
+# and it computes the sort, the moments and the KDE they share once
+model = FittedDrm(data, spec, fit)
+g0 = estimate_g0(model)
+g1 = estimate_g1(model)
 print(f"mass totals: base {g0.total_mass():.12f}, target {g1.total_mass():.12f}")
 
 for p in (0.05, 0.5, 0.95):
-    est = drm_quantile_estimate(fit, data, spec, p)
+    est = drm_quantile_estimate(model, p)
     print(
         f"p={p:4}: target quantile {est.point:7.4f} "
         f"(se {est.std_error:.4f}, 95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}])"
     )
 
 # the point estimate is just the generalized inverse of the tilted CDF
-assert drm_quantile(g1, 0.5) == drm_quantile_estimate(fit, data, spec, 0.5).point
+assert drm_quantile(g1, 0.5) == drm_quantile_estimate(model, 0.5).point

@@ -15,6 +15,7 @@ import numpy as np
 
 from drmel import (
     BasisSpec,
+    FittedDrm,
     Normal,
     TwoSampleData,
     avar_quantile,
@@ -40,15 +41,15 @@ print(f"  empirical (k=0):  {0.05 * 0.95 / gen.density_at_quantile(p) ** 2:8.4f}
 # plug-in variance from one fitted model, with a KDE density estimate
 data = TwoSampleData(x0=rng.normal(0, 1, 20000), x1=rng.normal(0, 1, 1000))
 spec = BasisSpec.quadratic()
-fit = fit_mele(data, spec)
+model = FittedDrm(data, spec, fit_mele(data, spec))
 
 kde = KdeModel.silverman(data.x1)
 density = kde_density(kde, np.quantile(data.x1, p))
-plug_in = avar_quantile(fit, data, spec, p, density_at=float(density))
+plug_in = avar_quantile(model, p, density_at=float(density))
 print(f"\nplug-in variance at k=20: {plug_in:.4f} "
       f"(analytic {corollary_curve(gen, p, [20])[0]:.4f})")
 
 # the two algebraic forms of the tilt-parameter variance agree exactly
-a = avar_theta(fit, data, spec)
-b = avar_theta_inverse_form(fit, data, spec)
+a = avar_theta(model)
+b = avar_theta_inverse_form(model)
 print(f"variance-form agreement: max gap {np.max(np.abs(a - b)):.2e}")

@@ -57,7 +57,6 @@ from .parametric import (
     Normal,
     ParametricFamily,
     fit_parametric,
-    parametric_quantile,
     parametric_quantile_avar,
     theta_from_submodel,
 )

@@ -1,12 +1,14 @@
 """Distribution and quantile estimators built on a fitted density ratio model.
 
-The fitted base-measure masses p_kj over the pooled sample give the
-estimated base CDF; multiplying them by the fitted tilt exp(theta' q) gives
-the target masses, which the fit carries as ``DrmFit.tilted_weights`` and
-which give the target CDF. Both come from the fit alone: nothing here
-recomputes a mass, and a fit whose mass vectors do not match the data is
-rejected. Quantiles use the left-continuous generalized inverse, and the
-asymptotic variances are plug-in versions of the limiting-normal variances.
+Every DRM estimand is a function of one :class:`FittedDrm`, a converged fit
+with its data and basis, and of its own level or point, if it has one. The
+fitted base-measure masses p_kj over the pooled sample give the estimated
+base CDF; multiplying them by the fitted tilt exp(theta' q) gives the target
+masses, which the fit carries as ``DrmFit.tilted_weights`` and which give
+the target CDF. Both come from the fit alone: nothing here recomputes a
+mass, and a fit whose mass vectors do not match the data is rejected.
+Quantiles use the left-continuous generalized inverse, and the asymptotic
+variances are plug-in versions of the limiting-normal variances.
 """
 
 from __future__ import annotations
@@ -94,17 +96,20 @@ class QuantileEstimate:
 
 
 class FittedDrm:
-    """A converged fit together with its data and basis, caching what the
-    estimators share.
+    """A converged fit together with its data and basis: the one argument
+    of every DRM estimand below, caching what they share.
 
-    The pooled sort order, the support, both CDFs, the basis matrix, the
+    The pooled sort order, the support, both CDFs, the basis matrices, the
     plug-in target moments of q and the KDE of the target sample are each
-    computed on first use and then kept. Every estimator below accepts a
-    FittedDrm in place of its ``fit`` argument, so estimates at any number
-    of levels cost one sort. Like every model a method name fits, it has
-    ``quantile(p)`` and ``estimate(p, ci_level)``. :class:`TwoSampleData` keeps each sample ascending, so the
-    pooled sample is two ascending runs and the stable sort is one linear
-    merge of them; tied points keep their pooled order, as in
+    computed on first use and then kept, so estimates at any number of
+    levels cost one sort. Like every model a method name fits, it has
+    ``quantile(p)`` and ``estimate(p, ci_level)``, which read
+    :func:`estimate_g1`, :func:`drm_quantile_estimate` and
+    :func:`avar_quantile` by this module's names, so that a tracer that
+    swaps module attributes (benchmarks/spans.py) sees the calls.
+    :class:`TwoSampleData` keeps each sample ascending, so the pooled
+    sample is two ascending runs and the stable sort is one linear merge of
+    them; tied points keep their pooled order, as in
     :meth:`WeightedCdf.from_points`.
     """
 
@@ -126,7 +131,8 @@ class FittedDrm:
 
     @cached_property
     def q(self) -> np.ndarray:
-        """Basis matrix of the pooled sample, in pooled (not sorted) order."""
+        """Basis matrix of the pooled sample, in pooled (not sorted) order, for
+        :func:`avar_theta_inverse_form`."""
         return evaluate_matrix(self.spec, self.data.pooled())
 
     def _cdf(self, mass: np.ndarray) -> WeightedCdf:
@@ -134,19 +140,20 @@ class FittedDrm:
         return WeightedCdf(support=self.support, mass=mass, cumulative=np.cumsum(mass))
 
     @cached_property
-    def g0(self) -> WeightedCdf:
+    def _g0(self) -> WeightedCdf:
         return self._cdf(self.fit.weights)
 
     @cached_property
-    def g1(self) -> WeightedCdf:
+    def _g1(self) -> WeightedCdf:
         return self._cdf(self.fit.tilted_weights)
 
     @cached_property
     def target_moments(self) -> tuple:
         """Plug-in target moments of q: (support-ordered q_minus rows,
         E1[q_minus], inverse of Var1[q_minus])."""
-        mass = self.g1.mass
-        q_minus = self.q[self._order, 1:]
+        mass = self._g1.mass
+        # a C-ordered copy: products with the strided column slice give other bits
+        q_minus = np.ascontiguousarray(evaluate_matrix(self.spec, self.support)[:, 1:])
         mean_q = mass @ q_minus
         second = (q_minus * mass[:, None]).T @ q_minus
         var_q = second - np.outer(mean_q, mean_q)
@@ -166,35 +173,26 @@ class FittedDrm:
         return KdeModel.silverman(self.data.x1)
 
     def quantile(self, p: float) -> float:
-        return drm_quantile(estimate_g1(self, self.data, self.spec), p)
+        return drm_quantile(estimate_g1(self), p)
 
     def estimate(self, p: float, ci_level: float = 0.95) -> QuantileEstimate:
-        return drm_quantile_estimate(self, self.data, self.spec, p, ci_level)
+        return drm_quantile_estimate(self, p, ci_level)
 
     def _bracket_at(self, x: float) -> tuple[np.ndarray, float]:
         """Partial moment Q_hat(x) = sum mass*q_minus*1(support<=x) and G1_hat(x)."""
-        mass, q_minus = self.g1.mass, self.target_moments[0]
+        mass, q_minus = self._g1.mass, self.target_moments[0]
         idx = int(np.searchsorted(self.support, x, side="right"))
         return mass[:idx] @ q_minus[:idx], float(np.sum(mass[:idx]))
 
 
-def _fitted(fit: DrmFit | FittedDrm, data: TwoSampleData, spec: BasisSpec) -> FittedDrm:
-    """``fit`` itself when it is a FittedDrm of this data and basis, else a new one."""
-    if isinstance(fit, FittedDrm):
-        if fit.data is data and fit.spec == spec:
-            return fit
-        fit = fit.fit
-    return FittedDrm(data, spec, fit)
-
-
-def estimate_g1(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> WeightedCdf:
+def estimate_g1(model: FittedDrm) -> WeightedCdf:
     """Estimated target CDF: mass p_kj * exp(theta' q(x_kj)) at each pooled point."""
-    return _fitted(fit, data, spec).g1
+    return model._g1
 
 
-def estimate_g0(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> WeightedCdf:
+def estimate_g0(model: FittedDrm) -> WeightedCdf:
     """Estimated base CDF: mass p_kj at each pooled point."""
-    return _fitted(fit, data, spec).g0
+    return model._g0
 
 
 def drm_quantile(cdf: WeightedCdf, p: float) -> float:
@@ -204,20 +202,19 @@ def drm_quantile(cdf: WeightedCdf, p: float) -> float:
     return float(cdf.support[idx])
 
 
-def avar_theta(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> np.ndarray:
+def avar_theta(model: FittedDrm) -> np.ndarray:
     """Plug-in asymptotic variance matrix of sqrt(n1)*(theta_hat - theta).
 
     Computed in the block form built from E1[q_minus] and Var1[q_minus];
     algebraically identical to :func:`avar_theta_inverse_form`.
     """
-    _, mean_q, var_inv = _fitted(fit, data, spec).target_moments
+    _, mean_q, var_inv = model.target_moments
     m = np.vstack([-mean_q, np.eye(mean_q.size)])
     return m @ var_inv @ m.T
 
 
-def avar_theta_inverse_form(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -> np.ndarray:
+def avar_theta_inverse_form(model: FittedDrm) -> np.ndarray:
     """Same matrix as :func:`avar_theta`, via inv(E1[q q']) minus the (1,1) unit."""
-    model = _fitted(fit, data, spec)
     q = model.q
     second = (q * model.fit.tilted_weights[:, None]).T @ q
     try:
@@ -228,33 +225,25 @@ def avar_theta_inverse_form(fit: DrmFit, data: TwoSampleData, spec: BasisSpec) -
     return inv
 
 
-def avar_g1_at(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, x: float) -> float:
+def avar_g1_at(model: FittedDrm, x: float) -> float:
     """Plug-in asymptotic variance of sqrt(n1)*(G1_hat(x) - G1(x))."""
-    model = _fitted(fit, data, spec)
     _, mean_q, var_inv = model.target_moments
     partial, g1_at = model._bracket_at(x)
     bracket = partial - mean_q * g1_at
     return float(bracket @ var_inv @ bracket)
 
 
-def avar_quantile(
-    fit: DrmFit,
-    data: TwoSampleData,
-    spec: BasisSpec,
-    p: float,
-    density_at: float,
-) -> float:
+def avar_quantile(model: FittedDrm, p: float, density_at: float) -> float:
     """Plug-in asymptotic variance of the DRM quantile estimator at level p,
     the variance of sqrt(n1) * (estimate - truth).
 
     ``density_at`` is an estimate of the target density at the estimated
     quantile, typically from a kernel density estimator.
     """
-    model = _fitted(fit, data, spec)
     p = check_level(p)
     square = check_density(density_at)
     _, mean_q, var_inv = model.target_moments
-    xi = drm_quantile(model.g1, p)
+    xi = drm_quantile(model._g1, p)
     partial = model._bracket_at(xi)[0]
     bracket = partial - p * mean_q
     return float(bracket @ var_inv @ bracket) / square
@@ -275,19 +264,16 @@ def corollary_variance(k: float, p: float, density_at: float, parametric_avar: f
     return empirical / (k + 1.0) + parametric_avar * k / (k + 1.0)
 
 
-def drm_quantile_estimate(fit: DrmFit, data: TwoSampleData, spec: BasisSpec, p: float,
-                          ci_level: float = 0.95) -> QuantileEstimate:
+def drm_quantile_estimate(model: FittedDrm, p: float, ci_level: float = 0.95) -> QuantileEstimate:
     """Point estimate, standard error and normal CI for the target p-quantile.
 
     The density plug-in for the variance is a Gaussian KDE on the target
-    sample with Silverman's rule-of-thumb bandwidth. For several levels,
-    pass one :class:`FittedDrm` as ``fit`` to every call.
+    sample with Silverman's rule-of-thumb bandwidth.
     """
-    model = _fitted(fit, data, spec)
     point = model.quantile(p)
     g_hat = kde_density(model.kde, point)
-    avar = avar_quantile(model, data, spec, p, g_hat)
-    return QuantileEstimate.normal(p, point, avar, data.n1, ci_level)
+    avar = avar_quantile(model, p, g_hat)
+    return QuantileEstimate.normal(p, point, avar, model.data.n1, ci_level)
 
 
 class EmpiricalModel:

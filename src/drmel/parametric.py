@@ -46,7 +46,6 @@ __all__ = [
     "FAMILY_TAGS",
     "ParametricFamily",
     "fit_parametric",
-    "parametric_quantile",
     "parametric_quantile_avar",
     "theta_from_submodel",
 ]
@@ -159,7 +158,9 @@ class ParametricFamily:
         return self.target.quantile(p)
 
     def estimate(self, p: float, ci_level: float = 0.95) -> QuantileEstimate:
-        return parametric_quantile(self, p, ci_level)
+        """Closed-form quantile MLE with its plug-in standard error and CI."""
+        avar = parametric_quantile_avar(self, p)
+        return QuantileEstimate.normal(p, self.target.quantile(p), avar, self.n1, ci_level)
 
 
 def fit_parametric(data: TwoSampleData, family_tag: str) -> ParametricFamily:
@@ -203,14 +204,6 @@ def parametric_quantile_avar(family: ParametricFamily, p: float) -> float:
     if family.tag == NORMAL_COMMON:
         return family.target.quantile_avar(p, family.n1 / (family.n0 + family.n1))
     return family.target.quantile_avar(p)
-
-
-def parametric_quantile(
-    family: ParametricFamily, p: float, ci_level: float = 0.95
-) -> QuantileEstimate:
-    """Closed-form quantile MLE with its plug-in standard error and CI."""
-    avar = parametric_quantile_avar(family, p)
-    return QuantileEstimate.normal(p, family.target.quantile(p), avar, family.n1, ci_level)
 
 
 def theta_from_submodel(family: ParametricFamily) -> np.ndarray:

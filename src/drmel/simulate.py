@@ -30,6 +30,7 @@ else. Estimates are scored against each target's ``quantile(p)``.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -269,18 +270,32 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     truth of a target at level p is its ``quantile(p)``. ``cells`` holds
     each cell's ``(scenario_id, n0, n)`` and ``methods`` the ``(name,
     fitter)`` pairs of :func:`_resolve_methods`. A row averages the
-    scaled errors of the targets, unweighted. Results are collected in key
-    order, so the table does not depend on the worker count. A pool opens no
-    more workers than there are replicates or CPUs, and a worker count below
-    1 raises :class:`InvalidArgumentError`.
+    scaled errors of the targets, unweighted. Every estimate goes into one
+    (cell, rep, target, method, level) array, allocated before the first
+    replicate runs: a run too large for it raises
+    :class:`InvalidArgumentError` naming its sizes, and nothing else of
+    size reps is built. Results are stored in key order, so the table does
+    not depend on the worker count. A pool opens no more workers than there
+    are replicates or CPUs, and a worker count below 1 raises
+    :class:`InvalidArgumentError`.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    shape = (len(cells), reps, len(targets), len(methods), len(levels))
+    try:
+        results = np.empty(shape)
+    except (MemoryError, ValueError):  # ValueError: more elements than numpy can index
+        raise InvalidArgumentError(
+            "cannot hold the estimates of {} cells x {} reps x {} targets x {} methods x "
+            "{} levels in memory".format(*shape)
+        ) from None
     state = (seed, base, targets, cells, reps, methods, levels)
-    keys = [(c, r) for c in range(len(cells)) for r in range(reps)]
-    workers = min(workers, len(keys), os.cpu_count() or 1)
+    keys = itertools.product(range(len(cells)), range(reps))
+    flat = results.reshape(len(cells) * reps, *shape[2:])  # a view: one block per key
+    workers = min(workers, len(flat), os.cpu_count() or 1)
     if workers <= 1:  # also a run of no replicates
-        results = [_replicate(state, key) for key in keys]
+        for i, key in enumerate(keys):
+            flat[i] = _replicate(state, key)
     else:
         try:  # pickled once, so each worker receives it once
             blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
@@ -289,13 +304,13 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
                 f"cannot send the run to worker processes ({exc}); use workers=1"
             ) from None
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
-            results = list(pool.map(_worker_replicate, keys,
-                                    chunksize=max(1, len(keys) // (4 * workers))))
+            chunksize = max(1, len(flat) // (4 * workers))
+            for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize)):
+                flat[i] = block
     # one truth per target and level: FinitePopulation.quantile sorts the whole group
     truths = [[population.quantile(p) for population in targets.values()] for p in levels]
     rows = []
-    for c, (scenario_id, _, n) in enumerate(cells):
-        cell = np.stack(results[c * reps:(c + 1) * reps])  # (rep, target, method, level)
+    for (scenario_id, _, n), cell in zip(cells, results):  # cell: (rep, target, method, level)
         for j, p in enumerate(levels):
             for m, (method, _) in enumerate(methods):
                 per_target = [

@@ -14,6 +14,7 @@ from scipy.stats import norm
 from drmel import (
     BasisSpec,
     Exponential,
+    FittedDrm,
     Normal,
     Scenario,
     TwoSampleData,
@@ -183,8 +184,9 @@ def test_criterion_3_constraint_identities():
         tilt = np.exp(q @ fit.theta_hat)
         worst_mass = max(worst_mass, abs(fit.weights.sum() - 1.0))
         worst_tilt = max(worst_tilt, abs((fit.weights * tilt).sum() - 1.0))
-        a = avar_theta(fit, data, spec)
-        b = avar_theta_inverse_form(fit, data, spec)
+        model = FittedDrm(data, spec, fit)
+        a = avar_theta(model)
+        b = avar_theta_inverse_form(model)
         worst_forms = max(worst_forms, float(np.max(np.abs(a - b))))
     report(
         3,
@@ -268,7 +270,7 @@ def bahadur_remainder(n1, r):
     spec = BasisSpec.quadratic()
     rng = replicate_rng(880000 + n1, r)
     data = TwoSampleData(x0=sample(gen1, 100 * n1, rng), x1=sample(gen1, n1, rng))
-    cdf = estimate_g1(fit_mele(data, spec), data, spec)
+    cdf = estimate_g1(FittedDrm(data, spec, fit_mele(data, spec)))
     return drm_quantile(cdf, p) - xi - (0.5 - cdf.evaluate(xi)) / g1_at
 
 
@@ -348,7 +350,8 @@ def test_criterion_10_cdf_validity():
             fit = fit_mele(data, spec)
         except DrmError:
             continue
-        for cdf in (estimate_g0(fit, data, spec), estimate_g1(fit, data, spec)):
+        model = FittedDrm(data, spec, fit)
+        for cdf in (estimate_g0(model), estimate_g1(model)):
             assert np.all(cdf.mass >= 0)
             assert abs(cdf.total_mass() - 1.0) <= 1e-8
             for p in levels:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import drmel
 from drmel import DrmError, Scenario
 from drmel.cli import main, scenario_from_json
 
@@ -361,6 +366,40 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# the command line of its arguments, run with an address space of 2 GiB,
+# set by the child on itself before it imports drmel
+_CLI_IN_2_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+from drmel.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, reps=10**12)],
+        lambda csv, tmp: ["study", "--data", csv, "--value-col", "revenue", "--group-col", "year",
+                          "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
+                          "--reps", 10**12],
+    ],
+    ids=["simulate-reps", "study-reps"],
+)
+def test_a_run_too_large_to_hold_is_one_error_line_before_any_replicate(data_csv, tmp_path,
+                                                                        args):
+    # never run without the limit: a regression would exhaust the machine's memory
+    src = str(Path(drmel.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _CLI_IN_2_GIB,
+                           *map(str, args(data_csv, tmp_path))],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cannot hold the estimates of 1 cells x "
+                                  "1000000000000 reps x ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_kde_reports_dropped_rows(tmp_path, capsys):

@@ -29,20 +29,21 @@ from drmel import (
     evaluate_matrix,
     fit_mele,
 )
+from drmel import estimators
 from conftest import random_basis, random_two_sample
 
 
 def fitted(x0, x1, spec):
     data = TwoSampleData(x0=x0, x1=x1)
-    return fit_mele(data, spec), data
+    return FittedDrm(data, spec, fit_mele(data, spec))
 
 
 def test_identical_symmetric_data_gives_pooled_empirical_cdf():
     spec = BasisSpec.quadratic()
-    fit, data = fitted([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], spec)
-    g1 = estimate_g1(fit, data, spec)
+    model = fitted([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], spec)
+    g1 = estimate_g1(model)
     np.testing.assert_allclose(g1.mass, np.full(6, 1 / 6), atol=1e-9)
-    g0 = estimate_g0(fit, data, spec)
+    g0 = estimate_g0(model)
     np.testing.assert_allclose(g0.mass, np.full(6, 1 / 6), atol=1e-9)
 
 
@@ -50,17 +51,18 @@ def test_cdf_is_one_beyond_max(rng):
     spec = BasisSpec.linear()
     data = random_two_sample(rng)
     fit = fit_mele(data, spec)
-    g1 = estimate_g1(fit, data, spec)
+    g1 = estimate_g1(FittedDrm(data, spec, fit))
     assert g1.evaluate(data.pooled().max() + 1.0) == pytest.approx(1.0, abs=1e-8)
     assert g1.evaluate(data.pooled().min() - 1.0) == 0.0
 
 
 def test_two_point_toy_masses_match_hand_computation():
     spec = BasisSpec.linear()
-    fit, data = fitted([0.0, 1.0], [0.0, 1.0], spec)
+    model = fitted([0.0, 1.0], [0.0, 1.0], spec)
+    fit, data = model.fit, model.data
     q = evaluate_matrix(spec, data.pooled())
     hand = fit.weights * np.exp(q @ fit.theta_hat)
-    g1 = estimate_g1(fit, data, spec)
+    g1 = estimate_g1(model)
     order = np.argsort(data.pooled(), kind="stable")
     np.testing.assert_allclose(g1.mass, hand[order], rtol=1e-12)
 
@@ -68,10 +70,10 @@ def test_two_point_toy_masses_match_hand_computation():
 def test_positive_tilt_orders_the_two_cdfs():
     gen = np.random.default_rng(3)
     spec = BasisSpec.linear()
-    fit, data = fitted(gen.normal(0, 1, 400), gen.normal(0.8, 1, 200), spec)
-    assert fit.theta_hat[1] > 0
-    g0 = estimate_g0(fit, data, spec)
-    g1 = estimate_g1(fit, data, spec)
+    model = fitted(gen.normal(0, 1, 400), gen.normal(0.8, 1, 200), spec)
+    assert model.fit.theta_hat[1] > 0
+    g0 = estimate_g0(model)
+    g1 = estimate_g1(model)
     for x in np.linspace(-3, 3, 25):
         assert g1.evaluate(x) <= g0.evaluate(x) + 1e-12
 
@@ -91,7 +93,7 @@ def test_quantile_inf_characterization(rng):
         data = random_two_sample(rng)
         spec = random_basis(rng)
         fit = fit_mele(data, spec)
-        g1 = estimate_g1(fit, data, spec)
+        g1 = estimate_g1(FittedDrm(data, spec, fit))
         for p in (0.1, 0.5, 0.9):
             xi = drm_quantile(g1, p)
             assert g1.evaluate(xi) >= p
@@ -104,15 +106,15 @@ def test_avar_theta_forms_agree_and_block_structure(rng):
     for _ in range(10):
         data = random_two_sample(rng)
         spec = random_basis(rng)
-        fit = fit_mele(data, spec)
-        a = avar_theta(fit, data, spec)
-        b = avar_theta_inverse_form(fit, data, spec)
+        model = FittedDrm(data, spec, fit_mele(data, spec))
+        a = avar_theta(model)
+        b = avar_theta_inverse_form(model)
         np.testing.assert_allclose(a, b, atol=1e-8)
         assert np.allclose(a, a.T)
         eigs = np.linalg.eigvalsh(a)
         assert eigs.min() >= -1e-10
         # (0,0) entry equals E1[q-]' Var1^-1[q-] E1[q-]
-        g1 = estimate_g1(fit, data, spec)
+        g1 = estimate_g1(model)
         q_minus = evaluate_matrix(spec, g1.support)[:, 1:]
         mean_q = g1.mass @ q_minus
         var_q = (q_minus * g1.mass[:, None]).T @ q_minus - np.outer(mean_q, mean_q)
@@ -138,19 +140,19 @@ def population_theta_avar_quadratic():
 def test_avar_theta_large_sample_matches_quadrature():
     gen = np.random.default_rng(11)
     spec = BasisSpec.quadratic()
-    fit, data = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
+    model = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
     target = population_theta_avar_quadratic()
-    np.testing.assert_allclose(avar_theta(fit, data, spec), target, atol=0.15)
+    np.testing.assert_allclose(avar_theta(model), target, atol=0.15)
 
 
 def test_avar_g1_vanishes_outside_support(rng):
     data = random_two_sample(rng)
     spec = BasisSpec.linear()
-    fit = fit_mele(data, spec)
+    model = FittedDrm(data, spec, fit_mele(data, spec))
     lo = data.pooled().min() - 1.0
     hi = data.pooled().max() + 1.0
-    assert avar_g1_at(fit, data, spec, lo) == pytest.approx(0.0, abs=1e-12)
-    assert avar_g1_at(fit, data, spec, hi) == pytest.approx(0.0, abs=1e-10)
+    assert avar_g1_at(model, lo) == pytest.approx(0.0, abs=1e-12)
+    assert avar_g1_at(model, hi) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_avar_g1_at_zero_matches_quadrature():
@@ -168,20 +170,20 @@ def test_avar_g1_at_zero_matches_quadrature():
 
     gen = np.random.default_rng(13)
     spec = BasisSpec.quadratic()
-    fit, data = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
-    assert avar_g1_at(fit, data, spec, 0.0) == pytest.approx(target, abs=0.02)
+    model = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
+    assert avar_g1_at(model, 0.0) == pytest.approx(target, abs=0.02)
 
 
 def test_avar_quantile_scaling_and_consistency(rng):
     data = random_two_sample(rng)
     spec = BasisSpec.linear()
-    fit = fit_mele(data, spec)
-    v1 = avar_quantile(fit, data, spec, 0.5, 1.0)
-    v2 = avar_quantile(fit, data, spec, 0.5, 2.0)
+    model = FittedDrm(data, spec, fit_mele(data, spec))
+    v1 = avar_quantile(model, 0.5, 1.0)
+    v2 = avar_quantile(model, 0.5, 2.0)
     assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
     for density in (0.0, math.inf, math.nan):
         with pytest.raises(NonpositiveDensityError):
-            avar_quantile(fit, data, spec, 0.5, density)
+            avar_quantile(model, 0.5, density)
 
 
 def test_a_kde_density_whose_square_underflows_is_a_typed_error():
@@ -193,7 +195,7 @@ def test_a_kde_density_whose_square_underflows_is_a_typed_error():
     data = TwoSampleData(x0=x0, x1=np.exp(rng.normal(0.2, 0.6, 5)))
     spec = BasisSpec.linear()
     with pytest.raises(NonpositiveDensityError):
-        drm_quantile_estimate(fit_mele(data, spec), data, spec, 0.9)
+        drm_quantile_estimate(FittedDrm(data, spec, fit_mele(data, spec)), 0.9)
 
 
 def test_avar_quantile_median_standard_normal_limit():
@@ -201,8 +203,8 @@ def test_avar_quantile_median_standard_normal_limit():
     # variance = phi(0)^2 / phi(0)^2 = 1
     gen = np.random.default_rng(17)
     spec = BasisSpec.quadratic()
-    fit, data = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
-    v = avar_quantile(fit, data, spec, 0.5, float(norm.pdf(0.0)))
+    model = fitted(gen.normal(0, 1, 60_000), gen.normal(0, 1, 20_000), spec)
+    v = avar_quantile(model, 0.5, float(norm.pdf(0.0)))
     assert v == pytest.approx(1.0, abs=0.05)
 
 
@@ -236,14 +238,13 @@ def test_not_converged_fit_rejected(rng):
         tilted_weights=fit.tilted_weights,
     )
     with pytest.raises(InvalidArgumentError, match="did not converge"):
-        estimate_g1(broken, data, spec)
+        FittedDrm(data, spec, broken)
 
 
 def test_quantile_estimate_interface(rng):
     data = random_two_sample(rng, max_n0=40, max_n1=40)
     spec = BasisSpec.linear()
-    fit = fit_mele(data, spec)
-    est = drm_quantile_estimate(fit, data, spec, 0.5)
+    est = drm_quantile_estimate(FittedDrm(data, spec, fit_mele(data, spec)), 0.5)
     assert est.ci_low <= est.point <= est.ci_high
     z = float(norm.ppf(0.975))
     assert est.ci_high - est.ci_low == pytest.approx(2 * z * est.std_error, rel=1e-10)
@@ -264,7 +265,7 @@ def test_quantiles_do_not_depend_on_tie_order():
     spec = BasisSpec.quadratic()
     fit = fit_mele(data, spec)
     stable = WeightedCdf.from_points(data.pooled(), fit.tilted_weights)
-    default = FittedDrm(data, spec, fit).g1
+    default = estimate_g1(FittedDrm(data, spec, fit))
     assert np.unique(data.pooled()).size < 150
     np.testing.assert_array_equal(default.support, stable.support)
     for p in np.linspace(0.005, 0.995, 199):
@@ -289,12 +290,13 @@ def test_the_target_cdf_is_the_stable_sort_of_the_pooled_sample_bit_for_bit():
     spec = BasisSpec.quadratic()
     fit = fit_mele(data, spec)
     stable = WeightedCdf.from_points(data.pooled(), fit.tilted_weights)
-    g1 = FittedDrm(data, spec, fit).g1
+    g1 = estimate_g1(FittedDrm(data, spec, fit))
     for field in ("support", "mass", "cumulative"):
         assert getattr(g1, field).tobytes() == getattr(stable, field).tobytes()
 
 
 def test_fitted_model_matches_separate_calls(rng):
+    # one model shared by every call gives the bits of a new model per call
     levels = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
     for _ in range(5):
         data = random_two_sample(rng)
@@ -302,32 +304,43 @@ def test_fitted_model_matches_separate_calls(rng):
         fit = fit_mele(data, spec)
         model = FittedDrm(data, spec, fit)
         for p in levels:
-            shared = drm_quantile_estimate(model, data, spec, p, 0.9)
-            assert shared == drm_quantile_estimate(fit, data, spec, p, 0.9)
-        np.testing.assert_array_equal(avar_theta(model, data, spec), avar_theta(fit, data, spec))
-        g1 = estimate_g1(fit, data, spec)
-        np.testing.assert_array_equal(model.g1.cumulative, g1.cumulative)
-        # a model is reused only with the data and basis it was built on
-        other = BasisSpec.linear() if spec.kind == "quadratic" else BasisSpec.quadratic()
-        np.testing.assert_array_equal(avar_theta(model, data, other), avar_theta(fit, data, other))
+            shared = drm_quantile_estimate(model, p, 0.9)
+            assert shared == drm_quantile_estimate(FittedDrm(data, spec, fit), p, 0.9)
+            assert shared == model.estimate(p, 0.9)
+        np.testing.assert_array_equal(avar_theta(model), avar_theta(FittedDrm(data, spec, fit)))
+        g1 = estimate_g1(FittedDrm(data, spec, fit))
+        np.testing.assert_array_equal(estimate_g1(model).cumulative, g1.cumulative)
+
+
+def test_the_model_protocol_calls_the_traced_estimands_by_module_name(monkeypatch):
+    # benchmarks/spans.py times these three by swapping the module's
+    # attributes, so a model must reach them through the module's names
+    calls = []
+    for name in ("estimate_g1", "drm_quantile_estimate", "avar_quantile"):
+        def counted(*args, _name=name, _original=getattr(estimators, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(estimators, name, counted)
+    gen = np.random.default_rng(7)
+    model = fitted(gen.normal(0.0, 1.0, 200), gen.normal(0.2, 1.1, 60), BasisSpec.quadratic())
+    model.quantile(0.5)
+    assert calls == ["estimate_g1"]
+    calls.clear()
+    model.estimate(0.5)
+    assert calls == ["drm_quantile_estimate", "estimate_g1", "avar_quantile"]
 
 
 def test_short_target_masses_rejected(rng):
     data = random_two_sample(rng)
     spec = BasisSpec.quadratic()
     fit = dataclasses.replace(fit_mele(data, spec), tilted_weights=np.full(data.n - 5, 1 / data.n))
-    for estimator in (estimate_g1, avar_theta):
-        with pytest.raises(InvalidArgumentError, match="masses"):
-            estimator(fit, data, spec)
     with pytest.raises(InvalidArgumentError, match="masses"):
-        drm_quantile_estimate(fit, data, spec, 0.5)
+        FittedDrm(data, spec, fit)
 
 
 def test_fit_of_another_sample_size_rejected(rng):
     data = random_two_sample(rng)
     spec = BasisSpec.linear()
-    fit = fit_mele(data, spec)
     other = TwoSampleData(x0=data.x0[1:], x1=data.x1)
-    for estimator in (estimate_g0, estimate_g1):
-        with pytest.raises(InvalidArgumentError):
-            estimator(fit, other, spec)
+    with pytest.raises(InvalidArgumentError, match="masses"):
+        FittedDrm(other, spec, fit_mele(data, spec))

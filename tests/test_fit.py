@@ -163,7 +163,7 @@ def test_fit_recovers_true_normal_tilt():
     # N(0,1) vs N(1,1): log ratio is x - 1/2, so beta = 1
     from drmel import avar_theta
 
-    se_beta = math.sqrt(avar_theta(fit, data, spec)[1, 1] / data.n1)
+    se_beta = math.sqrt(avar_theta(FittedDrm(data, spec, fit))[1, 1] / data.n1)
     assert abs(fit.theta_hat[1] - 1.0) <= 3 * se_beta
 
 

@@ -15,7 +15,6 @@ from drmel import (
     Normal,
     TwoSampleData,
     fit_parametric,
-    parametric_quantile,
     parametric_quantile_avar,
     theta_from_submodel,
 )
@@ -58,15 +57,15 @@ def test_degenerate_sample():
 
 def test_quantile_points():
     f = family(NORMAL_FREE, 0.0, 0.0, 1.0, 1.0)
-    assert parametric_quantile(f, 0.5).point == pytest.approx(0.0, abs=1e-12)
+    assert f.estimate(0.5).point == pytest.approx(0.0, abs=1e-12)
 
     f = family(EXPONENTIAL, 1.0, 1.0)
-    assert parametric_quantile(f, 0.99).point == pytest.approx(-math.log(0.01), rel=1e-10)
+    assert f.estimate(0.99).point == pytest.approx(-math.log(0.01), rel=1e-10)
 
     f = family(NORMAL_FREE, 0.0, 2.0, 1.0, math.sqrt(2.0))
     expected = 2.0 + float(norm.ppf(0.05)) * math.sqrt(2.0)
     assert expected == pytest.approx(-0.3262, abs=2e-4)
-    assert parametric_quantile(f, 0.05).point == pytest.approx(expected, rel=1e-12)
+    assert f.estimate(0.05).point == pytest.approx(expected, rel=1e-12)
 
 
 def test_quantile_avar_closed_forms():
@@ -103,7 +102,7 @@ def test_quantile_is_inverse_of_cdf():
         (family(NORMAL_COMMON, 0.0, 1.0, 1.1, 1.1), 0.05),
     ]
     for f, p in cases:
-        point = parametric_quantile(f, p).point
+        point = f.estimate(p).point
         inverse = brentq(lambda x: f.target.cdf(x) - p, -100.0, 100.0, xtol=1e-13)
         assert point == pytest.approx(inverse, abs=1e-10)
 
@@ -140,7 +139,7 @@ def test_generator_and_fitted_family_formulas_are_bit_equal(tag):
         gen, f = Normal(0.3, 1.9), family(tag, 0.0, 0.3, 1.9, 1.9, n0=300, n1=100)
     assert f.target == gen
     for p in np.linspace(0.001, 0.999, 50).tolist():
-        assert parametric_quantile(f, p).point == gen.quantile(p)
+        assert f.estimate(p).point == gen.quantile(p)
         if tag == NORMAL_COMMON:
             z = float(ndtri(p))
             assert parametric_quantile_avar(f, p) == 1.9**2 * (1.0 + 0.25 * z**2 / 2.0)

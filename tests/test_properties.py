@@ -74,7 +74,7 @@ def test_permuting_either_sample_changes_no_bit_of_the_fit_or_its_estimates(seed
         try:
             fit = fit_mele(data, spec)
             model = FittedDrm(data, spec, fit)
-            estimates = [drm_quantile_estimate(model, data, spec, p) for p in (0.1, 0.5, 0.9)]
+            estimates = [drm_quantile_estimate(model, p) for p in (0.1, 0.5, 0.9)]
         except DrmError as exc:
             outputs.append(type(exc))
             continue

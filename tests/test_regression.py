@@ -22,7 +22,7 @@ from drmel import (
     run_resample_study,
     run_scenario,
 )
-from drmel.estimators import drm_quantile, estimate_g1
+from drmel.estimators import FittedDrm, drm_quantile, estimate_g1
 from drmel.cli import main
 from drmel.simulate import replicate_rng, sample
 
@@ -223,7 +223,7 @@ def test_table1_fit_is_pinned(r):
 @pytest.mark.parametrize("r", sorted(TABLE1_PICKS))
 def test_table1_quantile_picks_are_pinned(r):
     data, spec = table1_data(r), BasisSpec.quadratic()
-    g1 = estimate_g1(fit_mele(data, spec), data, spec)
+    g1 = estimate_g1(FittedDrm(data, spec, fit_mele(data, spec)))
     assert tuple(drm_quantile(g1, p) for p in (0.01, 0.05, 0.5)) == TABLE1_PICKS[r]
 
 

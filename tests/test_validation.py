@@ -29,9 +29,9 @@ from drmel import (
     drm_quantile_estimate,
     empirical_quantile,
     empirical_quantile_avar,
+    estimate_g1,
     fit_mele,
     fit_parametric,
-    parametric_quantile,
     parametric_quantile_avar,
     theta_from_submodel,
 )
@@ -60,13 +60,13 @@ def _scenario(p):
 
 
 LEVEL_ENTRY_POINTS = {
-    "drm_quantile": lambda m, p: drm_quantile(m.g1, p),
-    "drm_quantile_estimate": lambda m, p: drm_quantile_estimate(m, m.data, SPEC, p),
-    "avar_quantile": lambda m, p: avar_quantile(m, m.data, SPEC, p, 1.0),
+    "drm_quantile": lambda m, p: drm_quantile(estimate_g1(m), p),
+    "drm_quantile_estimate": lambda m, p: drm_quantile_estimate(m, p),
+    "avar_quantile": lambda m, p: avar_quantile(m, p, 1.0),
     "corollary_variance": lambda m, p: corollary_variance(1.0, p, 1.0, 1.0),
     "empirical_quantile": lambda m, p: empirical_quantile(Ecdf.from_sample(m.data.x1), p),
     "empirical_quantile_avar": lambda m, p: empirical_quantile_avar(p, 1.0),
-    "parametric_quantile": lambda m, p: parametric_quantile(fit_parametric(m.data, NORMAL_COMMON), p),
+    "ParametricFamily.estimate": lambda m, p: fit_parametric(m.data, NORMAL_COMMON).estimate(p),
     "parametric_quantile_avar": lambda m, p: parametric_quantile_avar(
         fit_parametric(m.data, NORMAL_COMMON), p),
     "Normal.quantile": lambda m, p: Normal(0, 1).quantile(p),
@@ -91,9 +91,9 @@ def test_every_level_entry_point_rejects_levels_outside_the_unit_interval(model,
 
 CI_ENTRY_POINTS = {
     "QuantileEstimate.normal": lambda m, ci: QuantileEstimate.normal(0.5, 0.0, 1.0, 10, ci),
-    "drm_quantile_estimate": lambda m, ci: drm_quantile_estimate(m, m.data, SPEC, 0.5, ci),
-    "parametric_quantile": lambda m, ci: parametric_quantile(
-        fit_parametric(m.data, NORMAL_COMMON), 0.5, ci),
+    "drm_quantile_estimate": lambda m, ci: drm_quantile_estimate(m, 0.5, ci),
+    "ParametricFamily.estimate": lambda m, ci: fit_parametric(m.data, NORMAL_COMMON).estimate(
+        0.5, ci),
 }
 
 
