@@ -13,7 +13,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -54,6 +53,20 @@ class IngestReport:
 _EMPTY_AS_NAN = {"": "nan"}
 
 
+class _GroupCodes(dict):
+    """Group cell -> the number of its stripped label. A cell seen first gets
+    the number of its label, a new label the next number; ``labels`` maps
+    each label to its number, in order of first sight."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = {}
+
+    def __missing__(self, cell: str) -> int:
+        code = self[cell] = self.labels.setdefault(cell.strip(), len(self.labels))
+        return code
+
+
 def _column_index(header, name: str) -> int:
     """Index of the last header cell named ``name``: the cell a csv.DictReader
     row would hold under that key."""
@@ -61,6 +74,24 @@ def _column_index(header, name: str) -> int:
     if not found:
         raise CsvParseError(f"missing column {name!r}")
     return found[-1]
+
+
+def _parse_stripped(value_cells: list) -> np.ndarray:
+    """The values of cells that float() does not all accept as they are: each
+    cell stripped, an empty one read as nan, so that its row is dropped and
+    counted. A cell that still does not parse raises :class:`CsvParseError`
+    with its row number."""
+    texts = list(map(str.strip, value_cells))
+    if "" in texts:
+        texts = list(map(_EMPTY_AS_NAN.get, texts, texts))
+    try:
+        return np.array(texts, dtype=float)
+    except ValueError:
+        # row 1 is the header
+        row = next(i for i, text in enumerate(texts, 2) if not _parses(text))
+        raise CsvParseError(
+            f"malformed numeric value {texts[row - 2]!r} in row {row}", row=row
+        ) from None
 
 
 def _parses(text: str) -> bool:
@@ -78,25 +109,29 @@ def _split_columns(text: str, spec: ColumnSpec) -> list:
 
     A regular file has more than one header field, no quote character,
     ``\\n`` or ``\\r\\n`` line ends and the header's field count on every
-    line, so no blank line. Its rows are split by one ``str.split`` over their
-    joined text, with a comma before each line break, so a row's first cell
-    starts with that line break. Any other file, a one-field file among them,
-    is read by ``csv.reader``, which skips blank lines.
+    line, so no blank line but at its end. It is split by one ``str.split``
+    over its text, with a comma put before each line break, so the header's
+    cells come first and a row's first cell starts with the line break before
+    it. Any other file, a one-field file among them, is read by
+    ``csv.reader``, which skips blank lines.
     """
     body = text.replace("\r\n", "\n") if "\r" in text else text
-    head, _, data = body.partition("\n")
-    data = data.strip("\n")
-    step = head.count(",") + 1
-    joined = data.replace("\n", ",\n")  # one more character per line break
-    n = len(joined) - len(data) + 1 if data else 0
-    cells = joined.split(",") if data else []
+    joined = body.replace("\n", ",\n")
+    cells = joined.split(",")
+    newline = body.find("\n")
+    step = body.count(",", 0, newline if newline >= 0 else len(body)) + 1
+    end = len(cells)
+    while cells[end - 1] == "\n":  # the end of the last line, or a blank line after it
+        end -= 1
+    # a data row per line break, but for the blank lines at the end
+    n = len(joined) - len(body) - (len(cells) - end)
     names = (spec.value_column, spec.group_column)
-    # the n - 1 cells that start a line fall every ``step`` cells exactly when
+    # the n cells that start a row fall every ``step`` cells exactly when
     # every row has ``step`` fields
-    regular = step > 1 and '"' not in body and "\r" not in body and len(cells) == step * n
-    if regular and "".join(cells[step::step]).count("\n") == n - 1:
-        header = head.split(",")
-        return [cells[_column_index(header, name)::step] for name in names]
+    regular = step > 1 and '"' not in body and "\r" not in body and end - step == step * n
+    if regular and "".join(cells[step:end:step]).count("\n") == n:
+        header = cells[:step]
+        return [cells[step + _column_index(header, name):end:step] for name in names]
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     indices = [_column_index(header, name) for name in names]
@@ -127,33 +162,37 @@ def ingest_csv(path, spec: ColumnSpec):
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path} is not UTF-8: invalid byte at offset {start + exc.start}"
                             ) from None
+    del raw
     value_cells, group_cells = _split_columns(text, spec)
-    texts = list(map(str.strip, value_cells))
-    if "" in texts:  # an empty cell parses as nan, so it is dropped and counted
-        texts = list(map(_EMPTY_AS_NAN.get, texts, texts))
-    rows_in = len(texts)
+    rows_in = len(value_cells)
     try:
-        values = np.array(texts, dtype=float)  # numpy converts each str with float()
+        # numpy converts each str with float(), which ignores the whitespace
+        # around a number; str.strip also removes U+001C-U+001F, which
+        # float() rejects, so such a cell is read again stripped, as an
+        # empty cell is
+        values = np.array(value_cells, dtype=float)
     except ValueError:
-        # row 1 is the header
-        row = next(i for i, text in enumerate(texts, 2) if not _parses(text))
-        raise CsvParseError(
-            f"malformed numeric value {texts[row - 2]!r} in row {row}", row=row
-        ) from None
+        values = _parse_stripped(value_cells)
     if spec.transform == "log":
         # xlogy(1, x) is the C library's log(x), as math.log is; numpy's
-        # SIMD np.log differs from it in the last bit on some inputs
-        values = special.xlogy(1.0, np.where(values > 0, values, math.nan))
+        # SIMD np.log differs from it in the last bit on some inputs. A
+        # nonpositive x gives -inf or nan, so its row is dropped
+        values = special.xlogy(1.0, values)
     keep = np.isfinite(values)
-    kept = list(compress(group_cells, keep.tolist()))
+    if keep.all():
+        kept = group_cells
+    else:
+        kept = list(compress(group_cells, keep.tolist()))
+        values = values[keep]
     if not kept:
         raise EmptyGroupError("no usable rows in any group")
-    labels, codes = {}, {}  # label -> group number; cell -> its label's number
-    for cell in dict.fromkeys(kept):
-        codes[cell] = labels.setdefault(cell.strip(), len(labels))
+    codes = _GroupCodes()
     group = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
-    grouped = values[keep][np.argsort(group, kind="stable")]
-    populations = dict(zip(labels, np.split(grouped, np.cumsum(np.bincount(group))[:-1])))
+    # numpy's stable sort is a radix sort on 8- and 16-bit keys
+    keys = group.astype(np.min_scalar_type(len(codes.labels)))
+    grouped = values[np.argsort(keys, kind="stable")]
+    populations = dict(zip(codes.labels,
+                           np.split(grouped, np.cumsum(np.bincount(group))[:-1])))
     return populations, IngestReport(rows_in, len(kept), rows_in - len(kept))
 
 

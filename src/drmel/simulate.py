@@ -224,24 +224,36 @@ def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
     )
 
 
+def _too_large(n0: int, n: int) -> InvalidArgumentError:
+    return InvalidArgumentError(f"cannot hold a base sample of {n0} points and target "
+                                f"samples of {n} points in memory")
+
+
 def _replicate(state, key) -> np.ndarray:
     """Replicate r of cell ``cell``, for ``key = (cell, r)``: x0 is drawn
     first, then each target in order, and each (x0, target sample) pair is
     one TwoSampleData shared by every method. Returns the (target, method,
     level) array of estimates, NaN where the method raised a DrmError, and
-    NaN for every method of a target whose pair is not valid data."""
+    NaN for every method of a target whose pair is not valid data. A sample
+    or a pair too large to allocate raises :class:`InvalidArgumentError`
+    naming the sample sizes."""
     seed, base, targets, cells, reps, methods, levels = state
     cell, r = key
     _, n0, n = cells[cell]
     rng = replicate_rng(seed, cell * reps + r)
-    x0 = sample(base, n0, rng)
+    try:
+        x0 = sample(base, n0, rng)
+    except (MemoryError, ValueError):  # ValueError: more elements than numpy can index
+        raise _too_large(n0, n) from None
     estimates = np.full((len(targets), len(methods), len(levels)), math.nan)
     for t, population in enumerate(targets.values()):
-        x1 = sample(population, n, rng)
         try:
+            x1 = sample(population, n, rng)
             data = TwoSampleData(x0=x0, x1=x1)
         except DrmError:  # every method of this target keeps its NaNs
             continue
+        except (MemoryError, ValueError):  # a DrmError is caught above
+            raise _too_large(n0, n) from None
         for m, (_, fitter) in enumerate(methods):
             with contextlib.suppress(DrmError):  # a failed method keeps its NaNs
                 model = fitter(data)

@@ -378,18 +378,44 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _study_args(data_csv, *extra):
+    return ["study", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
+            "--base", "2015", "--targets", "2016", *extra]
+
+
+_TOO_MANY_REPS = "cannot hold the estimates of 1 cells x 1000000000000 reps x "
+
+
+def _too_large(n0, n):
+    return f"cannot hold a base sample of {n0} points and target samples of {n} points in memory\n"
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, reps=10**12)],
-        lambda csv, tmp: ["study", "--data", csv, "--value-col", "revenue", "--group-col", "year",
-                          "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
-                          "--reps", 10**12],
+        (lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, reps=10**12)],
+         _TOO_MANY_REPS),
+        (lambda csv, tmp: _study_args(csv, "--n0", 30, "--n", 10, "--reps", 10**12),
+         _TOO_MANY_REPS),
+        *[(lambda csv, tmp, w=workers: ["simulate", "--scenario",
+                                        _scenario_json(tmp, n1=10**12, k=1), "--workers", w],
+           _too_large(10**12, 10**12)) for workers in (1, 2)],
+        *[(lambda csv, tmp, w=workers: ["simulate", "--scenario",
+                                        _scenario_json(tmp, n1=2, k=2**61), "--workers", w],
+           _too_large(2**62, 2)) for workers in (1, 2)],
+        *[(lambda csv, tmp, w=workers: _study_args(csv, "--n0", 10**12, "--n", 10, "--reps", 3,
+                                                   "--workers", w),
+           _too_large(10**12, 10)) for workers in (1, 2)],
+        *[(lambda csv, tmp, w=workers: _study_args(csv, "--n0", 30, "--n", 10**12, "--reps", 3,
+                                                   "--workers", w),
+           _too_large(30, 10**12)) for workers in (1, 2)],
     ],
-    ids=["simulate-reps", "study-reps"],
+    ids=["simulate-reps", "study-reps", "simulate-n1-workers1", "simulate-n1-workers2",
+         "simulate-k-workers1", "simulate-k-workers2", "study-n0-workers1", "study-n0-workers2",
+         "study-n-workers1", "study-n-workers2"],
 )
 def test_a_run_too_large_to_hold_is_one_error_line_before_any_replicate(data_csv, tmp_path,
-                                                                        args):
+                                                                        args, message):
     # never run without the limit: a regression would exhaust the machine's memory
     src = str(Path(drmel.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _CLI_IN_2_GIB,
@@ -397,8 +423,7 @@ def test_a_run_too_large_to_hold_is_one_error_line_before_any_replicate(data_csv
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
-    assert done.stderr.startswith("error: cannot hold the estimates of 1 cells x "
-                                  "1000000000000 reps x ")
+    assert done.stderr.startswith("error: " + message)
     assert done.stderr.count("\n") == 1, done.stderr
 
 

@@ -20,7 +20,7 @@ from drmel import (
     ingest_csv,
     run_resample_study,
 )
-from drmel.pipeline import FinitePopulation
+from drmel.pipeline import FinitePopulation, IngestReport
 
 
 @pytest.fixture
@@ -102,6 +102,9 @@ NUMBER_CELLS = st.one_of(
                      " 2.5 ", "\xa07\xa0", "", "  "]),
     # logs that numpy's AVX-512 log rounds differently from math.log
     st.sampled_from(["1.00024", "0.9999999999999998"]),
+    # Unicode spaces and digits, which float() reads as they stand, and
+    # U+001F, which str.strip removes and float() rejects
+    st.sampled_from(["\u20032.5\u2003", "\u30003\u3000", "\u0661\u0662\u0663", "\x1f4\x1f"]),
 )
 MALFORMED_CELLS = st.sampled_from(["abc", "1e400x", "1__0", "--1", "1,5"])
 PLAIN_LABELS = ["2015", "2016", " 2016 ", "Zürich", "東京", ""]
@@ -243,6 +246,22 @@ def test_ingest_ragged_rows_that_add_up_to_whole_rows(csv_file):
     path = csv_file(["2015,1.0,a", "2016", "2017,3.0"])
     pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
     assert list(pops) == ["2015", "2017"] and report.rows_dropped == 1
+
+
+@pytest.mark.parametrize("dropped, transform", [(None, "none"), ("", "none"), ("nan", "none"),
+                                                ("0", "log")],
+                         ids=["none-dropped", "empty", "nan", "log-nonpositive"])
+def test_ingest_orders_labels_by_their_first_kept_row(csv_file, dropped, transform):
+    # 2016's first row is dropped, and every row of 2017
+    rows = ["2015,1.0", " 2016 ,2.0", "2015,4.0"]
+    if dropped is not None:
+        rows = [f"2016,{dropped}", f"2017,{dropped}", *rows, "2017,"]
+    pops, report = ingest_csv(csv_file(rows), ColumnSpec("revenue", "year", transform))
+    assert list(pops) == ["2015", "2016"]
+    read = math.log if transform == "log" else float
+    np.testing.assert_array_equal(pops["2015"], [read(1.0), read(4.0)])
+    np.testing.assert_array_equal(pops["2016"], [read(2.0)])
+    assert report == IngestReport(len(rows), 3, len(rows) - 3)
 
 
 def test_ingest_duplicate_header_reads_last_column(csv_file):
