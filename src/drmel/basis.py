@@ -79,8 +79,10 @@ def evaluate_matrix(spec: BasisSpec, x, out=None) -> np.ndarray:
     transpose of a C-ordered (d, n) block. That block is ``out`` when given,
     a C-ordered float array of shape (spec.dimension, n) whose rows the call
     overwrites, and a new array otherwise. A custom transform receives a copy
-    of ``x`` of its own. Raises :class:`DomainError` naming the first
-    offending index when a transform is undefined at some point.
+    of ``x`` of its own. Raises :class:`DomainError` naming the first point
+    where a transform is undefined, by its value and its index in ``x``; in a
+    fit ``x`` is the pooled sample, the base sample first, each sample
+    ascending.
     """
     x = np.ravel(np.asarray(x, dtype=float))
     block = np.empty((spec.dimension, x.size)) if out is None else out
@@ -93,8 +95,7 @@ def evaluate_matrix(spec: BasisSpec, x, out=None) -> np.ndarray:
     elif spec.kind == "linear-log":
         bad = np.flatnonzero(~(x > 0))
         if bad.size:
-            i = int(bad[0])
-            raise DomainError(f"log undefined at index {i} (x={x[i]!r})", index=i)
+            raise _undefined("log", x, int(bad[0]))
         np.log(x, out=block[2])
     elif spec.kind == "custom":
         for row, t in zip(block[1:], spec.transforms):
@@ -102,8 +103,12 @@ def evaluate_matrix(spec: BasisSpec, x, out=None) -> np.ndarray:
                 row[:] = np.asarray(t(x.copy()), dtype=float)
             bad = np.flatnonzero(~np.isfinite(row))
             if bad.size:
-                i = int(bad[0])
-                raise DomainError(
-                    f"custom transform undefined at index {i} (x={x[i]!r})", index=i
-                )
+                raise _undefined("custom transform", x, int(bad[0]))
     return block.T
+
+
+def _undefined(transform: str, x: np.ndarray, i: int) -> DomainError:
+    """The error of ``transform`` undefined at ``x[i]``; in a fit, x is the
+    pooled sample."""
+    return DomainError(f"{transform} undefined at x={float(x[i])}, index {i} of the pooled "
+                       "sample (the base sample first, each sample ascending)", index=i)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -11,19 +12,11 @@ import sys
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, EmptyGroupError, InvalidArgumentError, check_integer
+from .errors import DrmError, EmptyGroupError, InvalidArgumentError
 from .fit import TwoSampleData
 from .nonparametric import KdeModel, kde_density
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
-from .simulate import (
-    METHOD_DRM,
-    METHOD_EMPIRICAL,
-    Exponential,
-    Normal,
-    Scenario,
-    _resolve_methods,
-    run_scenario,
-)
+from .simulate import METHOD_DRM, Exponential, Normal, Scenario, _resolve_methods, run_scenario
 
 
 @contextlib.contextmanager
@@ -74,19 +67,23 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _field(obj, key, convert, *default):
-    """``convert(obj[key])``, or ``convert(*default)`` when the key is absent.
+_ABSENT = object()  # a key the JSON object does not hold
 
-    A missing key, or a value of the wrong type or shape, raises
+
+def _field(obj, key, convert, required=True):
+    """``convert(obj[key])``, or ``_ABSENT`` when an optional key is absent.
+
+    A missing required key, or a value of the wrong type or shape, raises
     :class:`InvalidArgumentError` naming ``key``.
     """
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"expected a JSON object with the key {key!r}, "
                                    f"got {type(obj).__name__}")
-    if key not in obj and not default:
+    value = obj.get(key, _ABSENT)
+    if value is _ABSENT and required:
         raise InvalidArgumentError(f"scenario JSON lacks the key {key!r}")
     try:
-        return convert(obj.get(key, *default))
+        return value if value is _ABSENT else convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"bad value for {key!r}: {exc}") from None
 
@@ -107,19 +104,21 @@ def _generator_from_json(obj):
     raise InvalidArgumentError(f"unknown generator kind {dist!r}")
 
 
+# the Scenario field of each scenario key whose JSON value has another shape;
+# any other key's value is passed on as it is
+_FROM_JSON = {"generator0": _generator_from_json, "generator1": _generator_from_json, "k": float,
+              "basis": BasisSpec.from_name, "levels": lambda v: tuple(map(float, _as_list(v))),
+              "methods": _as_list, "scenario_id": str}
+
+
 def scenario_from_json(obj) -> Scenario:
-    return Scenario(
-        generator0=_field(obj, "generator0", _generator_from_json),
-        generator1=_field(obj, "generator1", _generator_from_json),
-        n1=_field(obj, "n1", functools.partial(check_integer, name="n1")),
-        k=_field(obj, "k", float),
-        basis=_field(obj, "basis", BasisSpec.from_name, "quadratic"),
-        levels=_field(obj, "levels", lambda v: tuple(map(float, _as_list(v))), [0.5]),
-        reps=_field(obj, "reps", functools.partial(check_integer, name="reps"), 1000),
-        seed=_field(obj, "seed", functools.partial(check_integer, name="seed"), 0),
-        methods=_field(obj, "methods", _as_list, [METHOD_DRM, METHOD_EMPIRICAL]),
-        scenario_id=_field(obj, "scenario_id", str, "scenario"),
-    )
+    """The :class:`Scenario` of a JSON object whose keys are its field names:
+    each key the object holds is passed on, converted by ``_FROM_JSON``, so
+    the defaults and the checks are the Scenario's."""
+    values = {f.name: _field(obj, f.name, _FROM_JSON.get(f.name, lambda v: v),
+                             required=f.default is dataclasses.MISSING)
+              for f in dataclasses.fields(Scenario)}
+    return Scenario(**{key: v for key, v in values.items() if v is not _ABSENT})
 
 
 def _cmd_simulate(args) -> int:
@@ -151,19 +150,14 @@ def _cmd_kde(args) -> int:
 
 def _cmd_study(args) -> int:
     populations = _load(args)
-    if args.methods:
-        methods = tuple(args.methods.split(","))
-    else:
-        methods = (f"drm-{args.basis}", "parametric-normal", "parametric-normal-common", "empirical")
     study = ResampleStudy(
         base=args.base,
-        targets=tuple(args.targets.split(",")),
+        targets=args.targets.split(","),
         n0_grid=(args.n0,),
         n_grid=(args.n,),
         levels=_parse_levels(args.levels),
-        methods=methods,
-        reps=args.reps,
-        seed=args.seed,
+        # only the flags given of those whose default is the study's
+        **{key: v for key, v in vars(args).items() if key in ("methods", "reps", "seed")},
     )
     table = run_resample_study(study, populations, workers=args.workers)
     with _output(args.out) as out:
@@ -209,19 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_kde)
 
-    p = sub.add_parser("study", help="with-replacement resampling study")
+    # a flag without a default is absent from args unless it is given
+    p = sub.add_parser("study", help="with-replacement resampling study",
+                       argument_default=argparse.SUPPRESS)
     _add_csv_args(p)
     p.add_argument("--base", required=True)
     p.add_argument("--targets", required=True, help="comma-separated target labels")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=int, help="replicates per cell; default: ResampleStudy's")
     p.add_argument("--levels", default="0.01,0.05,0.5,0.95")
-    p.add_argument("--basis", choices=BASIS_NAMES, default="quadratic")
-    p.add_argument("--methods", help="comma-separated method names; overrides --basis default")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--methods", type=lambda text: text.split(","),
+                   help="comma-separated method names; default: ResampleStudy's")
+    p.add_argument("--seed", type=int, help="replicate stream seed; default: ResampleStudy's")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_study)
     return parser
 

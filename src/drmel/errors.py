@@ -39,10 +39,25 @@ class InvalidLevelError(InvalidArgumentError):
 
 
 def check_level(p) -> float:
-    """``p`` as a float; raises :class:`InvalidLevelError` unless 0 < p < 1."""
-    if not 0.0 < p < 1.0:
-        raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
-    return float(p)
+    """``p`` as a float; raises :class:`InvalidLevelError` unless p is a real
+    number and 0 < p < 1."""
+    try:
+        if 0.0 < p < 1.0:
+            return float(p)
+    except TypeError:
+        raise InvalidLevelError(f"quantile level must be a real number, got {p!r}") from None
+    raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+
+
+def check_sequence(value, name: str) -> tuple:
+    """``value`` as a tuple; raises :class:`InvalidArgumentError` naming
+    ``name`` when it is a string or not iterable."""
+    try:
+        if not isinstance(value, str):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise InvalidArgumentError(f"{name} must be a sequence, not {type(value).__name__}")
 
 
 def check_integer(value, name: str) -> int:

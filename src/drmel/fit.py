@@ -18,30 +18,29 @@ row, so :func:`fit_mele` takes its first step there over no row: the gradient
 is q1_sum - c Gram[0] and the negative Hessian c(1 - c) Gram. That step is
 taken only there; the kernel and the Hessian have no case for theta = 0.
 
-Every Newton step writes its rows into a fit workspace, so the loop allocates
-no row of n: the (L, w) rows of the line search's candidate and of the
+Every fit evaluates its basis into a fit workspace and writes every Newton
+step there, so the loop allocates no row of n. The workspace is one block:
+the d basis rows, the (L, w) rows of the line search's candidate and of the
 accepted point, swapped when a step is accepted, two scratch rows (the second
-also holds the Hessian's weights), the kernel's boolean mask, and the product
-block. That is 6 + d(d - 1)/2 rows of n floats and one of n bytes. The
-workspace also holds what depends on the shape alone: the place of each Gram
-entry among the row sums, the index pairs of the product block, and the
-kernel at theta = 0, where L and w are one value each.
+also holds the Hessian's weights) and the product block, d + 6 + d(d - 1)/2
+rows of n floats, and the kernel's boolean mask, one row of n bytes. It also
+holds what depends on the shape alone: the place of each Gram entry among the
+row sums, the index pairs of the product block, and the kernel at theta = 0,
+where L and w are one value each.
 
-Which workspace a fit gets depends on its size alone. A fit whose d basis
-rows and Newton rows take less than ``_OWN_BLOCK_BYTES`` (4 MiB; 2.1 MB for a
-22 000-row fit on the quadratic basis) writes into its thread's workspace,
-kept for the last (n0, n1, d) only and replaced by a fit of another shape, and
-gets its basis block from :func:`evaluate_matrix`. A larger fit, such as the
+Only the workspace's lifetime depends on the fit's size. A fit whose rows
+take less than ``_OWN_BLOCK_BYTES`` (4 MiB; 2.1 MB for a 22 000-row fit on the
+quadratic basis) uses its thread's workspace, kept for the last (n0, n1, d)
+only and replaced by a fit of another shape. A larger fit, such as the
 paper's Table-1 fit of 101 000 rows (9.7 MB), gets a workspace of its own,
-whose one block holds the basis rows first and is freed when the fit returns.
-Freeing a block that large lifts glibc's trim threshold above the working set
-of a whole simulation replicate, so the arrays the replicate frees keep their
-pages instead of going back to the kernel and faulting in again; a block kept
-per thread would not be freed and would leave the threshold low. Neither
-case has a setting. A fit computes the same bits in either workspace, warm or
-cold, and a returned :class:`DrmFit` owns its arrays, so later fits leave it
-as it is. The ridged system and the trace it needs are built only for a
-ridged step.
+freed when the fit returns. Freeing a block that large lifts glibc's trim
+threshold above the working set of a whole simulation replicate, so the
+arrays the replicate frees keep their pages instead of going back to the
+kernel and faulting in again; a block kept per thread would not be freed and
+would leave the threshold low. Neither case has a setting. A fit computes the
+same bits in either workspace, warm or cold, and a returned :class:`DrmFit`
+owns its arrays, so later fits leave it as it is. The ridged system and the
+trace it needs are built only for a ridged step.
 
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
@@ -177,10 +176,9 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
 
 class _Workspace:
     """What a fit of n0 + n1 points on a basis of dimension d writes and reads:
-    6 + d(d - 1)/2 rows of n floats and one of n bytes, with views of them by
-    role. With ``own_basis`` the float block starts with d more rows,
-    ``basis``, for the fit to evaluate its basis into; otherwise ``basis`` is
-    None and the basis block is the fit's own.
+    one block of d + 6 + d(d - 1)/2 rows of n floats and a row of n bytes,
+    with views of them by role. ``basis`` is the block's first d rows, which
+    the fit evaluates its basis into, and ``rows`` the rest.
 
     ``spare`` and ``held`` are the (L, w) rows of the line search's candidate
     and of the accepted point, swapped when a step is accepted; ``scratch``
@@ -193,12 +191,11 @@ class _Workspace:
     is :func:`_kernel` at theta = 0, where L and w are read-only views of the
     one value each that a row of u = 0 gives."""
 
-    def __init__(self, n0: int, n1: int, d: int, own_basis: bool = False):
+    def __init__(self, n0: int, n1: int, d: int):
         n = n0 + n1
         self.shape = (n0, n1, d)
-        block = np.empty(((d if own_basis else 0) + 6 + d * (d - 1) // 2, n))
-        self.basis = block[:d] if own_basis else None
-        self.rows = block[d:] if own_basis else block
+        block = np.empty((d + 6 + d * (d - 1) // 2, n))
+        self.basis, self.rows = block[:d], block[d:]
         mask = np.empty(n, dtype=bool)
         self.spare, self.held = tuple(self.rows[0:2]), tuple(self.rows[2:4])
         self.scratch = (self.rows[4], self.rows[5], mask)
@@ -226,12 +223,11 @@ _local = threading.local()  # this thread's fit workspace, see _workspace
 
 
 def _workspace(n0: int, n1: int, d: int) -> _Workspace:
-    """The workspace for a fit of that shape: a new one with its own basis rows
-    when its float rows take at least ``_OWN_BLOCK_BYTES``, and otherwise this
-    thread's, reused by every fit of that shape and replaced by a fit of
-    another."""
+    """The workspace for a fit of that shape: a new one when its float rows
+    take at least ``_OWN_BLOCK_BYTES``, and otherwise this thread's, reused
+    by every fit of that shape and replaced by a fit of another."""
     if 8 * (n0 + n1) * (d + 6 + d * (d - 1) // 2) >= _OWN_BLOCK_BYTES:
-        return _Workspace(n0, n1, d, own_basis=True)
+        return _Workspace(n0, n1, d)
     if getattr(_local, "ws", None) is None or _local.ws.shape != (n0, n1, d):
         _local.ws = None  # free the old rows first
         _local.ws = _Workspace(n0, n1, d)

@@ -19,7 +19,8 @@ from itertools import compress
 import numpy as np
 from scipy import special
 
-from .errors import CsvParseError, EmptyGroupError, InvalidArgumentError, check_integer
+from .errors import (CsvParseError, EmptyGroupError, InvalidArgumentError, check_integer,
+                     check_sequence)
 from .nonparametric import Ecdf, empirical_quantile
 from .simulate import SimulationTable, _check_run, _resolve_methods, _run_replicates
 
@@ -203,17 +204,18 @@ class ResampleStudy:
     n0_grid: tuple
     n_grid: tuple
     levels: tuple
-    methods: tuple = ("drm-quadratic", "parametric-normal", "empirical")
+    methods: tuple = ("drm-quadratic", "parametric-normal", "parametric-normal-common",
+                      "empirical")
     reps: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         _check_run(self)
+        object.__setattr__(self, "targets", check_sequence(self.targets, "targets"))
         if not self.targets:
             raise InvalidArgumentError("at least one target population required")
-        object.__setattr__(self, "targets", tuple(self.targets))
         for name in ("n0_grid", "n_grid"):
-            grid = tuple(check_integer(v, name) for v in getattr(self, name))
+            grid = tuple(check_integer(v, name) for v in check_sequence(getattr(self, name), name))
             if not grid or min(grid) < 1:
                 raise InvalidArgumentError(f"{name} needs one or more sample sizes >= 1, "
                                            f"got {grid}")

@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, InvalidArgumentError, check_integer, check_level
+from .errors import DrmError, InvalidArgumentError, check_integer, check_level, check_sequence
 from .estimators import EmpiricalModel, FittedDrm, corollary_variance
 from .fit import TwoSampleData, fit_mele
 from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, ParametricFamily, fit_parametric
@@ -108,16 +108,18 @@ def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
 
 
 def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
-    """The checks a scenario and a study share: whole reps >= 1 and seed, at
-    least one level and one method, every level in (0, 1) and every method
-    known; stores reps and seed as ints and the levels and methods as tuples."""
+    """The checks a scenario and a study share: whole reps >= 1 and seed;
+    levels and methods each a sequence other than a string, of one entry or
+    more; every level in (0, 1) and every method known. Stores reps and seed
+    as ints and the levels and methods as tuples."""
     for name in ("reps", "seed"):
         object.__setattr__(run, name, check_integer(getattr(run, name), name))
     if run.reps < 1:
         raise InvalidArgumentError("reps must be >= 1")
-    object.__setattr__(run, "levels", tuple(check_level(p) for p in run.levels))
+    levels = check_sequence(run.levels, "levels")
+    object.__setattr__(run, "levels", tuple(map(check_level, levels)))
+    object.__setattr__(run, "methods", check_sequence(run.methods, "methods"))
     _resolve_methods(run.methods, drm_basis)
-    object.__setattr__(run, "methods", tuple(run.methods))
     if not run.levels or not run.methods:
         raise InvalidArgumentError("a run needs at least one level and one method")
 
@@ -128,7 +130,7 @@ class Scenario:
     generator1: Normal | Exponential
     n1: int
     k: float
-    basis: BasisSpec
+    basis: BasisSpec = BasisSpec.quadratic()
     levels: tuple = (0.5,)
     reps: int = 1000
     seed: int = 0

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import drmel
-from drmel import DrmError, Scenario
+from drmel import DrmError, Exponential, Normal, ResampleStudy, Scenario
 from drmel.cli import main, scenario_from_json
 
 
@@ -159,7 +159,8 @@ def test_study_end_to_end(data_csv, tmp_path):
             "study", "--data", data_csv, "--value-col", "revenue",
             "--group-col", "year", "--transform", "log", "--base", "2015",
             "--targets", "2016", "--n0", 300, "--n", 60, "--reps", 20,
-            "--levels", "0.25,0.5", "--basis", "linear", "--out", out,
+            "--levels", "0.25,0.5", "--methods",
+            "drm-linear,parametric-normal,parametric-normal-common,empirical", "--out", out,
         ]
     )
     assert code == 0
@@ -167,8 +168,26 @@ def test_study_end_to_end(data_csv, tmp_path):
     assert lines[0] == (
         "scenario_id,p,method,scaled_bias,abs_bias,scaled_var,scaled_mse,fail_frac"
     )
-    # 2 levels x 4 default methods
+    # 2 levels x 4 methods
     assert len(lines) == 9
+
+
+def test_study_without_methods_runs_the_study_default_methods(data_csv, capsys):
+    assert run_cli(_study_args(data_csv, "--n0", 30, "--n", 10, "--reps", 2,
+                               "--levels", "0.5")) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    default = ResampleStudy(base="2015", targets=("2016",), n0_grid=(30,), n_grid=(10,),
+                            levels=(0.5,)).methods
+    # the method column is the sixth from the end: the scenario_id holds a comma
+    assert tuple(row.split(",")[-6] for row in rows) == default
+
+
+def test_study_has_no_basis_flag(data_csv, capsys):
+    # a study names the basis in the method, drm-<basis>
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(_study_args(data_csv, "--n0", 30, "--n", 10, "--reps", 2, "--basis", "linear"))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --basis linear" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--n", 0), ("--n", -3), ("--n0", 0)])
@@ -300,6 +319,22 @@ def test_any_json_value_gives_a_scenario_or_a_typed_error(obj):
     except DrmError:
         return
     assert isinstance(scenario, Scenario)
+
+
+def test_a_scenario_of_the_required_keys_is_the_scenario_of_those_fields():
+    required = {key: VALID_SCENARIO[key] for key in ("generator0", "generator1", "n1", "k")}
+    assert scenario_from_json(required) == Scenario(
+        generator0=Normal(0.0, 1.0), generator1=Exponential(2.0), n1=10, k=2.0)
+
+
+def test_estimate_names_a_point_outside_the_log_domain_by_value(tmp_path, capsys):
+    path = tmp_path / "negative.csv"
+    path.write_text("year,revenue\n2015,2.5\n2015,-1.5\n2016,3.5\n")
+    assert run_cli(["estimate", "--data", path, "--value-col", "revenue", "--group-col", "year",
+                    "--x0", "2015", "--x1", "2016", "--basis", "linear-log"]) == 1
+    assert capsys.readouterr().err == (
+        "error: log undefined at x=-1.5, index 0 of the pooled sample "
+        "(the base sample first, each sample ascending)\n")
 
 
 def _estimate_args(data_csv, *extra):

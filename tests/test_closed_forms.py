@@ -150,7 +150,9 @@ def test_no_command_imports_scipy_stats(tmp_path):
                        "empirical")
     ] + [
         ["study", *csv, "--base", "a", "--targets", "b", "--n0", "20", "--n", "10", "--reps", "3",
-         "--levels", "0.5", "--basis", "linear", "--out", str(tmp_path / "s")],
+         "--levels", "0.5", "--methods",
+         "drm-linear,parametric-normal,parametric-normal-common,empirical",
+         "--out", str(tmp_path / "s")],
         ["kde", *csv, "--group", "a", "--grid-points", "9", "--out", str(tmp_path / "k")],
         ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "m")],
     ]

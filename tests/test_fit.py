@@ -504,9 +504,9 @@ def test_a_sample_of_any_shape_is_flattened():
     assert np.array_equal(FittedDrm(shaped, spec, fit).support, np.sort(flat.pooled()))
 
 
-# The fit workspace: a fit below the cutoff writes every Newton step into the
-# rows its thread keeps for the last fit size, a larger fit into one block of
-# its own that also holds its basis rows; a returned fit owns its arrays.
+# The fit workspace: one block of a fit's basis and Newton rows. A fit below
+# the cutoff writes into the block its thread keeps for the last fit size, a
+# larger fit into one block of its own; a returned fit owns its arrays.
 
 FIT_ARRAYS = ("theta_hat", "weights", "tilted_weights")
 # the Table-1 stream at 20,000 rows, whose fit takes 1.9 MB of rows: below the cutoff
@@ -543,11 +543,10 @@ def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(n0, monkeypatch):
     with pytest.raises(NonConvergenceError, match="after 2 iterations"):
         fit_mele(table1_data(2, n0), spec)
     assert fit_bytes(first) == kept
-    assert [ws.basis is not None for ws in spaces] == [n0 != SMALL_N0] * 3
     for ws in spaces:
         for name in FIT_ARRAYS:
             assert not np.may_share_memory(getattr(first, name), ws.rows)
-            assert ws.basis is None or not np.may_share_memory(getattr(first, name), ws.basis)
+            assert not np.may_share_memory(getattr(first, name), ws.basis)
 
 
 def test_fits_in_two_threads_at_once_match_serial_fits():
@@ -629,9 +628,9 @@ def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(n0, monkeypatch):
     data, spec = table1_data(0, n0), BasisSpec.quadratic()
     row, d = 8 * data.n, spec.dimension
     steps = fit_mele(data, spec).iterations - 1  # warms this thread's workspace, if it is used
-    # below the cutoff the fit allocates its basis block; above it one block
-    # of the basis and Newton rows, and the mask
-    block = d * row
+    # below the cutoff the fit allocates no block; above it one block of the
+    # basis and Newton rows, and the mask
+    block = 0
     if n0 != SMALL_N0:
         block = (d + 6 + d * (d - 1) // 2) * row + data.n
         assert block >= drmel.fit._OWN_BLOCK_BYTES
@@ -668,6 +667,6 @@ def test_a_large_fit_changes_no_bit_and_leaves_the_thread_workspace_alone():
     ws = drmel.fit._local.ws
     for _ in range(2):
         assert fit_bytes(fit_mele(large, spec)) == cold
-        assert drmel.fit._local.ws is ws and ws.basis is None
+        assert drmel.fit._local.ws is ws
         assert fit_bytes(fit_mele(small, spec)) == small_fit
     assert drmel.fit._local.ws is ws

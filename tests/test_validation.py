@@ -35,6 +35,7 @@ from drmel import (
     parametric_quantile_avar,
     theta_from_submodel,
 )
+from drmel.errors import check_level
 from drmel.parametric import EXPONENTIAL, NORMAL_COMMON, NORMAL_FREE
 
 SPEC = BasisSpec.quadratic()
@@ -113,8 +114,8 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
 
 
 @pytest.mark.parametrize(
-    "make, error",
-    [(make, InvalidArgumentError) for make in [
+    "make, error, named",
+    [(make, InvalidArgumentError, None) for make in [
         lambda: TwoSampleData(x0=[], x1=[1.0]),
         lambda: TwoSampleData(x0=[1.0, math.inf], x1=[1.0]),
         lambda: TwoSampleData(x0=[1.0], x1=[math.nan]),
@@ -153,12 +154,23 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
                               levels=(0.5,), methods=()),
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(), n_grid=(5,), levels=(0.5,)),
         lambda: ResampleStudy(base="a", targets=("b",), n0_grid=(5,), n_grid=(), levels=(0.5,)),
-    ]] + [(make, DegenerateSampleError) for make in [
+    ]] + [(make, DegenerateSampleError, None) for make in [
         lambda: _tilt(HUGE_MEANS.x0, HUGE_MEANS.x1, NORMAL_COMMON),
         lambda: _tilt(HUGE_MEANS.x0, HUGE_MEANS.x1, NORMAL_FREE),
         lambda: _tilt([1e200, 2e200], [1e-200, 2e-200], EXPONENTIAL),
         lambda: _tilt([1e-200, 2e-200], [1e200, 2e200], EXPONENTIAL),
-    ]],
+    ]] + [
+        # a string or a single value where a run spec takes a sequence
+        (lambda: _study(targets="2016"), InvalidArgumentError, "targets must be a sequence"),
+        (lambda: _scenario_with(methods="empirical"), InvalidArgumentError,
+         "methods must be a sequence"),
+        (lambda: _study(methods="empirical"), InvalidArgumentError, "methods must be a sequence"),
+        (lambda: _scenario_with(levels=0.5), InvalidArgumentError, "levels must be a sequence"),
+        (lambda: _study(n0_grid=5), InvalidArgumentError, "n0_grid must be a sequence"),
+        (lambda: _study(n_grid="5"), InvalidArgumentError, "n_grid must be a sequence"),
+        (lambda: _scenario_with(levels=("0.5",)), InvalidLevelError, "a real number"),
+        (lambda: check_level("0.5"), InvalidLevelError, "a real number"),
+    ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
          "corollary-nan-parametric-avar", "corollary-infinite-parametric-avar",
@@ -171,10 +183,13 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "scenario-without-levels", "scenario-without-methods", "study-without-levels",
          "study-without-methods", "study-without-n0", "study-without-n",
          "overflowing-normal-common-tilt", "overflowing-normal-tilt",
-         "overflowing-exponential-tilt", "underflowing-exponential-tilt"],
+         "overflowing-exponential-tilt", "underflowing-exponential-tilt",
+         "study-targets-a-string", "scenario-methods-a-string", "study-methods-a-string",
+         "scenario-levels-a-number", "study-n0-grid-a-number", "study-n-grid-a-string",
+         "scenario-level-a-string", "level-a-string"],
 )
-def test_invalid_input_raises_a_typed_error(make, error):
-    with pytest.raises(error) as err:
+def test_invalid_input_raises_a_typed_error(make, error, named):
+    with pytest.raises(error, match=named) as err:
         make()
     assert isinstance(err.value, DrmError)
 
