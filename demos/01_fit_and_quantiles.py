@@ -18,7 +18,6 @@ from drmel import (
     drm_quantile_estimate,
     estimate_g0,
     estimate_g1,
-    fit_mele,
 )
 
 rng = np.random.default_rng(7)
@@ -28,14 +27,15 @@ rng = np.random.default_rng(7)
 data = TwoSampleData(x0=rng.normal(0.0, 1.0, 5000), x1=rng.normal(0.3, 1.1, 300))
 spec = BasisSpec.quadratic()
 
-fit = fit_mele(data, spec)
+# one FittedDrm fits the pair on the basis and keeps the fit with its data and
+# basis; every estimand reads it, and it computes the sort, the moments and
+# the KDE they share once
+model = FittedDrm(data, spec)
+fit = model.fit
 print("theta_hat:", np.round(fit.theta_hat, 4))
 print(f"converged in {fit.iterations} iterations, "
       f"gradient norm {fit.final_gradient_norm:.2e}")
 
-# one FittedDrm carries the fit with its data and basis; every estimand reads it,
-# and it computes the sort, the moments and the KDE they share once
-model = FittedDrm(data, spec, fit)
 g0 = estimate_g0(model)
 g1 = estimate_g1(model)
 print(f"mass totals: base {g0.total_mass():.12f}, target {g1.total_mass():.12f}")

@@ -22,7 +22,6 @@ from drmel import (
     avar_theta,
     avar_theta_inverse_form,
     corollary_curve,
-    fit_mele,
     KdeModel,
     kde_density,
 )
@@ -41,7 +40,7 @@ print(f"  empirical (k=0):  {0.05 * 0.95 / gen.density_at_quantile(p) ** 2:8.4f}
 # plug-in variance from one fitted model, with a KDE density estimate
 data = TwoSampleData(x0=rng.normal(0, 1, 20000), x1=rng.normal(0, 1, 1000))
 spec = BasisSpec.quadratic()
-model = FittedDrm(data, spec, fit_mele(data, spec))
+model = FittedDrm(data, spec)
 
 kde = KdeModel.silverman(data.x1)
 density = kde_density(kde, np.quantile(data.x1, p))

@@ -38,6 +38,8 @@ class BasisSpec:
             raise InvalidArgumentError(
                 f"unknown basis kind {self.kind!r}; known: {', '.join(BASIS_NAMES)}"
             )
+        elif self.transforms:
+            raise InvalidArgumentError(f"only a custom basis takes transforms, not {self.kind!r}")
 
     @classmethod
     def linear(cls) -> "BasisSpec":

@@ -155,9 +155,9 @@ def _cmd_study(args) -> int:
         targets=args.targets.split(","),
         n0_grid=(args.n0,),
         n_grid=(args.n,),
-        levels=_parse_levels(args.levels),
         # only the flags given of those whose default is the study's
-        **{key: v for key, v in vars(args).items() if key in ("methods", "reps", "seed")},
+        **{key: _parse_levels(v) if key == "levels" else v
+           for key, v in vars(args).items() if key in ("levels", "methods", "reps", "seed")},
     )
     table = run_resample_study(study, populations, workers=args.workers)
     with _output(args.out) as out:
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, help="replicates per cell; default: ResampleStudy's")
-    p.add_argument("--levels", default="0.01,0.05,0.5,0.95")
+    p.add_argument("--levels", help="comma-separated quantile levels; default: ResampleStudy's")
     p.add_argument("--methods", type=lambda text: text.split(","),
                    help="comma-separated method names; default: ResampleStudy's")
     p.add_argument("--seed", type=int, help="replicate stream seed; default: ResampleStudy's")

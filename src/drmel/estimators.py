@@ -1,14 +1,14 @@
 """Distribution and quantile estimators built on a fitted density ratio model.
 
-Every DRM estimand is a function of one :class:`FittedDrm`, a converged fit
-with its data and basis, and of its own level or point, if it has one. The
-fitted base-measure masses p_kj over the pooled sample give the estimated
-base CDF; multiplying them by the fitted tilt exp(theta' q) gives the target
-masses, which the fit carries as ``DrmFit.tilted_weights`` and which give
-the target CDF. Both come from the fit alone: nothing here recomputes a
-mass, and a fit whose mass vectors do not match the data is rejected.
-Quantiles use the left-continuous generalized inverse, and the asymptotic
-variances are plug-in versions of the limiting-normal variances.
+Every DRM estimand is a function of one :class:`FittedDrm`, the fit of
+one sample pair on one basis, and of its own level or point, if it has one.
+The fitted base-measure masses p_kj over the pooled sample give the
+estimated base CDF; multiplying them by the fitted tilt exp(theta' q) gives
+the target masses, which the fit carries as ``DrmFit.tilted_weights`` and
+which give the target CDF. Both come from the fit alone: nothing here
+recomputes a mass. Quantiles use the left-continuous generalized inverse,
+and the asymptotic variances are plug-in versions of the limiting-normal
+variances.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     check_density,
     check_level,
 )
-from .fit import DrmFit, TwoSampleData
+from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, KdeModel, empirical_quantile, empirical_quantile_avar, kde_density
 
 __all__ = [
@@ -96,8 +96,10 @@ class QuantileEstimate:
 
 
 class FittedDrm:
-    """A converged fit together with its data and basis: the one argument
-    of every DRM estimand below, caching what they share.
+    """The fit of ``data`` on the basis ``spec``, made on construction by
+    :func:`~drmel.fit.fit_mele` and kept as ``fit``, together with its data
+    and basis: the one argument of every DRM estimand below, caching what
+    they share. A fit that fails raises its :class:`DrmError` here.
 
     The pooled sort order, the support, both CDFs, the basis matrices, the
     plug-in target moments of q and the KDE of the target sample are each
@@ -105,21 +107,17 @@ class FittedDrm:
     levels cost one sort. Like every model a method name fits, it has
     ``quantile(p)`` and ``estimate(p, ci_level)``, which read
     :func:`estimate_g1`, :func:`drm_quantile_estimate` and
-    :func:`avar_quantile` by this module's names, so that a tracer that
-    swaps module attributes (benchmarks/spans.py) sees the calls.
+    :func:`avar_quantile` by this module's names, and the constructor calls
+    ``fit_mele`` by this module's name, so that a tracer that swaps module
+    attributes (benchmarks/spans.py) sees the calls.
     :class:`TwoSampleData` keeps each sample ascending, so the pooled
     sample is two ascending runs and the stable sort is one linear merge of
     them; tied points keep their pooled order, as in
     :meth:`WeightedCdf.from_points`.
     """
 
-    def __init__(self, data: TwoSampleData, spec: BasisSpec, fit: DrmFit):
-        if not fit.converged:
-            raise InvalidArgumentError("fit did not converge; estimators unavailable")
-        for masses in (fit.weights, fit.tilted_weights):
-            if masses.size != data.n:
-                raise InvalidArgumentError(f"fit has {masses.size} masses for {data.n} points")
-        self.data, self.spec, self.fit = data, spec, fit
+    def __init__(self, data: TwoSampleData, spec: BasisSpec):
+        self.data, self.spec, self.fit = data, spec, fit_mele(data, spec)
 
     @cached_property
     def _order(self) -> np.ndarray:

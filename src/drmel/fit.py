@@ -62,6 +62,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -138,13 +139,15 @@ ARMIJO = 1e-4  # sufficient-increase constant of the line search
 
 @dataclass(frozen=True)
 class DrmFit:
-    """Result of maximizing the dual profile log-EL."""
+    """Result of maximizing the dual profile log-EL. :func:`fit_mele` returns
+    only converged fits, so ``converged`` is a class constant, read by
+    benchmarks/spans.py."""
 
+    converged: ClassVar[bool] = True
     theta_hat: np.ndarray
     weights: np.ndarray        # fitted base-measure masses over the pooled sample
     log_el_at_max: float
     iterations: int
-    converged: bool
     final_gradient_norm: float
     tilted_weights: np.ndarray  # fitted target masses p_kj * exp(theta' q_kj), pooled
 
@@ -382,7 +385,6 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         weights=np.exp(weights, out=weights),
         log_el_at_max=val,
         iterations=it,
-        converged=True,
         final_gradient_norm=grad_norm,
         tilted_weights=w / n1,
     )

@@ -203,7 +203,7 @@ class ResampleStudy:
     targets: tuple
     n0_grid: tuple
     n_grid: tuple
-    levels: tuple
+    levels: tuple = (0.01, 0.05, 0.5, 0.95)
     methods: tuple = ("drm-quadratic", "parametric-normal", "parametric-normal-common",
                       "empirical")
     reps: int = 1000

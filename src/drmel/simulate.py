@@ -12,8 +12,9 @@ regardless of how replicates are scheduled across workers.
 
 A method name resolves in one step, through the table ``_ESTIMATORS``, to
 a fitter ``(data) -> model`` of one :class:`~drmel.fit.TwoSampleData`:
-``drm-<basis>`` for each of :data:`~drmel.basis.BASIS_NAMES`, fitting a
-:class:`~drmel.estimators.FittedDrm`; ``parametric-<tag>`` for each of
+``drm-<basis>`` for each of :data:`~drmel.basis.BASIS_NAMES`, a
+:class:`~drmel.estimators.FittedDrm` on that basis, which makes its own
+fit; ``parametric-<tag>`` for each of
 :data:`~drmel.parametric.FAMILY_TAGS`, fitting a
 :class:`~drmel.parametric.ParametricFamily`; and ``empirical``, an
 :class:`~drmel.estimators.EmpiricalModel`. A scenario and ``drmel
@@ -43,7 +44,7 @@ import numpy as np
 from .basis import BASIS_NAMES, BasisSpec
 from .errors import DrmError, InvalidArgumentError, check_integer, check_level, check_sequence
 from .estimators import EmpiricalModel, FittedDrm, corollary_variance
-from .fit import TwoSampleData, fit_mele
+from .fit import TwoSampleData
 from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, ParametricFamily, fit_parametric
 
 __all__ = [
@@ -64,12 +65,9 @@ METHOD_EXPONENTIAL = f"parametric-{EXPONENTIAL}"
 METHOD_EMPIRICAL = "empirical"
 
 
-# fit_mele and fit_parametric are called by this module's names, so that a
-# tracer that swaps module attributes (benchmarks/spans.py) sees the calls
-def _drm(basis: BasisSpec, data: TwoSampleData) -> FittedDrm:
-    return FittedDrm(data, basis, fit_mele(data, basis))
-
-
+# fit_parametric is called by this module's name, so that a tracer that swaps
+# module attributes (benchmarks/spans.py) sees the calls; FittedDrm calls
+# fit_mele by the estimators module's name
 def _parametric(tag: str, data: TwoSampleData) -> ParametricFamily:
     return fit_parametric(data, tag)
 
@@ -77,7 +75,7 @@ def _parametric(tag: str, data: TwoSampleData) -> ParametricFamily:
 # the fitter of each method name: the model of one sample pair, a
 # TwoSampleData, with quantile(p) and estimate(p, ci_level)
 _ESTIMATORS = {
-    **{f"drm-{b}": partial(_drm, BasisSpec.from_name(b)) for b in BASIS_NAMES},
+    **{f"drm-{b}": partial(FittedDrm, spec=BasisSpec.from_name(b)) for b in BASIS_NAMES},
     **{f"parametric-{tag}": partial(_parametric, tag) for tag in FAMILY_TAGS},
     METHOD_EMPIRICAL: EmpiricalModel,
 }
@@ -88,7 +86,7 @@ def _resolve_methods(names, drm_basis: BasisSpec | None = None) -> tuple:
     ``drm_basis``. Raises :class:`InvalidArgumentError`, naming the known
     methods, on an unknown name."""
     fitters = _ESTIMATORS if drm_basis is None else {
-        METHOD_DRM: partial(_drm, drm_basis), **_ESTIMATORS}
+        METHOD_DRM: partial(FittedDrm, spec=drm_basis), **_ESTIMATORS}
     for name in names:
         if not isinstance(name, str) or name not in fitters:
             raise InvalidArgumentError(f"unknown method {name!r}; known: {', '.join(fitters)}")

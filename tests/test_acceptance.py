@@ -177,14 +177,14 @@ def test_criterion_3_constraint_identities():
         data = TwoSampleData(x0=gen.normal(0, 1, n0), x1=gen.normal(0.3, 1.2, n1))
         spec = BasisSpec.linear() if gen.random() < 0.5 else BasisSpec.quadratic()
         try:
-            fit = fit_mele(data, spec)
+            model = FittedDrm(data, spec)
         except DrmError:
             continue
+        fit = model.fit
         q = evaluate_matrix(spec, data.pooled())
         tilt = np.exp(q @ fit.theta_hat)
         worst_mass = max(worst_mass, abs(fit.weights.sum() - 1.0))
         worst_tilt = max(worst_tilt, abs((fit.weights * tilt).sum() - 1.0))
-        model = FittedDrm(data, spec, fit)
         a = avar_theta(model)
         b = avar_theta_inverse_form(model)
         worst_forms = max(worst_forms, float(np.max(np.abs(a - b))))
@@ -270,7 +270,7 @@ def bahadur_remainder(n1, r):
     spec = BasisSpec.quadratic()
     rng = replicate_rng(880000 + n1, r)
     data = TwoSampleData(x0=sample(gen1, 100 * n1, rng), x1=sample(gen1, n1, rng))
-    cdf = estimate_g1(FittedDrm(data, spec, fit_mele(data, spec)))
+    cdf = estimate_g1(FittedDrm(data, spec))
     return drm_quantile(cdf, p) - xi - (0.5 - cdf.evaluate(xi)) / g1_at
 
 
@@ -347,10 +347,9 @@ def test_criterion_10_cdf_validity():
         data = TwoSampleData(x0=x0, x1=x1)
         spec = BasisSpec.linear() if gen.random() < 0.5 else BasisSpec.quadratic()
         try:
-            fit = fit_mele(data, spec)
+            model = FittedDrm(data, spec)
         except DrmError:
             continue
-        model = FittedDrm(data, spec, fit)
         for cdf in (estimate_g0(model), estimate_g1(model)):
             assert np.all(cdf.mass >= 0)
             assert abs(cdf.total_mass() - 1.0) <= 1e-8

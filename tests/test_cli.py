@@ -173,13 +173,14 @@ def test_study_end_to_end(data_csv, tmp_path):
 
 
 def test_study_without_methods_runs_the_study_default_methods(data_csv, capsys):
-    assert run_cli(_study_args(data_csv, "--n0", 30, "--n", 10, "--reps", 2,
-                               "--levels", "0.5")) == 0
+    # and without --levels, the study's default levels
+    assert run_cli(_study_args(data_csv, "--n0", 30, "--n", 10, "--reps", 2)) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    default = ResampleStudy(base="2015", targets=("2016",), n0_grid=(30,), n_grid=(10,),
-                            levels=(0.5,)).methods
-    # the method column is the sixth from the end: the scenario_id holds a comma
-    assert tuple(row.split(",")[-6] for row in rows) == default
+    default = ResampleStudy(base="2015", targets=("2016",), n0_grid=(30,), n_grid=(10,))
+    # p and method are the seventh and sixth columns from the end: the
+    # scenario_id holds a comma
+    assert [(float(row.split(",")[-7]), row.split(",")[-6]) for row in rows] == [
+        (p, method) for p in default.levels for method in default.methods]
 
 
 def test_study_has_no_basis_flag(data_csv, capsys):

@@ -158,13 +158,12 @@ def test_fit_recovers_true_normal_tilt():
     data = TwoSampleData(
         x0=gen.normal(0.0, 1.0, 100_000), x1=gen.normal(1.0, 1.0, 1_000)
     )
-    spec = BasisSpec.linear()
-    fit = fit_mele(data, spec)
+    model = FittedDrm(data, BasisSpec.linear())
     # N(0,1) vs N(1,1): log ratio is x - 1/2, so beta = 1
     from drmel import avar_theta
 
-    se_beta = math.sqrt(avar_theta(FittedDrm(data, spec, fit))[1, 1] / data.n1)
-    assert abs(fit.theta_hat[1] - 1.0) <= 3 * se_beta
+    se_beta = math.sqrt(avar_theta(model)[1, 1] / data.n1)
+    assert abs(model.fit.theta_hat[1] - 1.0) <= 3 * se_beta
 
 
 def test_fit_weight_invariants(rng):
@@ -499,9 +498,9 @@ def test_a_sample_of_any_shape_is_flattened():
     shaped = TwoSampleData(x0=x0.reshape(6, 2), x1=x1)
     assert shaped.x0.shape == (12,) and np.array_equal(shaped.pooled(), flat.pooled())
     spec = BasisSpec.linear()
-    fit = fit_mele(shaped, spec)
-    assert np.array_equal(fit.theta_hat, fit_mele(flat, spec).theta_hat)
-    assert np.array_equal(FittedDrm(shaped, spec, fit).support, np.sort(flat.pooled()))
+    model = FittedDrm(shaped, spec)
+    assert np.array_equal(model.fit.theta_hat, fit_mele(flat, spec).theta_hat)
+    assert np.array_equal(model.support, np.sort(flat.pooled()))
 
 
 # The fit workspace: one block of a fit's basis and Newton rows. A fit below

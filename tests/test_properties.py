@@ -72,12 +72,12 @@ def test_permuting_either_sample_changes_no_bit_of_the_fit_or_its_estimates(seed
     for a, b in ((x0, x1), (rng.permutation(x0), rng.permutation(x1))):
         data = TwoSampleData(x0=a, x1=b)
         try:
-            fit = fit_mele(data, spec)
-            model = FittedDrm(data, spec, fit)
+            model = FittedDrm(data, spec)
             estimates = [drm_quantile_estimate(model, p) for p in (0.1, 0.5, 0.9)]
         except DrmError as exc:
             outputs.append(type(exc))
             continue
+        fit = model.fit
         outputs.append((fit.theta_hat.tobytes(), fit.weights.tobytes(),
                         fit.tilted_weights.tobytes(), fit.iterations, estimates))
     assume(isinstance(outputs[0], tuple))

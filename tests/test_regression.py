@@ -223,7 +223,7 @@ def test_table1_fit_is_pinned(r):
 @pytest.mark.parametrize("r", sorted(TABLE1_PICKS))
 def test_table1_quantile_picks_are_pinned(r):
     data, spec = table1_data(r), BasisSpec.quadratic()
-    g1 = estimate_g1(FittedDrm(data, spec, fit_mele(data, spec)))
+    g1 = estimate_g1(FittedDrm(data, spec))
     assert tuple(drm_quantile(g1, p) for p in (0.01, 0.05, 0.5)) == TABLE1_PICKS[r]
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from drmel import (
     BasisSpec,
+    ColumnSpec,
     DegenerateSampleError,
     DrmError,
     Ecdf,
@@ -30,7 +31,6 @@ from drmel import (
     empirical_quantile,
     empirical_quantile_avar,
     estimate_g1,
-    fit_mele,
     fit_parametric,
     parametric_quantile_avar,
     theta_from_submodel,
@@ -52,7 +52,7 @@ def _tilt(x0, x1, tag):
 def model():
     rng = np.random.default_rng(7)
     data = TwoSampleData(x0=rng.normal(0.0, 1.0, 200), x1=rng.normal(0.2, 1.1, 60))
-    return FittedDrm(data, SPEC, fit_mele(data, SPEC))
+    return FittedDrm(data, SPEC)
 
 
 def _scenario(p):
@@ -170,6 +170,14 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         (lambda: _study(n_grid="5"), InvalidArgumentError, "n_grid must be a sequence"),
         (lambda: _scenario_with(levels=("0.5",)), InvalidLevelError, "a real number"),
         (lambda: check_level("0.5"), InvalidLevelError, "a real number"),
+        (lambda: BasisSpec(kind="linear", transforms=(np.sin,)), InvalidArgumentError,
+         "only a custom basis takes transforms"),
+        (lambda: fit_parametric(TwoSampleData(x0=[1.0, 2.0], x1=[1.0, 2.0]), "bogus"),
+         InvalidArgumentError, "unknown family tag 'bogus'"),
+        (lambda: fit_parametric(TwoSampleData(x0=[1.7e308, 1.7e308], x1=[1.0, 2.0]), "normal"),
+         DegenerateSampleError, "mean overflows"),
+        (lambda: ColumnSpec("v", "g", "sqrt"), InvalidArgumentError, "unknown transform 'sqrt'"),
+        (lambda: _study(targets=()), InvalidArgumentError, "at least one target"),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
@@ -186,7 +194,9 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "overflowing-exponential-tilt", "underflowing-exponential-tilt",
          "study-targets-a-string", "scenario-methods-a-string", "study-methods-a-string",
          "scenario-levels-a-number", "study-n0-grid-a-number", "study-n-grid-a-string",
-         "scenario-level-a-string", "level-a-string"],
+         "scenario-level-a-string", "level-a-string", "named-basis-with-transforms",
+         "unknown-family-tag", "overflowing-normal-mean", "unknown-transform",
+         "study-without-targets"],
 )
 def test_invalid_input_raises_a_typed_error(make, error, named):
     with pytest.raises(error, match=named) as err:
