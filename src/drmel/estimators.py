@@ -5,10 +5,10 @@ one sample pair on one basis, and of its own level or point, if it has one.
 The fitted base-measure masses p_kj over the pooled sample give the
 estimated base CDF; multiplying them by the fitted tilt exp(theta' q) gives
 the target masses, which the fit carries as ``DrmFit.tilted_weights`` and
-which give the target CDF. Both come from the fit alone: nothing here
-recomputes a mass. Quantiles use the left-continuous generalized inverse,
-and the asymptotic variances are plug-in versions of the limiting-normal
-variances.
+which give the target CDF. Each CDF is :meth:`WeightedCdf.from_points` of
+the pooled sample and the fit's masses: nothing here recomputes a mass.
+Quantiles use the left-continuous generalized inverse, and the asymptotic
+variances are plug-in versions of the limiting-normal variances.
 """
 
 from __future__ import annotations
@@ -101,49 +101,35 @@ class FittedDrm:
     and basis: the one argument of every DRM estimand below, caching what
     they share. A fit that fails raises its :class:`DrmError` here.
 
-    The pooled sort order, the support, both CDFs, the basis matrices, the
-    plug-in target moments of q and the KDE of the target sample are each
-    computed on first use and then kept, so estimates at any number of
-    levels cost one sort. Like every model a method name fits, it has
+    Each CDF, :meth:`WeightedCdf.from_points` of the pooled sample and one
+    set of the fit's masses, the plug-in target moments of q and the KDE of
+    the target sample are each computed on first use and then kept, so
+    estimates at any number of levels cost one sort; ``support`` is the
+    target CDF's. Like every model a method name fits, it has
     ``quantile(p)`` and ``estimate(p, ci_level)``, which read
     :func:`estimate_g1`, :func:`drm_quantile_estimate` and
     :func:`avar_quantile` by this module's names, and the constructor calls
     ``fit_mele`` by this module's name, so that a tracer that swaps module
     attributes (benchmarks/spans.py) sees the calls.
     :class:`TwoSampleData` keeps each sample ascending, so the pooled
-    sample is two ascending runs and the stable sort is one linear merge of
-    them; tied points keep their pooled order, as in
-    :meth:`WeightedCdf.from_points`.
+    sample is two ascending runs, and the stable sort of
+    :meth:`WeightedCdf.from_points` is one linear merge of them.
     """
 
     def __init__(self, data: TwoSampleData, spec: BasisSpec):
         self.data, self.spec, self.fit = data, spec, fit_mele(data, spec)
 
     @cached_property
-    def _order(self) -> np.ndarray:
-        return np.argsort(self.data.pooled(), kind="stable")
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        return self.data.pooled()[self._order]
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        """Basis matrix of the pooled sample, in pooled (not sorted) order, for
-        :func:`avar_theta_inverse_form`."""
-        return evaluate_matrix(self.spec, self.data.pooled())
-
-    def _cdf(self, mass: np.ndarray) -> WeightedCdf:
-        mass = mass[self._order]
-        return WeightedCdf(support=self.support, mass=mass, cumulative=np.cumsum(mass))
-
-    @cached_property
     def _g0(self) -> WeightedCdf:
-        return self._cdf(self.fit.weights)
+        return WeightedCdf.from_points(self.data.pooled(), self.fit.weights)
 
     @cached_property
     def _g1(self) -> WeightedCdf:
-        return self._cdf(self.fit.tilted_weights)
+        return WeightedCdf.from_points(self.data.pooled(), self.fit.tilted_weights)
+
+    @property
+    def support(self) -> np.ndarray:
+        return self._g1.support
 
     @cached_property
     def target_moments(self) -> tuple:
@@ -213,7 +199,7 @@ def avar_theta(model: FittedDrm) -> np.ndarray:
 
 def avar_theta_inverse_form(model: FittedDrm) -> np.ndarray:
     """Same matrix as :func:`avar_theta`, via inv(E1[q q']) minus the (1,1) unit."""
-    q = model.q
+    q = evaluate_matrix(model.spec, model.data.pooled())
     second = (q * model.fit.tilted_weights[:, None]).T @ q
     try:
         inv = np.linalg.inv(second)

@@ -217,9 +217,9 @@ class _Workspace:
 # block of its own. glibc serves so large a block by mmap, and freeing it
 # lifts glibc's mmap threshold to the block's size and its trim threshold to
 # twice that: above the ~6 MB of arrays the rest of a Table-1 replicate (a
-# 9.7 MB block) frees, whose pages then stay mapped. Below it a block per fit
-# costs more than it saves: in a `drmel estimate` op on 22 000 rows (2.1 MB)
-# it took about 300 more minor page faults per op than the thread's workspace.
+# 9.7 MB block) frees, whose pages then stay mapped. Below it a fit reuses
+# its thread's workspace because building one (_Workspace) costs about 60 us,
+# which a study op of 32 fits of 5 500 rows would pay on every fit.
 _OWN_BLOCK_BYTES = 4 * 2**20
 
 _local = threading.local()  # this thread's fit workspace, see _workspace

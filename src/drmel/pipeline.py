@@ -51,9 +51,6 @@ class IngestReport:
     rows_dropped: int
 
 
-_EMPTY_AS_NAN = {"": "nan"}
-
-
 class _GroupCodes(dict):
     """Group cell -> the number of its stripped label. A cell seen first gets
     the number of its label, a new label the next number; ``labels`` maps
@@ -79,29 +76,18 @@ def _column_index(header, name: str) -> int:
 
 def _parse_stripped(value_cells: list) -> np.ndarray:
     """The values of cells that float() does not all accept as they are: each
-    cell stripped, an empty one read as nan, so that its row is dropped and
-    counted. A cell that still does not parse raises :class:`CsvParseError`
-    with its row number."""
-    texts = list(map(str.strip, value_cells))
-    if "" in texts:
-        texts = list(map(_EMPTY_AS_NAN.get, texts, texts))
-    try:
-        return np.array(texts, dtype=float)
-    except ValueError:
-        # row 1 is the header
-        row = next(i for i, text in enumerate(texts, 2) if not _parses(text))
-        raise CsvParseError(
-            f"malformed numeric value {texts[row - 2]!r} in row {row}", row=row
-        ) from None
-
-
-def _parses(text: str) -> bool:
-    """Whether float() accepts ``text``."""
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    cell stripped and read by float(), an empty one as nan, so that its row is
+    dropped and counted. The first cell that still does not parse raises
+    :class:`CsvParseError` with its row number."""
+    values = []
+    for row, cell in enumerate(value_cells, 2):  # row 1 is the header
+        text = cell.strip()
+        try:
+            values.append(float(text or "nan"))
+        except ValueError:
+            raise CsvParseError(
+                f"malformed numeric value {text!r} in row {row}", row=row) from None
+    return np.array(values)
 
 
 def _split_columns(text: str, spec: ColumnSpec) -> list:

@@ -266,10 +266,18 @@ def test_the_target_cdf_is_the_stable_sort_of_the_pooled_sample_bit_for_bit():
     assert np.intersect1d(data.x0, data.x1).size > 5
     spec = BasisSpec.quadratic()
     model = FittedDrm(data, spec)
-    stable = WeightedCdf.from_points(data.pooled(), model.fit.tilted_weights)
-    g1 = estimate_g1(model)
-    for field in ("support", "mass", "cumulative"):
-        assert getattr(g1, field).tobytes() == getattr(stable, field).tobytes()
+    pooled = data.pooled()
+    # Python's sort is stable too, and shares no code with numpy's argsort
+    order = sorted(range(pooled.size), key=pooled.__getitem__)
+    for estimand, weights in ((estimate_g0, model.fit.weights),
+                              (estimate_g1, model.fit.tilted_weights)):
+        stable = WeightedCdf.from_points(pooled, weights)
+        reference = {"support": pooled[order], "mass": weights[order],
+                     "cumulative": np.cumsum(weights[order])}
+        cdf = estimand(model)
+        for field, expected in reference.items():
+            assert getattr(stable, field).tobytes() == expected.tobytes()
+            assert getattr(cdf, field).tobytes() == expected.tobytes()
 
 
 def test_fitted_model_matches_separate_calls(rng):
