@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     except (DrmError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,29 +18,20 @@ row, so :func:`fit_mele` takes its first step there over no row: the gradient
 is q1_sum - c Gram[0] and the negative Hessian c(1 - c) Gram. That step is
 taken only there; the kernel and the Hessian have no case for theta = 0.
 
-Every fit evaluates its basis into a fit workspace and writes every Newton
-step there, so the loop allocates no row of n. The workspace is one block:
-the d basis rows, the (L, w) rows of the line search's candidate and of the
-accepted point, swapped when a step is accepted, two scratch rows (the second
-also holds the Hessian's weights) and the product block, d + 6 + d(d - 1)/2
-rows of n floats, and the kernel's boolean mask, one row of n bytes. It also
-holds what depends on the shape alone: the place of each Gram entry among the
-row sums, the index pairs of the product block, and the kernel at theta = 0,
-where L and w are one value each.
-
-Only the workspace's lifetime depends on the fit's size. A fit whose rows
-take less than ``_OWN_BLOCK_BYTES`` (4 MiB; 2.1 MB for a 22 000-row fit on the
-quadratic basis) uses its thread's workspace, kept for the last (n0, n1, d)
-only and replaced by a fit of another shape. A larger fit, such as the
-paper's Table-1 fit of 101 000 rows (9.7 MB), gets a workspace of its own,
-freed when the fit returns. Freeing a block that large lifts glibc's trim
-threshold above the working set of a whole simulation replicate, so the
-arrays the replicate frees keep their pages instead of going back to the
-kernel and faulting in again; a block kept per thread would not be freed and
-would leave the threshold low. Neither case has a setting. A fit computes the
-same bits in either workspace, warm or cold, and a returned :class:`DrmFit`
-owns its arrays, so later fits leave it as it is. The ridged system and the
-trace it needs are built only for a ridged step.
+Every fit evaluates its basis into a workspace of its own and writes every
+Newton step there, so the loop allocates no row of n. The workspace is one
+block: the d basis rows, the (L, w) rows of the line search's candidate and
+of the accepted point, swapped when a step is accepted, two scratch rows (the
+second also holds the Hessian's weights) and the product block, d + 6 +
+d(d - 1)/2 rows of n floats, and the kernel's boolean mask, one row of n
+bytes. The block is freed when the fit ends; a returned :class:`DrmFit`
+owns its arrays, so no later fit touches them. What depends on the shape
+(n0, n1, d) alone is computed once per shape, kept for the last 64 shapes
+and shared read-only by every fit, in any thread: the place of each Gram
+entry among the row sums, the index pairs of the product block, and the
+kernel at theta = 0, where L and w are one value each. A fit keeps no other
+state, so it computes the same bits whatever ran before it. The ridged
+system and the trace it needs are built only for a ridged step.
 
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
@@ -58,9 +49,9 @@ After a step that stalls (an exhausted line search, or a step below
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -177,6 +168,25 @@ def _kernel(q: np.ndarray, theta: np.ndarray, n0: int, n1: int, out=None) -> tup
     return value - float(z.sum()), z, w
 
 
+@functools.lru_cache(maxsize=64)
+def _shared(n0: int, n1: int, d: int) -> tuple:
+    """What a workspace of that shape holds that depends on the shape alone,
+    read-only and shared by every fit of that shape: ``(place, products,
+    zero)``. ``place`` is the symmetric (d, d) array of the place of each
+    q' diag(s) q entry among the s-weighted row sums of q (places 0 to d - 1)
+    and of the product block, ``products`` the (i, j) pairs of the products
+    q_i q_j, 1 <= i <= j, in the row-major order of the upper triangle, and
+    ``zero`` :func:`_kernel` at theta = 0, whose L and w are views of the one
+    value each that a row of u = 0 gives."""
+    rows, cols = np.triu_indices(d)
+    place = np.empty((d, d), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    place.setflags(write=False)
+    _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
+    L, w = np.broadcast_to(L, n0 + n1), np.broadcast_to(w, n0 + n1)
+    return place, tuple(zip(rows[d:].tolist(), cols[d:].tolist())), (float(-np.sum(L)), L, w)
+
+
 class _Workspace:
     """What a fit of n0 + n1 points on a basis of dimension d writes and reads:
     one block of d + 6 + d(d - 1)/2 rows of n floats and a row of n bytes,
@@ -187,54 +197,17 @@ class _Workspace:
     and of the accepted point, swapped when a step is accepted; ``scratch``
     is the kernel's two scratch rows and its mask; ``s`` (the second scratch
     row) takes the Hessian's weights; ``block`` is the C-ordered block of the
-    products q_i q_j, 1 <= i <= j, whose (i, j) pairs are ``products`` in the
-    row-major order of the upper triangle. ``place`` is the read-only
-    symmetric (d, d) array of the place of each q' diag(s) q entry among the
-    s-weighted row sums of q (places 0 to d - 1) and of the block. ``zero``
-    is :func:`_kernel` at theta = 0, where L and w are read-only views of the
-    one value each that a row of u = 0 gives."""
+    products q_i q_j; ``place``, ``products`` and ``zero``, the kernel at
+    theta = 0, are :func:`_shared` of the shape."""
 
     def __init__(self, n0: int, n1: int, d: int):
         n = n0 + n1
-        self.shape = (n0, n1, d)
         block = np.empty((d + 6 + d * (d - 1) // 2, n))
         self.basis, self.rows = block[:d], block[d:]
-        mask = np.empty(n, dtype=bool)
         self.spare, self.held = tuple(self.rows[0:2]), tuple(self.rows[2:4])
-        self.scratch = (self.rows[4], self.rows[5], mask)
+        self.scratch = (self.rows[4], self.rows[5], np.empty(n, dtype=bool))
         self.s, self.block = self.rows[5], self.rows[6:]
-        rows, cols = np.triu_indices(d)
-        self.place = np.empty((d, d), dtype=np.intp)
-        self.place[rows, cols] = self.place[cols, rows] = np.arange(rows.size)
-        self.place.setflags(write=False)
-        self.products = tuple(zip(rows[d:].tolist(), cols[d:].tolist()))
-        _, L, w = _kernel(np.zeros((1, 1)), np.ones(1), n0, n1)
-        L, w = np.broadcast_to(L, n), np.broadcast_to(w, n)
-        self.zero = (float(-np.sum(L)), L, w)
-
-
-# A fit whose basis and Newton rows take at least this many bytes gets one
-# block of its own. glibc serves so large a block by mmap, and freeing it
-# lifts glibc's mmap threshold to the block's size and its trim threshold to
-# twice that: above the ~6 MB of arrays the rest of a Table-1 replicate (a
-# 9.7 MB block) frees, whose pages then stay mapped. Below it a fit reuses
-# its thread's workspace because building one (_Workspace) costs about 60 us,
-# which a study op of 32 fits of 5 500 rows would pay on every fit.
-_OWN_BLOCK_BYTES = 4 * 2**20
-
-_local = threading.local()  # this thread's fit workspace, see _workspace
-
-
-def _workspace(n0: int, n1: int, d: int) -> _Workspace:
-    """The workspace for a fit of that shape: a new one when its float rows
-    take at least ``_OWN_BLOCK_BYTES``, and otherwise this thread's, reused
-    by every fit of that shape and replaced by a fit of another."""
-    if 8 * (n0 + n1) * (d + 6 + d * (d - 1) // 2) >= _OWN_BLOCK_BYTES:
-        return _Workspace(n0, n1, d)
-    if getattr(_local, "ws", None) is None or _local.ws.shape != (n0, n1, d):
-        _local.ws = None  # free the old rows first
-        _local.ws = _Workspace(n0, n1, d)
-    return _local.ws
+        self.place, self.products, self.zero = _shared(n0, n1, d)
 
 
 def _moments(qT: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -295,7 +268,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     system, the attempt that failed.
     """
     n0, n1, d = data.n0, data.n1, spec.dimension
-    ws = _workspace(n0, n1, d)
+    ws = _Workspace(n0, n1, d)
     q = evaluate_matrix(spec, data.pooled(), out=ws.basis)
     qT = q.T
     spare, held = ws.spare, ws.held

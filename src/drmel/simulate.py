@@ -36,6 +36,7 @@ import math
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -289,7 +290,8 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     size reps is built. Results are stored in key order, so the table does
     not depend on the worker count. A pool opens no more workers than there
     are replicates or CPUs, and a worker count below 1 raises
-    :class:`InvalidArgumentError`.
+    :class:`InvalidArgumentError`. A pool worker that dies, as one killed
+    for want of memory does, raises :class:`DrmError`.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
@@ -315,10 +317,14 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
             raise InvalidArgumentError(
                 f"cannot send the run to worker processes ({exc}); use workers=1"
             ) from None
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
-            chunksize = max(1, len(flat) // (4 * workers))
-            for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize)):
-                flat[i] = block
+        try:
+            with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
+                chunksize = max(1, len(flat) // (4 * workers))
+                for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize)):
+                    flat[i] = block
+        except BrokenProcessPool:
+            raise DrmError("a worker of the process pool died before the run ended; workers=1 "
+                           "(--workers 1) runs every replicate in this process") from None
     # one truth per target and level: FinitePopulation.quantile sorts the whole group
     truths = [[population.quantile(p) for population in targets.values()] for p in levels]
     rows = []

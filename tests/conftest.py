@@ -1,8 +1,11 @@
+import os
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from drmel import BasisSpec, TwoSampleData
+from drmel import BasisSpec, Normal, TwoSampleData
 
 # property tests draw the same examples on every run, and few of them
 settings.register_profile("drmel", derandomize=True, max_examples=50, deadline=None, database=None)
@@ -28,3 +31,16 @@ def random_two_sample(rng, max_n0=50, max_n1=50, positive=False):
 
 def random_basis(rng):
     return BasisSpec.linear() if rng.random() < 0.5 else BasisSpec.quadratic()
+
+
+@dataclass(frozen=True)
+class DiesInAChild(Normal):
+    """A normal population whose draw ends any process but the one that made
+    it, at once and with no cleanup, as the kernel's OOM killer ends one."""
+
+    parent: int = field(default_factory=os.getpid)
+
+    def draw(self, n, rng):
+        if os.getpid() != self.parent:
+            os._exit(9)
+        return super().draw(n, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import drmel
 from drmel import DrmError, Exponential, Normal, ResampleStudy, Scenario
 from drmel.cli import main, scenario_from_json
+from conftest import DiesInAChild
 
 
 @pytest.fixture
@@ -402,6 +404,32 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_dead_pool_worker_is_one_error_line(scenario_json, monkeypatch, capfd):
+    import drmel.cli
+    import drmel.simulate
+
+    monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: 2)  # a pool opens on one core too
+    monkeypatch.setattr(drmel.cli, "scenario_from_json", lambda obj: dataclasses.replace(
+        scenario_from_json(obj), generator0=DiesInAChild(0.0, 1.0)))
+    assert run_cli(["simulate", "--scenario", scenario_json, "--workers", 2]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: a worker of the process pool died")
+    assert err.endswith("(--workers 1) runs every replicate in this process\n")
+    assert err.count("\n") == 1
+
+
+def test_an_interrupt_is_one_line_and_exit_130(scenario_json, monkeypatch, capsys):
+    import drmel.cli
+
+    def interrupted(scenario, workers):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(drmel.cli, "run_scenario", interrupted)
+    assert run_cli(["simulate", "--scenario", scenario_json]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
 
 
 # the command line of its arguments, run with an address space of 2 GiB,

@@ -293,7 +293,7 @@ def test_vanished_curvature_raises_typed_error(monkeypatch):
     # Tilt fractions that all round to 0 or 1 make every w(1-w), and so the
     # ridge, zero: the Newton system is singular even after ridging. The fit
     # opens at theta = 0, whose kernel comes from the workspace's ``zero``,
-    # so the stub replaces the workspace rather than _kernel.
+    # so the stub replaces the fit's workspace rather than _kernel.
     import drmel.fit
 
     class Saturated(drmel.fit._Workspace):
@@ -302,7 +302,7 @@ def test_vanished_curvature_raises_typed_error(monkeypatch):
             value, log_den, w = self.zero
             self.zero = value, log_den, np.round(w)
 
-    monkeypatch.setattr(drmel.fit, "_workspace", Saturated)
+    monkeypatch.setattr(drmel.fit, "_Workspace", Saturated)
     data = TwoSampleData(x0=[0.0, 1.0, 2.0, 3.0], x1=[1.5, 2.5])
     with pytest.raises(NonConvergenceError) as err:
         fit_mele(data, BasisSpec.linear())
@@ -503,12 +503,12 @@ def test_a_sample_of_any_shape_is_flattened():
     assert np.array_equal(model.support, np.sort(flat.pooled()))
 
 
-# The fit workspace: one block of a fit's basis and Newton rows. A fit below
-# the cutoff writes into the block its thread keeps for the last fit size, a
-# larger fit into one block of its own; a returned fit owns its arrays.
+# The fit workspace: one block of a fit's basis and Newton rows, which every
+# fit builds for itself and frees when it ends; only what depends on the shape
+# alone is shared, read-only. A returned fit owns its arrays.
 
 FIT_ARRAYS = ("theta_hat", "weights", "tilted_weights")
-# the Table-1 stream at 20,000 rows, whose fit takes 1.9 MB of rows: below the cutoff
+# the Table-1 stream at 20,000 rows, whose fit takes 1.9 MB of rows
 SMALL_N0 = 19_000
 
 
@@ -518,7 +518,7 @@ def fit_bytes(fit):
 
 
 def fit_in_new_thread(data, spec):
-    """The fit of data in a thread of its own, so in a workspace of its own."""
+    """The fit of data in a thread of its own, where no fit ran before it."""
     fits = []
     thread = threading.Thread(target=lambda: fits.append(fit_mele(data, spec)))
     thread.start()
@@ -526,12 +526,12 @@ def fit_in_new_thread(data, spec):
     return fits[0]
 
 
-@pytest.mark.parametrize("n0", [SMALL_N0, 100_000], ids=["thread-workspace", "own-block"])
+@pytest.mark.parametrize("n0", [SMALL_N0, 100_000], ids=["20k-rows", "101k-rows"])
 def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(n0, monkeypatch):
     import drmel.fit
 
-    spaces, workspace = [], drmel.fit._workspace
-    monkeypatch.setattr(drmel.fit, "_workspace",
+    spaces, workspace = [], drmel.fit._Workspace
+    monkeypatch.setattr(drmel.fit, "_Workspace",
                         lambda *shape: spaces.append(workspace(*shape)) or spaces[-1])
     spec = BasisSpec.quadratic()
     first = fit_mele(table1_data(0, n0), spec)
@@ -549,21 +549,25 @@ def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(n0, monkeypatch):
 
 
 def test_fits_in_two_threads_at_once_match_serial_fits():
+    # thread 0 fits a 101 000-row pair and a 20 000-row pair in turn while
+    # thread 1 fits another 101 000-row pair: the threads fit the same shape
+    # and different shapes at once
     spec = BasisSpec.quadratic()
-    pairs = [table1_data(0), table1_data(1)]
+    pairs = [table1_data(0), table1_data(1), table1_data(2, SMALL_N0)]
     serial = [fit_bytes(fit_in_new_thread(data, spec)) for data in pairs]
+    jobs = [[0, 2, 0, 2], [1, 1, 1, 1]]
     start, results = threading.Barrier(2), [[], []]
 
     def run(k):
         start.wait()
-        results[k] = [fit_bytes(fit_mele(pairs[k], spec)) for _ in range(3)]
+        results[k] = [fit_bytes(fit_mele(pairs[j], spec)) for j in jobs[k]]
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    assert results == [[serial[0]] * 3, [serial[1]] * 3]
+    assert results == [[serial[j] for j in job] for job in jobs]
 
 
 def test_a_fit_after_a_fit_of_another_size_matches_a_fresh_fit(rng):
@@ -620,20 +624,14 @@ def traced_peak(call):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n0", [SMALL_N0, 100_000], ids=["thread-workspace", "own-block"])
+@pytest.mark.parametrize("n0", [SMALL_N0, 100_000], ids=["20k-rows", "101k-rows"])
 def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(n0, monkeypatch):
-    import drmel.fit
-
     data, spec = table1_data(0, n0), BasisSpec.quadratic()
     row, d = 8 * data.n, spec.dimension
-    steps = fit_mele(data, spec).iterations - 1  # warms this thread's workspace, if it is used
-    # below the cutoff the fit allocates no block; above it one block of the
-    # basis and Newton rows, and the mask
-    block = 0
-    if n0 != SMALL_N0:
-        block = (d + 6 + d * (d - 1) // 2) * row + data.n
-        assert block >= drmel.fit._OWN_BLOCK_BYTES
+    steps = fit_mele(data, spec).iterations - 1  # warms the shared values of this shape
+    # the fit allocates one block of the basis and Newton rows, and the mask,
     # and the two returned mass vectors
+    block = (d + 6 + d * (d - 1) // 2) * row + data.n
     assert traced_peak(lambda: fit_mele(data, spec)) <= block + 2 * row + 64 * 1024
 
     # a fit stopped a step short returns no masses
@@ -645,27 +643,15 @@ def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(n0, monkeypatch):
     assert traced_peak(stopped_fit) <= block + 64 * 1024
 
 
-def test_a_large_fit_changes_no_bit_and_leaves_the_thread_workspace_alone():
-    # a large fit gives the same bits cold (in a new thread, where it leaves
-    # no workspace behind), after fits below the cutoff and between them
+def test_a_large_fit_changes_no_bit_cold_or_between_smaller_fits():
+    # a large fit gives the same bits cold (with nothing of its shape computed
+    # yet, in a new thread) as after fits of another size and between them
     import drmel.fit
 
     spec, large, small = BasisSpec.quadratic(), table1_data(0), table1_data(0, SMALL_N0)
-    left = []
-
-    def cold_fit():
-        left.append(fit_bytes(fit_mele(large, spec)))
-        left.append(getattr(drmel.fit._local, "ws", None))
-
-    thread = threading.Thread(target=cold_fit)
-    thread.start()
-    thread.join()
-    cold, after_cold = left
-    assert after_cold is None
+    drmel.fit._shared.cache_clear()
+    cold = fit_bytes(fit_in_new_thread(large, spec))
     small_fit = fit_bytes(fit_mele(small, spec))
-    ws = drmel.fit._local.ws
     for _ in range(2):
         assert fit_bytes(fit_mele(large, spec)) == cold
-        assert drmel.fit._local.ws is ws
         assert fit_bytes(fit_mele(small, spec)) == small_fit
-    assert drmel.fit._local.ws is ws

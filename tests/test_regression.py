@@ -191,9 +191,9 @@ def test_study_size_fit_is_pinned(make, r):
 
 
 def test_fits_of_other_shapes_in_between_change_no_bit():
-    # the workspace is keyed by shape: fits of another (n0, n1) at the same
-    # n, of another n and of another dimension in between change no bit of
-    # the fits that follow them
+    # what a fit shares is keyed by shape: fits of another (n0, n1) at the
+    # same n, of another n and of another dimension in between change no bit
+    # of the fits that follow them
     import drmel.fit
 
     def everything(fit):
@@ -201,13 +201,13 @@ def test_fits_of_other_shapes_in_between_change_no_bit():
                 fit.tilted_weights.tobytes())
 
     quadratic, linear = BasisSpec.quadratic(), BasisSpec.linear()
-    drmel.fit._local.ws = None
     cold = everything(fit_mele(study_size_data(1), linear))
     for make, r in [(near_separated_data, 4), (study_size_data, 0), (other_split_data, 0),
                     (near_separated_data, 82), (other_split_data, 0), (study_size_data, 0)]:
         assert _fit_record(fit_mele(make(r), quadratic)) == STUDY_SIZE_FITS[make, r]
         assert everything(fit_mele(study_size_data(1), linear)) == cold
-    ws = drmel.fit._workspace(5000, 500, 3)
+    # every fit of this shape shares these arrays, so none may be written
+    ws = drmel.fit._Workspace(5000, 500, 3)
     _, log_den, w = ws.zero
     assert not any(a.flags.writeable for a in (ws.place, log_den, w))
 

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from drmel import (
     BasisSpec,
+    DrmError,
     Exponential,
     InvalidArgumentError,
     InvalidLevelError,
@@ -15,6 +16,7 @@ from drmel import (
     corollary_curve,
     run_scenario,
 )
+from conftest import DiesInAChild
 
 
 def small_scenario(**overrides):
@@ -137,6 +139,17 @@ def test_exponential_method_requires_exponential_generators():
 def test_unknown_method_rejected_at_construction():
     with pytest.raises(InvalidArgumentError, match="emprical"):
         small_scenario(methods=("drm", "emprical"))
+
+
+def test_a_pool_worker_that_dies_raises_a_typed_error(monkeypatch):
+    import drmel.simulate
+
+    monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: 2)  # a pool opens on one core too
+    scenario = small_scenario(generator0=DiesInAChild(0.0, 1.0), reps=4)
+    assert run_scenario(scenario, workers=1).row(0.5, "drm").fail_frac == 0.0
+    with pytest.raises(DrmError, match=r"process pool died .* workers=1 \(--workers 1\)") as err:
+        run_scenario(scenario, workers=2)
+    assert type(err.value) is DrmError
 
 
 def test_unpicklable_basis_with_workers_raises_typed_error(monkeypatch):
