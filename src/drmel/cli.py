@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, EmptyGroupError, InvalidArgumentError
+from .errors import DrmError, EmptyGroupError, InvalidArgumentError, check_integer
 from .fit import TwoSampleData
 from .nonparametric import KdeModel, kde_density
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
@@ -134,13 +134,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_kde(args) -> int:
-    if args.grid_points < 1:
-        raise InvalidArgumentError(f"--grid-points must be at least 1, got {args.grid_points}")
+    points = check_integer(args.grid_points, "--grid-points", 1)
     sample = _load(args, args.group)[args.group]
     model = KdeModel.silverman(sample)
     h = model.bandwidth
-    grid = np.linspace(sample.min() - 3 * h, sample.max() + 3 * h, args.grid_points)
-    dens = kde_density(model, grid)
+    try:
+        grid = np.linspace(sample.min() - 3 * h, sample.max() + 3 * h, points)
+        dens = kde_density(model, grid)
+    except DrmError:  # an InvalidArgumentError is a ValueError; it keeps its own message
+        raise
+    except (MemoryError, ValueError, IndexError):  # more points than numpy can allocate or index
+        raise InvalidArgumentError(f"cannot hold a grid of {points} points in memory") from None
     with _output(args.out) as out:
         out.write("x,density\n")
         for x, g in zip(grid, dens):

@@ -60,12 +60,19 @@ def check_sequence(value, name: str) -> tuple:
     raise InvalidArgumentError(f"{name} must be a sequence, not {type(value).__name__}")
 
 
-def check_integer(value, name: str) -> int:
-    """``value`` as an int; raises :class:`InvalidArgumentError` naming ``name``
-    unless it is an integer or a float with no fractional part."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+def check_integer(value, name: str, low=None) -> int:
+    """``value`` as an int: the one rule for a count, a size or a seed.
+
+    A whole number is an integer other than a bool, or a float with no
+    fractional part; with ``low``, it must also lie in [low, 2**63), a size
+    numpy can index. Anything else raises :class:`InvalidArgumentError`
+    naming ``name``: ``reps must be a whole number in [1, 2**63), got 0``.
+    """
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if whole and not isinstance(value, bool) and (low is None or low <= value < 2**63):
         return int(value)
-    raise InvalidArgumentError(f"{name} must be a whole number, got {value!r}")
+    bound = "" if low is None else f" in [{low}, 2**63)"
+    raise InvalidArgumentError(f"{name} must be a whole number{bound}, got {value!r}")
 
 
 def square(x) -> float:

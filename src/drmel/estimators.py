@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no boolean ==
 class WeightedCdf:
     """A discrete CDF: sorted support with aligned nonnegative masses."""
 

@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no boolean ==
 class TwoSampleData:
     """Immutable pair of samples: x0 from the base population, x1 from the target.
 
@@ -85,7 +85,7 @@ class TwoSampleData:
 
     x0: np.ndarray
     x1: np.ndarray
-    _pooled: np.ndarray = field(init=False, repr=False, compare=False)
+    _pooled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x0 = np.ravel(np.asarray(self.x0, dtype=float))
@@ -128,7 +128,7 @@ MAX_ITER = 100  # Newton steps before the fit gives up
 ARMIJO = 1e-4  # sufficient-increase constant of the line search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no boolean ==
 class DrmFit:
     """Result of maximizing the dual profile log-EL. :func:`fit_mele` returns
     only converged fits, so ``converged`` is a class constant, read by

@@ -35,7 +35,7 @@ def _norm_pdf(z):
     return np.exp(-np.square(z) / 2.0) / np.sqrt(2 * np.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no boolean ==
 class Ecdf:
     """Empirical distribution of a sample; right-continuous step function."""
 
@@ -66,7 +66,7 @@ def empirical_quantile_avar(p: float, density_at: float) -> float:
     return p * (1.0 - p) / check_density(density_at)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no boolean ==
 class KdeModel:
     sample: np.ndarray
     bandwidth: float

@@ -198,17 +198,14 @@ class ResampleStudy:
     def __post_init__(self):
         _check_run(self)
         object.__setattr__(self, "targets", check_sequence(self.targets, "targets"))
-        if not self.targets:
-            raise InvalidArgumentError("at least one target population required")
         for name in ("n0_grid", "n_grid"):
-            grid = tuple(check_integer(v, name) for v in check_sequence(getattr(self, name), name))
-            if not grid or min(grid) < 1:
-                raise InvalidArgumentError(f"{name} needs one or more sample sizes >= 1, "
-                                           f"got {grid}")
-            object.__setattr__(self, name, grid)
+            sizes = check_sequence(getattr(self, name), name)
+            object.__setattr__(self, name, tuple(check_integer(v, name, 1) for v in sizes))
+        if not (self.targets and self.n0_grid and self.n_grid):
+            raise InvalidArgumentError("a study needs at least one target, n0 size and n size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no boolean ==
 class FinitePopulation:
     """The values of a group, drawn from with replacement; its quantile is
     the type-1 empirical quantile of all its values."""

@@ -111,10 +111,8 @@ def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
     levels and methods each a sequence other than a string, of one entry or
     more; every level in (0, 1) and every method known. Stores reps and seed
     as ints and the levels and methods as tuples."""
-    for name in ("reps", "seed"):
-        object.__setattr__(run, name, check_integer(getattr(run, name), name))
-    if run.reps < 1:
-        raise InvalidArgumentError("reps must be >= 1")
+    object.__setattr__(run, "reps", check_integer(run.reps, "reps", 1))
+    object.__setattr__(run, "seed", check_integer(run.seed, "seed"))
     levels = check_sequence(run.levels, "levels")
     object.__setattr__(run, "levels", tuple(map(check_level, levels)))
     object.__setattr__(run, "methods", check_sequence(run.methods, "methods"))
@@ -137,10 +135,10 @@ class Scenario:
     scenario_id: str = "scenario"
 
     def __post_init__(self):
+        if not isinstance(self.basis, BasisSpec):  # the JSON names a basis; a Scenario takes one
+            raise InvalidArgumentError(f"basis must be a BasisSpec, got {self.basis!r}")
         _check_run(self, self.basis)
-        object.__setattr__(self, "n1", check_integer(self.n1, "n1"))
-        if not 2 <= self.n1 < 2**63:  # a sample size numpy can hold
-            raise InvalidArgumentError(f"n1 must be >= 2 and < 2**63, got {self.n1}")
+        object.__setattr__(self, "n1", check_integer(self.n1, "n1", 2))
         if not 0 < self.k < math.inf:
             raise InvalidArgumentError(f"k must be positive and finite, got {self.k}")
         n0 = self.k * self.n1
@@ -210,18 +208,17 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=mix_seed(seed, index)))
 
 
-def scaled_errors(estimates, truth: float, n: int, fail_frac: float) -> tuple:
-    """(bias, mean |error|, variance, MSE, fail_frac) of estimates of truth, scaled
-    by sqrt(n) or n; NaNs and a fail_frac of 1 when there are no estimates."""
+def scaled_errors(estimates, truth: float, n: int) -> tuple:
+    """(bias, mean |error|, variance, MSE) of estimates of truth, scaled by
+    sqrt(n) or n; NaNs when there are no estimates."""
     err = np.asarray(estimates, dtype=float) - truth
     if err.size == 0:
-        return (math.nan,) * 4 + (1.0,)
+        return (math.nan,) * 4
     return (
         math.sqrt(n) * float(err.mean()),
         math.sqrt(n) * float(np.abs(err).mean()),
         n * float(err.var()),
         n * float(np.square(err).mean()),
-        fail_frac,
     )
 
 
@@ -289,12 +286,11 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     :class:`InvalidArgumentError` naming its sizes, and nothing else of
     size reps is built. Results are stored in key order, so the table does
     not depend on the worker count. A pool opens no more workers than there
-    are replicates or CPUs, and a worker count below 1 raises
-    :class:`InvalidArgumentError`. A pool worker that dies, as one killed
-    for want of memory does, raises :class:`DrmError`.
+    are replicates or CPUs, and a worker count that is not a whole number
+    of 1 or more raises :class:`InvalidArgumentError`. A pool worker that
+    dies, as one killed for want of memory does, raises :class:`DrmError`.
     """
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    workers = check_integer(workers, "workers", 1)
     shape = (len(cells), reps, len(targets), len(methods), len(levels))
     try:
         results = np.empty(shape)
@@ -332,7 +328,7 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
         for j, p in enumerate(levels):
             for m, (method, _) in enumerate(methods):
                 per_target = [
-                    scaled_errors(col[~np.isnan(col)], truth, n, float(np.isnan(col).mean()))
+                    (*scaled_errors(col[~np.isnan(col)], truth, n), float(np.isnan(col).mean()))
                     for col, truth in zip(cell[:, :, m, j].T, truths[j])
                 ]
                 agg = [float(np.mean(col)) for col in zip(*per_target)]

@@ -395,15 +395,20 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(data_csv, tmp_pat
                           "--base", "2015", "--targets", "2016", "--n0", 30, "--n", 10,
                           "--reps", 2, "--workers", -2],
         lambda csv, tmp: _estimate_args(csv, "--method", "normal"),
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, reps=True)],
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, seed=False)],
+        lambda csv, tmp: ["simulate", "--scenario", _scenario_json(tmp, n1=1)],
     ],
     ids=["estimate-levels", "study-levels", "kde-grid-points", "missing-data",
          "missing-scenario", "scenario-not-json", "latin1-data", "estimate-no-levels",
          "study-no-levels", "scenario-no-levels", "scenario-no-methods", "scenario-empty-base",
-         "simulate-no-workers", "study-negative-workers", "estimate-old-method-name"],
+         "simulate-no-workers", "study-negative-workers", "estimate-old-method-name",
+         "scenario-true-reps", "scenario-false-seed", "scenario-n1-below-2"],
 )
 def test_bad_input_exits_with_an_error_line(data_csv, tmp_path, capsys, args):
     assert run_cli(args(data_csv, tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_a_dead_pool_worker_is_one_error_line(scenario_json, monkeypatch, capfd):
@@ -450,6 +455,11 @@ def _study_args(data_csv, *extra):
 _TOO_MANY_REPS = "cannot hold the estimates of 1 cells x 1000000000000 reps x "
 
 
+def _kde_args(data_csv, points):
+    return ["kde", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
+            "--group", "2015", "--grid-points", points]
+
+
 def _too_large(n0, n):
     return f"cannot hold a base sample of {n0} points and target samples of {n} points in memory\n"
 
@@ -473,10 +483,12 @@ def _too_large(n0, n):
         *[(lambda csv, tmp, w=workers: _study_args(csv, "--n0", 30, "--n", 10**12, "--reps", 3,
                                                    "--workers", w),
            _too_large(30, 10**12)) for workers in (1, 2)],
+        *[(lambda csv, tmp, n=points: _kde_args(csv, n),
+           f"cannot hold a grid of {points} points in memory\n") for points in (10**9, 2**63 - 1)],
     ],
     ids=["simulate-reps", "study-reps", "simulate-n1-workers1", "simulate-n1-workers2",
          "simulate-k-workers1", "simulate-k-workers2", "study-n0-workers1", "study-n0-workers2",
-         "study-n-workers1", "study-n-workers2"],
+         "study-n-workers1", "study-n-workers2", "kde-grid-points", "kde-grid-points-max"],
 )
 def test_a_run_too_large_to_hold_is_one_error_line_before_any_replicate(data_csv, tmp_path,
                                                                         args, message):

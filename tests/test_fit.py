@@ -492,6 +492,14 @@ def test_each_sample_is_stored_ascending_and_the_caller_arrays_are_left_alone():
     assert x0.flags.writeable and x1.flags.writeable
 
 
+def test_data_compares_and_hashes_by_identity():
+    data = TwoSampleData(x0=[0.0, 1.0], x1=[1.5, 2.5])
+    twin = TwoSampleData(x0=[0.0, 1.0], x1=[1.5, 2.5])
+    assert data == data and data != twin
+    assert data in [twin, data] and data not in [twin]
+    assert {data: 1, twin: 2}[data] == 1
+
+
 def test_a_sample_of_any_shape_is_flattened():
     x0, x1 = np.linspace(0.0, 3.0, 12), np.array([1.5, 2.5, 2.7])
     flat = TwoSampleData(x0=x0, x1=x1)

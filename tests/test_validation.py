@@ -33,6 +33,8 @@ from drmel import (
     estimate_g1,
     fit_parametric,
     parametric_quantile_avar,
+    run_resample_study,
+    run_scenario,
     theta_from_submodel,
 )
 from drmel.errors import check_level
@@ -178,6 +180,8 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          DegenerateSampleError, "mean overflows"),
         (lambda: ColumnSpec("v", "g", "sqrt"), InvalidArgumentError, "unknown transform 'sqrt'"),
         (lambda: _study(targets=()), InvalidArgumentError, "at least one target"),
+        (lambda: _scenario_with(basis="linear"), InvalidArgumentError,
+         "basis must be a BasisSpec, got 'linear'"),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
@@ -196,7 +200,7 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "scenario-levels-a-number", "study-n0-grid-a-number", "study-n-grid-a-string",
          "scenario-level-a-string", "level-a-string", "named-basis-with-transforms",
          "unknown-family-tag", "overflowing-normal-mean", "unknown-transform",
-         "study-without-targets"],
+         "study-without-targets", "scenario-basis-a-name"],
 )
 def test_invalid_input_raises_a_typed_error(make, error, named):
     with pytest.raises(error, match=named) as err:
@@ -243,14 +247,45 @@ def _scenario_json(**overrides):
         ("reps", lambda: _scenario_json(reps=2.9)),
         ("seed", lambda: _scenario_json(seed=1.5)),
         ("n1", lambda: _scenario_json(n1="10")),
+        ("reps", lambda: _scenario_json(reps=True)),
+        ("seed", lambda: _scenario_json(seed=False)),
+        ("n0_grid", lambda: _study(n0_grid=(True,))),
+        ("workers", lambda: run_scenario(_scenario_with(reps=2), workers=1.5)),
+        ("workers", lambda: run_scenario(_scenario_with(reps=2), workers="2")),
+        ("workers", lambda: run_scenario(_scenario_with(reps=2), workers=True)),
+        ("workers", lambda: run_resample_study(
+            _study(reps=2), {"a": np.arange(9.0), "b": np.arange(7.0)}, workers=2.5)),
     ],
     ids=["scenario-n1", "scenario-reps", "scenario-seed", "scenario-infinite-n1",
          "scenario-nan-reps", "study-reps", "study-infinite-seed", "study-n0-grid",
-         "study-nan-in-n-grid", "json-n1", "json-reps", "json-seed", "json-string-n1"],
+         "study-nan-in-n-grid", "json-n1", "json-reps", "json-seed", "json-string-n1",
+         "json-true-reps", "json-false-seed", "study-true-in-n0-grid", "scenario-float-workers",
+         "scenario-string-workers", "scenario-true-workers", "study-float-workers"],
 )
 def test_a_count_that_is_not_a_whole_number_is_rejected(field, make):
     with pytest.raises(InvalidArgumentError, match=f"{field} must be a whole number"):
         make()
+
+
+@pytest.mark.parametrize(
+    "message, make",
+    [
+        ("reps must be a whole number in [1, 2**63), got 0", lambda: _scenario_with(reps=0)),
+        ("reps must be a whole number in [1, 2**63), got -3", lambda: _study(reps=-3)),
+        ("n1 must be a whole number in [2, 2**63), got 1", lambda: _scenario_with(n1=1)),
+        ("n1 must be a whole number in [2, 2**63), got 9223372036854775808",
+         lambda: _scenario_with(n1=2**63, k=1)),
+        ("n0_grid must be a whole number in [1, 2**63), got 0", lambda: _study(n0_grid=(5, 0))),
+        ("n_grid must be a whole number in [1, 2**63), got -1", lambda: _study(n_grid=(-1,))),
+        ("workers must be a whole number in [1, 2**63), got 0",
+         lambda: run_scenario(_scenario_with(reps=2), workers=0)),
+    ],
+    ids=["scenario-reps", "study-reps", "n1", "huge-n1", "n0-grid", "n-grid", "workers"],
+)
+def test_a_count_out_of_range_names_its_field_and_bounds(message, make):
+    with pytest.raises(InvalidArgumentError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_whole_floats_and_numpy_integers_are_stored_as_ints():
