@@ -67,58 +67,49 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-_ABSENT = object()  # a key the JSON object does not hold
+_GENERATORS = {"normal": Normal, "exponential": Exponential}  # by a generator's "dist"
 
 
-def _field(obj, key, convert, required=True):
-    """``convert(obj[key])``, or ``_ABSENT`` when an optional key is absent.
-
-    A missing required key, or a value of the wrong type or shape, raises
-    :class:`InvalidArgumentError` naming ``key``.
-    """
+def _arguments(obj, cls) -> dict:
+    """The JSON object ``obj`` as keyword arguments of the dataclass ``cls``:
+    each key must be a field of ``cls``, and each field without a default
+    must be a key. A value that is not an object, an unknown key or a
+    missing one raises :class:`InvalidArgumentError` naming it."""
     if not isinstance(obj, dict):
-        raise InvalidArgumentError(f"expected a JSON object with the key {key!r}, "
-                                   f"got {type(obj).__name__}")
-    value = obj.get(key, _ABSENT)
-    if value is _ABSENT and required:
-        raise InvalidArgumentError(f"scenario JSON lacks the key {key!r}")
-    try:
-        return value if value is _ABSENT else convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"bad value for {key!r}: {exc}") from None
-
-
-def _as_list(value) -> tuple:
-    """A JSON list as a tuple; any other value, a string included, is a TypeError."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(value)
+        raise InvalidArgumentError(f"expected a JSON object, got {type(obj).__name__}")
+    known = [f.name for f in dataclasses.fields(cls)]
+    extra = ", ".join(repr(key) for key in obj if key not in known)  # in the object's order
+    if extra:
+        raise InvalidArgumentError(f"{cls.__name__} has no key {extra}; known: {', '.join(known)}")
+    for field in dataclasses.fields(cls):
+        if field.name not in obj and field.default is dataclasses.MISSING:
+            raise InvalidArgumentError(f"a {cls.__name__} lacks the key {field.name!r}")
+    return dict(obj)
 
 
 def _generator_from_json(obj):
-    dist = _field(obj, "dist", str)
-    if dist == "normal":
-        return Normal(mu=_field(obj, "mu", float), sigma=_field(obj, "sigma", float))
-    if dist == "exponential":
-        return Exponential(mean=_field(obj, "mean", float))
-    raise InvalidArgumentError(f"unknown generator kind {dist!r}")
-
-
-# the Scenario field of each scenario key whose JSON value has another shape;
-# any other key's value is passed on as it is
-_FROM_JSON = {"generator0": _generator_from_json, "generator1": _generator_from_json, "k": float,
-              "basis": BasisSpec.from_name, "levels": lambda v: tuple(map(float, _as_list(v))),
-              "methods": _as_list, "scenario_id": str}
+    """The population of a generator object: the class its ``dist`` names,
+    built from its other keys."""
+    dist = obj.get("dist") if isinstance(obj, dict) else None
+    cls = _GENERATORS.get(dist) if isinstance(dist, str) else None
+    if cls is None:
+        raise InvalidArgumentError(f"a generator needs a 'dist' of normal or exponential: {obj!r}")
+    return cls(**_arguments({key: value for key, value in obj.items() if key != "dist"}, cls))
 
 
 def scenario_from_json(obj) -> Scenario:
-    """The :class:`Scenario` of a JSON object whose keys are its field names:
-    each key the object holds is passed on, converted by ``_FROM_JSON``, so
-    the defaults and the checks are the Scenario's."""
-    values = {f.name: _field(obj, f.name, _FROM_JSON.get(f.name, lambda v: v),
-                             required=f.default is dataclasses.MISSING)
-              for f in dataclasses.fields(Scenario)}
-    return Scenario(**{key: v for key, v in values.items() if v is not _ABSENT})
+    """The :class:`Scenario` of a JSON object whose keys are its field names.
+
+    Only what JSON cannot spell is converted: the generator objects into
+    populations and the basis name into a :class:`BasisSpec`. Every other
+    value is passed on as JSON gave it, so the defaults and the checks are
+    the Scenario's."""
+    arguments = _arguments(obj, Scenario)
+    for key in ("generator0", "generator1"):
+        arguments[key] = _generator_from_json(arguments[key])
+    if "basis" in arguments:
+        arguments["basis"] = BasisSpec.from_name(arguments["basis"])
+    return Scenario(**arguments)
 
 
 def _cmd_simulate(args) -> int:

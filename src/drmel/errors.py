@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package."""
 
+import contextlib
 import math
 import numbers
+from collections.abc import Mapping, Set
 
 
 class DrmError(Exception):
@@ -50,14 +52,32 @@ def check_level(p) -> float:
 
 
 def check_sequence(value, name: str) -> tuple:
-    """``value`` as a tuple; raises :class:`InvalidArgumentError` naming
-    ``name`` when it is a string or not iterable."""
-    try:
-        if not isinstance(value, str):
+    """``value`` as a tuple, in its own order: the one rule for a list of
+    levels, methods, targets or sizes.
+
+    A string, a value that is not iterable and an unordered collection (a
+    set, a frozenset or any mapping, whose order can change with the hash
+    seed) raise :class:`InvalidArgumentError` naming ``name``:
+    ``methods must be a sequence, not dict``.
+    """
+    with contextlib.suppress(TypeError):  # not iterable, a 0-d array among them
+        if not isinstance(value, (str, Set, Mapping)):
             return tuple(value)
-    except TypeError:
-        pass
     raise InvalidArgumentError(f"{name} must be a sequence, not {type(value).__name__}")
+
+
+def check_real(value, name: str, low=-math.inf, high=math.inf) -> float:
+    """``value`` as a float: the one rule for a real-valued setting.
+
+    A real number other than a bool that lies strictly inside (low, high),
+    so never NaN or an infinity, passes; anything else, a string among it,
+    raises :class:`InvalidArgumentError` naming ``name``:
+    ``k must be a real number in (0, inf), got '5'``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and low < value < high:
+        with contextlib.suppress(OverflowError):  # an int beyond the largest float
+            return float(value)
+    raise InvalidArgumentError(f"{name} must be a real number in ({low}, {high}), got {value!r}")
 
 
 def check_integer(value, name: str, low=None) -> int:

@@ -26,6 +26,7 @@ from .errors import (
     SingularMomentError,
     check_density,
     check_level,
+    check_real,
 )
 from .fit import TwoSampleData, fit_mele
 from .nonparametric import Ecdf, KdeModel, empirical_quantile, empirical_quantile_avar, kde_density
@@ -83,11 +84,10 @@ class QuantileEstimate:
     def normal(cls, level: float, point: float, avar: float, n: int,
                ci_level: float) -> "QuantileEstimate":
         """``point`` with standard error sqrt(avar / n) and the normal confidence
-        interval of coverage ``ci_level``, which must lie strictly between 0 and 1.
+        interval of coverage ``ci_level``, a real number strictly between 0 and 1.
         Raises :class:`DegenerateVarianceError` unless avar is positive and finite:
         every estimate is built here, so none reports an infinite, zero or NaN error."""
-        if not 0.0 < ci_level < 1.0:
-            raise InvalidArgumentError(f"ci_level must be strictly between 0 and 1, got {ci_level}")
+        ci_level = check_real(ci_level, "ci_level", 0, 1)
         if not 0.0 < avar < np.inf:
             raise DegenerateVarianceError(f"plug-in variance {avar} is not positive and finite")
         se = float(np.sqrt(avar / n))

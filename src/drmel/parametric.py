@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     check_level,
+    check_real,
     square,
 )
 from .estimators import QuantileEstimate
@@ -64,10 +65,8 @@ class Normal:
     sigma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise InvalidArgumentError(f"mu must be finite, got {self.mu}")
-        if not 0 < self.sigma < math.inf:
-            raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
+        object.__setattr__(self, "mu", check_real(self.mu, "mu"))
+        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0))
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         x = ndtri(u)  # mu + sigma * ndtri(u), written into the one array it returns
@@ -101,8 +100,7 @@ class Exponential:
     mean: float
 
     def __post_init__(self):
-        if not 0 < self.mean < math.inf:
-            raise InvalidArgumentError(f"mean must be positive and finite, got {self.mean}")
+        object.__setattr__(self, "mean", check_real(self.mean, "mean", 0))
 
     # np.log1p (ppf) and math.log1p (scalars) can differ in the last bit; each keeps its outputs
     def ppf(self, u: np.ndarray) -> np.ndarray:

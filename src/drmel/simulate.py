@@ -43,7 +43,8 @@ from functools import partial
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, InvalidArgumentError, check_integer, check_level, check_sequence
+from .errors import (DrmError, InvalidArgumentError, check_integer, check_level, check_real,
+                     check_sequence)
 from .estimators import EmpiricalModel, FittedDrm, corollary_variance
 from .fit import TwoSampleData
 from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, ParametricFamily, fit_parametric
@@ -108,9 +109,9 @@ def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
 
 def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
     """The checks a scenario and a study share: whole reps >= 1 and seed;
-    levels and methods each a sequence other than a string, of one entry or
-    more; every level in (0, 1) and every method known. Stores reps and seed
-    as ints and the levels and methods as tuples."""
+    levels and methods each a sequence (not a string, a set or a mapping) of
+    one entry or more; every level in (0, 1) and every method known. Stores
+    reps and seed as ints and the levels and methods as tuples."""
     object.__setattr__(run, "reps", check_integer(run.reps, "reps", 1))
     object.__setattr__(run, "seed", check_integer(run.seed, "seed"))
     levels = check_sequence(run.levels, "levels")
@@ -135,12 +136,13 @@ class Scenario:
     scenario_id: str = "scenario"
 
     def __post_init__(self):
+        if not isinstance(self.scenario_id, str):  # the table's first column
+            raise InvalidArgumentError(f"scenario_id must be a str, got {self.scenario_id!r}")
         if not isinstance(self.basis, BasisSpec):  # the JSON names a basis; a Scenario takes one
             raise InvalidArgumentError(f"basis must be a BasisSpec, got {self.basis!r}")
         _check_run(self, self.basis)
         object.__setattr__(self, "n1", check_integer(self.n1, "n1", 2))
-        if not 0 < self.k < math.inf:
-            raise InvalidArgumentError(f"k must be positive and finite, got {self.k}")
+        object.__setattr__(self, "k", check_real(self.k, "k", 0))
         n0 = self.k * self.n1
         if not n0 < 2**63 or abs(n0 - round(n0)) > 1e-9 or round(n0) < 1:
             raise InvalidArgumentError(f"k * n1 must be an integer in [1, 2**63), got {n0}")

@@ -214,12 +214,23 @@ def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
         (lambda obj: obj["generator1"].pop("sigma"), "'sigma'"),
         (lambda obj: obj.update(methods=["drm", "emprical"]),
          "'emprical'; known: drm, drm-linear,"),
-        (lambda obj: obj.update(methods="empirical"), "'methods': expected a list, got str"),
-        (lambda obj: obj.update(methods={"drm": 1}), "'methods': expected a list, got dict"),
-        (lambda obj: obj.update(levels="0.5"), "'levels': expected a list, got str"),
+        (lambda obj: obj.update(methods="empirical"), "methods must be a sequence, not str"),
+        (lambda obj: obj.update(methods={"drm": 1}), "methods must be a sequence, not dict"),
+        (lambda obj: obj.update(levels="0.5"), "levels must be a sequence, not str"),
+        (lambda obj: obj.update(bases="linear"), "Scenario has no key 'bases'"),
+        (lambda obj: obj.update(rep=10), "Scenario has no key 'rep'"),
+        (lambda obj: obj["generator0"].update(mean=2), "Normal has no key 'mean'"),
+        (lambda obj: obj.update(k="5"), "k must be a real number in (0, inf), got '5'"),
+        (lambda obj: obj.update(k=True), "k must be a real number in (0, inf), got True"),
+        (lambda obj: obj["generator1"].update(sigma=True), "sigma must be a real number"),
+        (lambda obj: obj["generator0"].update(mu="1e3"), "mu must be a real number"),
+        (lambda obj: obj.update(levels=["0.5"]), "quantile level must be a real number"),
+        (lambda obj: obj.update(scenario_id=7), "scenario_id must be a str, got 7"),
     ],
     ids=["unknown-basis", "missing-n1", "missing-generator-field", "unknown-method",
-         "methods-a-string", "methods-an-object", "levels-a-string"],
+         "methods-a-string", "methods-an-object", "levels-a-string", "misspelt-basis-key",
+         "misspelt-reps-key", "mean-of-a-normal", "k-a-string", "k-true", "sigma-true",
+         "mu-a-string", "level-a-string", "scenario-id-a-number"],
 )
 def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, named):
     obj = json.loads(scenario_json.read_text())
@@ -227,15 +238,16 @@ def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, name
     scenario_json.write_text(json.dumps(obj))
     assert run_cli(["simulate", "--scenario", scenario_json]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
 
 @pytest.mark.parametrize(
     "edit, named",
     [
         (lambda obj: [obj], "got list"),
-        (lambda obj: {**obj, "generator0": {**obj["generator0"], "mu": "abc"}}, "'mu'"),
-        (lambda obj: {**obj, "levels": 0.5}, "'levels'"),
+        (lambda obj: {**obj, "generator0": {**obj["generator0"], "mu": "abc"}},
+         "mu must be a real number"),
+        (lambda obj: {**obj, "levels": 0.5}, "levels must be a sequence"),
     ],
     ids=["top-level-list", "mu-not-a-number", "levels-not-a-list"],
 )
@@ -292,13 +304,14 @@ JSON_VALUES = st.recursive(
                                                                max_size=3),
     max_leaves=8,
 )
-SCENARIO_KEYS = [*VALID_SCENARIO, "basis", "seed", "scenario_id"]
+SCENARIO_KEYS = [*VALID_SCENARIO, "basis", "seed", "scenario_id", "rep"]  # rep is no field
 
 
 @st.composite
 def scenario_objects(draw):
-    """A valid scenario object with some fields, or some generator fields, replaced by
-    arbitrary JSON values; or an arbitrary JSON value."""
+    """A valid scenario object with some keys, or some generator keys, replaced by
+    arbitrary JSON values, a key that is no field among them; or an arbitrary
+    JSON value."""
     if draw(st.booleans()):
         return draw(JSON_VALUES)
     values = st.floats() | st.integers() | JSON_VALUES  # mostly numbers, as most fields are
@@ -317,11 +330,16 @@ def scenario_objects(draw):
 @example(obj={**VALID_SCENARIO, "generator0": {"dist": "normal", "mu": float("inf"), "sigma": 1}})
 @example(obj={**VALID_SCENARIO, "n1": 10**400})
 def test_any_json_value_gives_a_scenario_or_a_typed_error(obj):
+    obj = json.loads(json.dumps(obj))
     try:
-        scenario = scenario_from_json(json.loads(json.dumps(obj)))
+        scenario = scenario_from_json(obj)
     except DrmError:
         return
     assert isinstance(scenario, Scenario)
+    # every key the reader accepted is a field of what it built
+    for keys, built in [(obj, scenario), (obj["generator0"], scenario.generator0),
+                        (obj["generator1"], scenario.generator1)]:
+        assert set(keys) - {"dist"} <= {f.name for f in dataclasses.fields(built)}
 
 
 def test_a_scenario_of_the_required_keys_is_the_scenario_of_those_fields():

@@ -100,7 +100,7 @@ CI_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("ci", [0.0, 1.0, 1.5, -0.5, math.nan])
+@pytest.mark.parametrize("ci", [0.0, 1.0, 1.5, -0.5, math.nan, "0.9"])
 @pytest.mark.parametrize("entry", sorted(CI_ENTRY_POINTS))
 def test_confidence_level_outside_the_unit_interval_is_rejected(model, entry, ci):
     with pytest.raises(InvalidArgumentError, match="ci_level"):
@@ -182,6 +182,27 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
         (lambda: _study(targets=()), InvalidArgumentError, "at least one target"),
         (lambda: _scenario_with(basis="linear"), InvalidArgumentError,
          "basis must be a BasisSpec, got 'linear'"),
+        # a real-valued setting is a real number other than a bool
+        (lambda: _scenario_with(k="2"), InvalidArgumentError,
+         r"k must be a real number in \(0, inf\), got '2'"),
+        (lambda: _scenario_with(k=True), InvalidArgumentError, "k must be a real number"),
+        (lambda: Normal(mu="0", sigma=1), InvalidArgumentError,
+         r"mu must be a real number in \(-inf, inf\), got '0'"),
+        (lambda: Normal(mu=True, sigma=1), InvalidArgumentError, "mu must be a real number"),
+        (lambda: Exponential(mean="1"), InvalidArgumentError, "mean must be a real number"),
+        (lambda: QuantileEstimate.normal(0.5, 0.0, 1.0, 10, "0.9"), InvalidArgumentError,
+         r"ci_level must be a real number in \(0, 1\), got '0.9'"),
+        (lambda: _scenario_with(scenario_id=None), InvalidArgumentError,
+         "scenario_id must be a str, got None"),
+        # an unordered collection has no order of its own to keep
+        (lambda: _study(targets={"t1", "t2", "t3"}), InvalidArgumentError,
+         "targets must be a sequence, not set"),
+        (lambda: _study(methods=frozenset({"empirical"})), InvalidArgumentError,
+         "methods must be a sequence, not frozenset"),
+        (lambda: _scenario_with(methods={"drm": 1}), InvalidArgumentError,
+         "methods must be a sequence, not dict"),
+        (lambda: _scenario_with(levels={0.5}), InvalidArgumentError,
+         "levels must be a sequence, not set"),
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
@@ -200,7 +221,10 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "scenario-levels-a-number", "study-n0-grid-a-number", "study-n-grid-a-string",
          "scenario-level-a-string", "level-a-string", "named-basis-with-transforms",
          "unknown-family-tag", "overflowing-normal-mean", "unknown-transform",
-         "study-without-targets", "scenario-basis-a-name"],
+         "study-without-targets", "scenario-basis-a-name", "k-a-string", "k-true",
+         "mu-a-string", "mu-true", "mean-a-string", "ci-level-a-string",
+         "scenario-id-none", "study-targets-a-set", "study-methods-a-frozenset",
+         "scenario-methods-a-dict", "scenario-levels-a-set"],
 )
 def test_invalid_input_raises_a_typed_error(make, error, named):
     with pytest.raises(error, match=named) as err:
@@ -296,3 +320,11 @@ def test_whole_floats_and_numpy_integers_are_stored_as_ints():
     assert (study.n0_grid, study.n_grid, study.reps) == ((5, 6), (4,), 2)
     assert all(type(v) is int for v in (*study.n0_grid, *study.n_grid, study.reps))
     assert _scenario_json(n1=10.0, reps=3.0, seed=2.0).n1 == 10
+
+
+def test_real_settings_are_stored_as_floats():
+    scenario = _scenario_with(generator0=Normal(np.int64(1), 2), generator1=Exponential(3), k=2)
+    values = (scenario.k, scenario.generator0.mu, scenario.generator0.sigma,
+              scenario.generator1.mean)
+    assert values == (2.0, 1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in values)
