@@ -103,10 +103,14 @@ def scenario_from_json(obj) -> Scenario:
     Only what JSON cannot spell is converted: the generator objects into
     populations and the basis name into a :class:`BasisSpec`. Every other
     value is passed on as JSON gave it, so the defaults and the checks are
-    the Scenario's."""
+    the Scenario's. An error in a generator object names its key first:
+    ``generator1: sigma must be a real number in (0, inf), got 0``."""
     arguments = _arguments(obj, Scenario)
     for key in ("generator0", "generator1"):
-        arguments[key] = _generator_from_json(arguments[key])
+        try:
+            arguments[key] = _generator_from_json(arguments[key])
+        except InvalidArgumentError as exc:  # a key of the generator object: say which one
+            raise InvalidArgumentError(f"{key}: {exc}") from None
     if "basis" in arguments:
         arguments["basis"] = BasisSpec.from_name(arguments["basis"])
     return Scenario(**arguments)

@@ -37,18 +37,13 @@ class InvalidArgumentError(DrmError, ValueError):
 
 
 class InvalidLevelError(InvalidArgumentError):
-    """A quantile level is outside the open interval (0, 1)."""
+    """A quantile level is not a real number in the open interval (0, 1)."""
 
 
-def check_level(p) -> float:
-    """``p`` as a float; raises :class:`InvalidLevelError` unless p is a real
-    number and 0 < p < 1."""
-    try:
-        if 0.0 < p < 1.0:
-            return float(p)
-    except TypeError:
-        raise InvalidLevelError(f"quantile level must be a real number, got {p!r}") from None
-    raise InvalidLevelError(f"quantile level must be in (0,1), got {p}")
+def check_level(p, name: str = "quantile level") -> float:
+    """``p`` as a float: :func:`check_real` on (0, 1), raising
+    :class:`InvalidLevelError` naming ``name``."""
+    return check_real(p, name, 0, 1, error=InvalidLevelError)
 
 
 def check_sequence(value, name: str) -> tuple:
@@ -66,18 +61,23 @@ def check_sequence(value, name: str) -> tuple:
     raise InvalidArgumentError(f"{name} must be a sequence, not {type(value).__name__}")
 
 
-def check_real(value, name: str, low=-math.inf, high=math.inf) -> float:
-    """``value`` as a float: the one rule for a real-valued setting.
+def check_real(value, name: str, low=-math.inf, high=math.inf, *, closed=False,
+               error=InvalidArgumentError) -> float:
+    """``value`` as a float: the one rule for a real-valued argument.
 
     A real number other than a bool that lies strictly inside (low, high),
-    so never NaN or an infinity, passes; anything else, a string among it,
-    raises :class:`InvalidArgumentError` naming ``name``:
-    ``k must be a real number in (0, inf), got '5'``.
+    or with ``closed`` in [low, high), passes, so NaN and an infinity never
+    do; anything else, a string among it, raises ``error``, a
+    :class:`DrmError` class, naming ``name``:
+    ``k must be a real number in [0, inf), got '5'``.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and low < value < high:
+    # float first: an exact type test, where numbers.Real is a much slower ABC lookup
+    real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+    if real and (low <= value if closed else low < value) and value < high:
         with contextlib.suppress(OverflowError):  # an int beyond the largest float
             return float(value)
-    raise InvalidArgumentError(f"{name} must be a real number in ({low}, {high}), got {value!r}")
+    raise error(f"{name} must be a real number in {'[' if closed else '('}{low}, {high}), "
+                f"got {value!r}")
 
 
 def check_integer(value, name: str, low=None) -> int:
@@ -105,15 +105,13 @@ def square(x) -> float:
 
 
 def check_density(density_at) -> float:
-    """``density_at**2``, the divisor of a quantile's asymptotic variance;
-    raises :class:`NonpositiveDensityError` unless the density is finite and
-    positive and its square is positive and finite. Below about 1.5e-162 the
-    square underflows to 0; an overflowing square, like an infinite density,
-    would make the variance 0."""
-    squared = square(density_at) if 0 < density_at < math.inf else 0.0
+    """``density_at**2``, the divisor of a quantile's asymptotic variance:
+    :func:`check_real` on (0, inf), raising :class:`NonpositiveDensityError`,
+    which is also raised when the square underflows to 0, below about
+    1.5e-162, or overflows, which would make the variance 0."""
+    squared = square(check_real(density_at, "density_at", 0, error=NonpositiveDensityError))
     if not 0 < squared < math.inf:
-        raise NonpositiveDensityError(f"density plug-in {density_at} is not finite and positive, "
-                                      "or its square underflows to 0 or overflows")
+        raise NonpositiveDensityError(f"density_at {density_at} squared underflows or overflows")
     return squared
 
 
@@ -122,7 +120,8 @@ class SingularMomentError(DrmError):
 
 
 class NonpositiveDensityError(InvalidArgumentError):
-    """A density plug-in value must be strictly positive."""
+    """A density plug-in is not a real number in (0, inf), or its square
+    underflows to 0 or overflows."""
 
 
 class DegenerateVarianceError(DrmError):

@@ -22,7 +22,6 @@ from scipy.special import ndtri
 from .basis import BasisSpec, evaluate_matrix
 from .errors import (
     DegenerateVarianceError,
-    InvalidArgumentError,
     SingularMomentError,
     check_density,
     check_level,
@@ -240,10 +239,8 @@ def corollary_variance(k: float, p: float, density_at: float, parametric_avar: f
     (weight 1/(k+1)) and the parametric-MLE variance (weight k/(k+1)),
     where k is the base-to-target sample size ratio.
     """
-    if not 0 <= k < np.inf:
-        raise InvalidArgumentError(f"sample size ratio k must be finite and nonnegative, got {k}")
-    if not 0 <= parametric_avar < np.inf:
-        raise InvalidArgumentError("parametric variance must be finite and nonnegative")
+    k = check_real(k, "k", 0, closed=True)
+    parametric_avar = check_real(parametric_avar, "parametric_avar", 0, closed=True)
     empirical = empirical_quantile_avar(p, density_at)
     return empirical / (k + 1.0) + parametric_avar * k / (k + 1.0)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InvalidArgumentError, check_density, check_level
+from .errors import (DegenerateSampleError, InvalidArgumentError, check_density, check_level,
+                     check_real)
 
 __all__ = [
     "Ecdf",
@@ -73,9 +74,8 @@ class KdeModel:
 
     def __post_init__(self):
         # from the smallest normal float up, dividing a kernel value by it stays finite
-        if not sys.float_info.min <= self.bandwidth < math.inf:
-            raise InvalidArgumentError("bandwidth must be finite and at least "
-                                       f"{sys.float_info.min}, got {self.bandwidth}")
+        object.__setattr__(self, "bandwidth", check_real(self.bandwidth, "bandwidth",
+                                                         sys.float_info.min, closed=True))
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
         if self.sample.size < 1 or not np.isfinite(self.sample).all():
             raise InvalidArgumentError("a KDE sample must be nonempty and finite")

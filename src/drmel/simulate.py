@@ -35,6 +35,7 @@ import itertools
 import math
 import os
 import pickle
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -102,9 +103,9 @@ def sample(gen, size: int, rng: np.random.Generator) -> np.ndarray:
 
 def corollary_curve(gen, p: float, k_grid) -> np.ndarray:
     """Limiting DRM quantile variance as a function of the size ratio k,
-    for identical populations."""
+    for identical populations, at each k of the sequence ``k_grid``."""
     g, avar = gen.density_at_quantile(p), gen.quantile_avar(p)
-    return np.array([corollary_variance(float(k), p, g, avar) for k in k_grid])
+    return np.array([corollary_variance(k, p, g, avar) for k in check_sequence(k_grid, "k_grid")])
 
 
 def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
@@ -115,7 +116,8 @@ def _check_run(run, drm_basis: BasisSpec | None = None) -> None:
     object.__setattr__(run, "reps", check_integer(run.reps, "reps", 1))
     object.__setattr__(run, "seed", check_integer(run.seed, "seed"))
     levels = check_sequence(run.levels, "levels")
-    object.__setattr__(run, "levels", tuple(map(check_level, levels)))
+    object.__setattr__(run, "levels", tuple(check_level(p, f"levels[{i}]: quantile level")
+                                            for i, p in enumerate(levels)))
     object.__setattr__(run, "methods", check_sequence(run.methods, "methods"))
     _resolve_methods(run.methods, drm_basis)
     if not run.levels or not run.methods:
@@ -265,7 +267,10 @@ _worker_state = None  # in a pool worker, the state of the run it serves
 
 
 def _init_worker(blob: bytes) -> None:
+    """A worker ignores SIGINT: a Ctrl-C stops the parent, which cancels what
+    the workers have not started, and a worker never breaks the pool under it."""
     global _worker_state
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_state = pickle.loads(blob)
 
 
@@ -317,7 +322,8 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
             ) from None
         try:
             with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
-                chunksize = max(1, len(flat) // (4 * workers))
+                # small chunks: after a Ctrl-C the parent waits out only the started ones
+                chunksize = max(1, len(flat) // (32 * workers))
                 for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize)):
                     flat[i] = block
         except BrokenProcessPool:

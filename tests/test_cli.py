@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -226,11 +228,16 @@ def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
         (lambda obj: obj["generator0"].update(mu="1e3"), "mu must be a real number"),
         (lambda obj: obj.update(levels=["0.5"]), "quantile level must be a real number"),
         (lambda obj: obj.update(scenario_id=7), "scenario_id must be a str, got 7"),
+        (lambda obj: obj["generator1"].update(sigma=0),
+         "error: generator1: sigma must be a real number in (0, inf), got 0\n"),
+        (lambda obj: obj.update(levels=[0.5, "0.9"]),
+         "error: levels[1]: quantile level must be a real number in (0, 1), got '0.9'\n"),
     ],
     ids=["unknown-basis", "missing-n1", "missing-generator-field", "unknown-method",
          "methods-a-string", "methods-an-object", "levels-a-string", "misspelt-basis-key",
          "misspelt-reps-key", "mean-of-a-normal", "k-a-string", "k-true", "sigma-true",
-         "mu-a-string", "level-a-string", "scenario-id-a-number"],
+         "mu-a-string", "level-a-string", "scenario-id-a-number", "generator-sigma-zero",
+         "second-level-a-string"],
 )
 def test_simulate_rejects_a_malformed_scenario(scenario_json, capsys, edit, named):
     obj = json.loads(scenario_json.read_text())
@@ -453,6 +460,41 @@ def test_an_interrupt_is_one_line_and_exit_130(scenario_json, monkeypatch, capsy
     monkeypatch.setattr(drmel.cli, "run_scenario", interrupted)
     assert run_cli(["simulate", "--scenario", scenario_json]) == 130
     assert capsys.readouterr() == ("", "interrupted\n")
+
+
+# the command line of its arguments, which says on stdout when drmel is
+# imported; os.cpu_count is 2, so a pool opens on one core too
+_CLI_AFTER_IMPORT = """
+import os, sys
+from drmel.cli import main
+os.cpu_count = lambda: 2
+print("started", flush=True)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_ctrl_c_across_a_pool_is_one_line_and_exit_130(tmp_path):
+    # 12 800 replicates of 10 500 rows, some seconds of work in chunks of 200
+    scenario = _scenario_json(tmp_path, n1=500, k=20, reps=12_800)
+    src = str(Path(drmel.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _CLI_AFTER_IMPORT, "simulate", "--scenario",
+                             str(scenario), "--workers", "2"],
+                            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "started\n"
+        time.sleep(1.0)  # the pool is running
+        os.killpg(proc.pid, signal.SIGINT)  # to the whole process group, as Ctrl-C sends it
+        start = time.monotonic()
+        out, err = proc.communicate(timeout=60)
+        waited = time.monotonic() - start
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    assert waited < 2.0
 
 
 # the command line of its arguments, run with an address space of 2 GiB,

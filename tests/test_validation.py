@@ -2,7 +2,10 @@
 public entry point that takes one, confidence levels, and empty or invalid
 samples, bandwidths, bases and limiting-variance inputs."""
 
+import functools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from drmel import (
     InvalidArgumentError,
     InvalidLevelError,
     KdeModel,
+    NonpositiveDensityError,
     Normal,
     QuantileEstimate,
     ResampleStudy,
@@ -50,11 +54,16 @@ def _tilt(x0, x1, tag):
     return theta_from_submodel(fit_parametric(TwoSampleData(x0=x0, x1=x1), tag))
 
 
-@pytest.fixture(scope="module")
-def model():
+@functools.cache
+def _fitted():
     rng = np.random.default_rng(7)
     data = TwoSampleData(x0=rng.normal(0.0, 1.0, 200), x1=rng.normal(0.2, 1.1, 60))
     return FittedDrm(data, SPEC)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return _fitted()
 
 
 def _scenario(p):
@@ -113,6 +122,23 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
     half = 1.959963984540054 * 1.5
     assert (est.ci_low, est.ci_high) == pytest.approx((2.0 - half, 2.0 + half), rel=1e-15)
     assert est.level == 0.3
+
+
+# each real-valued argument with bounds: (case id, the call that takes it, its name,
+# its bounds as the message writes them, the nearest value outside them, the error)
+REAL_ARGUMENTS = [
+    ("corollary-k", lambda v: corollary_variance(v, 0.5, 1.0, 1.0), "k", "[0, inf)", -5e-324,
+     InvalidArgumentError),
+    ("corollary-parametric-avar", lambda v: corollary_variance(1.0, 0.5, 1.0, v),
+     "parametric_avar", "[0, inf)", -5e-324, InvalidArgumentError),
+    ("empirical-avar-density", lambda v: empirical_quantile_avar(0.5, v), "density_at",
+     "(0, inf)", 0.0, NonpositiveDensityError),
+    ("avar-quantile-density", lambda v: avar_quantile(_fitted(), 0.5, v), "density_at",
+     "(0, inf)", 0.0, NonpositiveDensityError),
+    ("kde-bandwidth", lambda v: KdeModel(sample=[1.0, 2.0], bandwidth=v), "bandwidth",
+     f"[{sys.float_info.min}, inf)", math.nextafter(sys.float_info.min, 0.0),
+     InvalidArgumentError),
+]
 
 
 @pytest.mark.parametrize(
@@ -203,6 +229,20 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "methods must be a sequence, not dict"),
         (lambda: _scenario_with(levels={0.5}), InvalidArgumentError,
          "levels must be a sequence, not set"),
+        # a grid of k is a sequence of real numbers
+        (lambda: corollary_curve(Normal(0, 1), 0.5, "25"), InvalidArgumentError,
+         "k_grid must be a sequence, not str"),
+        (lambda: corollary_curve(Normal(0, 1), 0.5, [True]), InvalidArgumentError,
+         r"k must be a real number in \[0, inf\), got True"),
+        # a level of a run names its place in the list
+        (lambda: _scenario_with(levels=(0.5, "0.9")), InvalidLevelError,
+         r"levels\[1\]: quantile level must be a real number in \(0, 1\), got '0.9'"),
+    ] + [
+        # a string, True, NaN and the nearest value outside the bounds
+        (functools.partial(call, v), error,
+         re.escape(f"{name} must be a real number in {bounds}, got {v!r}"))
+        for _, call, name, bounds, outside, error in REAL_ARGUMENTS
+        for v in ("1", True, math.nan, outside)
     ],
     ids=["empty-sample", "infinite-value", "nan-value", "empty-ecdf", "zero-bandwidth",
          "infinite-bandwidth", "nan-bandwidth", "corollary-infinite-k",
@@ -224,12 +264,23 @@ def test_normal_interval_is_point_plus_minus_z_standard_errors():
          "study-without-targets", "scenario-basis-a-name", "k-a-string", "k-true",
          "mu-a-string", "mu-true", "mean-a-string", "ci-level-a-string",
          "scenario-id-none", "study-targets-a-set", "study-methods-a-frozenset",
-         "scenario-methods-a-dict", "scenario-levels-a-set"],
+         "scenario-methods-a-dict", "scenario-levels-a-set", "k-grid-a-string", "k-grid-true",
+         "scenario-level-a-string-at-1"]
+        + [f"{case}-{probe}" for case, *_ in REAL_ARGUMENTS
+           for probe in ("a-string", "true", "nan", "just-outside")],
 )
 def test_invalid_input_raises_a_typed_error(make, error, named):
     with pytest.raises(error, match=named) as err:
         make()
     assert isinstance(err.value, DrmError)
+
+
+def test_a_closed_bound_passes_and_is_stored_as_a_float():
+    assert corollary_variance(0.0, 0.5, 1.0, 1.0) == 0.25
+    assert corollary_variance(1, 0.5, 1.0, 0.0) == 0.125
+    tiny = KdeModel(sample=[1.0, 2.0], bandwidth=sys.float_info.min)
+    assert tiny.bandwidth == sys.float_info.min
+    assert type(KdeModel(sample=[1.0, 2.0], bandwidth=np.float64(0.5)).bandwidth) is float
 
 
 def test_scenario_rejects_an_unknown_generator():
