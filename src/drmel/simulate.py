@@ -36,6 +36,7 @@ import math
 import os
 import pickle
 import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -294,8 +295,11 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     size reps is built. Results are stored in key order, so the table does
     not depend on the worker count. A pool opens no more workers than there
     are replicates or CPUs, and a worker count that is not a whole number
-    of 1 or more raises :class:`InvalidArgumentError`. A pool worker that
-    dies, as one killed for want of memory does, raises :class:`DrmError`.
+    of 1 or more raises :class:`InvalidArgumentError`. A pool run makes its
+    first replicate in this process and sizes its chunks by that
+    replicate's time, so a Ctrl-C waits out about 0.1 s of started work per
+    chunk, however many replicates the run has. A pool worker that dies,
+    as one killed for want of memory does, raises :class:`DrmError`.
     """
     workers = check_integer(workers, "workers", 1)
     shape = (len(cells), reps, len(targets), len(methods), len(levels))
@@ -304,31 +308,36 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     except (MemoryError, ValueError):  # ValueError: more elements than numpy can index
         raise InvalidArgumentError(
             "cannot hold the estimates of {} cells x {} reps x {} targets x {} methods x "
-            "{} levels in memory".format(*shape)
-        ) from None
+            "{} levels in memory".format(*shape)) from None
     state = (seed, base, targets, cells, reps, methods, levels)
     keys = itertools.product(range(len(cells)), range(reps))
     flat = results.reshape(len(cells) * reps, *shape[2:])  # a view: one block per key
     workers = min(workers, len(flat), os.cpu_count() or 1)
-    if workers <= 1:  # also a run of no replicates
-        for i, key in enumerate(keys):
-            flat[i] = _replicate(state, key)
-    else:
+    # every replicate of a run at one worker runs here, and the first of a pool run
+    start = time.perf_counter()
+    for i, key in enumerate(itertools.islice(keys, 1 if workers > 1 else None)):
+        flat[i] = _replicate(state, key)
+    if workers > 1:
+        # the first replicate's time, scaled to the rows of the largest cell, sizes
+        # the chunks: one takes about 0.1 s, so after a Ctrl-C the parent waits out a
+        # bounded amount of started work, whatever the number of replicates
+        cell_rows = [n0 + n * len(targets) for _, n0, n in cells]
+        per_rep = (time.perf_counter() - start) * max(cell_rows) / cell_rows[0]
+        chunksize = max(1, min(len(flat) // (32 * workers), int(0.1 / per_rep)))
         try:  # pickled once, so each worker receives it once
             blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise InvalidArgumentError(
-                f"cannot send the run to worker processes ({exc}); use workers=1"
-            ) from None
+            raise InvalidArgumentError(f"cannot send the run to worker processes ({exc}); "
+                                       "use workers=1") from None
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,))
         try:
-            with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,)) as pool:
-                # small chunks: after a Ctrl-C the parent waits out only the started ones
-                chunksize = max(1, len(flat) // (32 * workers))
-                for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize)):
-                    flat[i] = block
+            for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize), 1):
+                flat[i] = block
         except BrokenProcessPool:
             raise DrmError("a worker of the process pool died before the run ended; workers=1 "
                            "(--workers 1) runs every replicate in this process") from None
+        finally:  # cancels the queued chunks on every way out, a Ctrl-C while map submits too
+            pool.shutdown(cancel_futures=True)
     # one truth per target and level: FinitePopulation.quantile sorts the whole group
     truths = [[population.quantile(p) for population in targets.values()] for p in levels]
     rows = []

@@ -473,9 +473,13 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_ctrl_c_across_a_pool_is_one_line_and_exit_130(tmp_path):
-    # 12 800 replicates of 10 500 rows, some seconds of work in chunks of 200
-    scenario = _scenario_json(tmp_path, n1=500, k=20, reps=12_800)
+@pytest.mark.parametrize("reps", [
+    12_800,  # some seconds of work
+    200_000,  # a chunk of 1/64 of the replicates would take some seconds alone
+], ids=["12800-reps", "200000-reps"])
+def test_ctrl_c_across_a_pool_is_one_line_and_exit_130(tmp_path, reps):
+    # replicates of 10 500 rows at 2 workers
+    scenario = _scenario_json(tmp_path, n1=500, k=20, reps=reps)
     src = str(Path(drmel.__file__).resolve().parents[1])
     proc = subprocess.Popen([sys.executable, "-c", _CLI_AFTER_IMPORT, "simulate", "--scenario",
                              str(scenario), "--workers", "2"],
