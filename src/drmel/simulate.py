@@ -33,10 +33,10 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import multiprocessing
 import os
 import pickle
 import signal
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -264,19 +264,22 @@ def _replicate(state, key) -> np.ndarray:
     return estimates
 
 
-_worker_state = None  # in a pool worker, the state of the run it serves
+_worker_state = None  # in a pool worker: the state of the run it serves, and the run's stop event
 
 
-def _init_worker(blob: bytes) -> None:
-    """A worker ignores SIGINT: a Ctrl-C stops the parent, which cancels what
-    the workers have not started, and a worker never breaks the pool under it."""
+def _init_worker(blob: bytes, stop) -> None:
+    """A worker ignores SIGINT: a Ctrl-C stops the parent, which sets ``stop``
+    and cancels the chunks not yet sent, and a worker never breaks the pool
+    under it."""
     global _worker_state
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_state = pickle.loads(blob)
+    _worker_state = pickle.loads(blob), stop
 
 
 def _worker_replicate(key):
-    return _replicate(_worker_state, key)
+    """The replicate of ``key``, or None once the run's stop event is set."""
+    state, stop = _worker_state
+    return None if stop.is_set() else _replicate(state, key)
 
 
 def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, levels,
@@ -295,11 +298,11 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     size reps is built. Results are stored in key order, so the table does
     not depend on the worker count. A pool opens no more workers than there
     are replicates or CPUs, and a worker count that is not a whole number
-    of 1 or more raises :class:`InvalidArgumentError`. A pool run makes its
-    first replicate in this process and sizes its chunks by that
-    replicate's time, so a Ctrl-C waits out about 0.1 s of started work per
-    chunk, however many replicates the run has. A pool worker that dies,
-    as one killed for want of memory does, raises :class:`DrmError`.
+    of 1 or more raises :class:`InvalidArgumentError`. A pool worker that
+    dies, as one killed for want of memory does, raises :class:`DrmError`.
+    When a pool run ends early, by a Ctrl-C or an error, each worker
+    finishes the replicate it is on and skips every one it has not begun,
+    so the wait does not grow with the number of replicates.
     """
     workers = check_integer(workers, "workers", 1)
     shape = (len(cells), reps, len(targets), len(methods), len(levels))
@@ -308,35 +311,33 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     except (MemoryError, ValueError):  # ValueError: more elements than numpy can index
         raise InvalidArgumentError(
             "cannot hold the estimates of {} cells x {} reps x {} targets x {} methods x "
-            "{} levels in memory".format(*shape)) from None
+            "{} levels in memory".format(*shape)
+        ) from None
     state = (seed, base, targets, cells, reps, methods, levels)
     keys = itertools.product(range(len(cells)), range(reps))
     flat = results.reshape(len(cells) * reps, *shape[2:])  # a view: one block per key
     workers = min(workers, len(flat), os.cpu_count() or 1)
-    # every replicate of a run at one worker runs here, and the first of a pool run
-    start = time.perf_counter()
-    for i, key in enumerate(itertools.islice(keys, 1 if workers > 1 else None)):
-        flat[i] = _replicate(state, key)
-    if workers > 1:
-        # the first replicate's time, scaled to the rows of the largest cell, sizes
-        # the chunks: one takes about 0.1 s, so after a Ctrl-C the parent waits out a
-        # bounded amount of started work, whatever the number of replicates
-        cell_rows = [n0 + n * len(targets) for _, n0, n in cells]
-        per_rep = (time.perf_counter() - start) * max(cell_rows) / cell_rows[0]
-        chunksize = max(1, min(len(flat) // (32 * workers), int(0.1 / per_rep)))
+    if workers <= 1:  # also a run of no replicates
+        for i, key in enumerate(keys):
+            flat[i] = _replicate(state, key)
+    else:
         try:  # pickled once, so each worker receives it once
             blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise InvalidArgumentError(f"cannot send the run to worker processes ({exc}); "
-                                       "use workers=1") from None
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob,))
+            raise InvalidArgumentError(
+                f"cannot send the run to worker processes ({exc}); use workers=1"
+            ) from None
+        stop = multiprocessing.Event()  # set on every way out of the run
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob, stop))
         try:
-            for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize), 1):
+            chunksize = max(1, len(flat) // (32 * workers))
+            for i, block in enumerate(pool.map(_worker_replicate, keys, chunksize=chunksize)):
                 flat[i] = block
         except BrokenProcessPool:
             raise DrmError("a worker of the process pool died before the run ended; workers=1 "
                            "(--workers 1) runs every replicate in this process") from None
-        finally:  # cancels the queued chunks on every way out, a Ctrl-C while map submits too
+        finally:  # a Ctrl-C while map still submits too: cancel the chunks not yet sent
+            stop.set()
             pool.shutdown(cancel_futures=True)
     # one truth per target and level: FinitePopulation.quantile sorts the whole group
     truths = [[population.quantile(p) for population in targets.values()] for p in levels]

@@ -567,6 +567,35 @@ def test_a_run_too_large_to_hold_is_one_error_line_before_any_replicate(data_csv
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+# a two-cell study at 2 workers whose first cell fits and whose second is too
+# large to sample, run with an address space of 2 GiB; prints the error's
+# type, the type of its cause and its message
+_GRID_IN_2_GIB = """
+import os, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+import numpy as np
+from drmel import ResampleStudy, run_resample_study
+os.cpu_count = lambda: 2
+study = ResampleStudy(base="a", targets=["b"], n0_grid=(30, 10**12), n_grid=(10,), reps=3)
+try:
+    run_resample_study(study, {"a": np.arange(1.0, 41.0), "b": np.arange(1.0, 21.0)}, workers=2)
+except Exception as exc:
+    print(type(exc).__name__, type(exc.__cause__).__name__, exc, sep="|")
+"""
+
+
+def test_a_later_cell_too_large_is_the_error_a_pool_worker_sends_back():
+    # never run without the limit: a regression would exhaust the machine's memory
+    src = str(Path(drmel.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _GRID_IN_2_GIB],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    # the cause is the worker's traceback, which concurrent.futures attaches
+    assert done.stdout == "|".join(["InvalidArgumentError", "_RemoteTraceback",
+                                    _too_large(10**12, 10)])
+
+
 def test_kde_reports_dropped_rows(tmp_path, capsys):
     path = tmp_path / "gaps.csv"
     path.write_text("year,revenue\n2015,1.0\n2015,\n2015,2.5\n2015,4.0\n")
