@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import DrmError, EmptyGroupError, InvalidArgumentError, check_integer
+from .errors import (DegenerateSampleError, DrmError, EmptyGroupError, InvalidArgumentError,
+                     check_integer)
 from .fit import TwoSampleData
 from .nonparametric import KdeModel, kde_density
 from .pipeline import ColumnSpec, ResampleStudy, ingest_csv, run_resample_study
@@ -133,8 +134,14 @@ def _cmd_kde(args) -> int:
     sample = _load(args, args.group)[args.group]
     model = KdeModel.silverman(sample)
     h = model.bandwidth
+    low, high = float(sample.min()), float(sample.max())
+    start, stop = low - 3 * h, high + 3 * h  # Python floats overflow to inf without a warning
+    if not stop - start < np.inf:
+        raise DegenerateSampleError(f"the KDE grid of group {args.group!r}, its range "
+                                    f"[{low:g}, {high:g}] and 3 bandwidths of {h:g} past "
+                                    "each end, overflows")
     try:
-        grid = np.linspace(sample.min() - 3 * h, sample.max() + 3 * h, points)
+        grid = np.linspace(start, stop, points)
         dens = kde_density(model, grid)
     except DrmError:  # an InvalidArgumentError is a ValueError; it keeps its own message
         raise

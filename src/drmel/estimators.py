@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .basis import BasisSpec, evaluate_matrix
 from .errors import (
@@ -28,7 +27,8 @@ from .errors import (
     check_real,
 )
 from .fit import TwoSampleData, fit_mele
-from .nonparametric import Ecdf, KdeModel, empirical_quantile, empirical_quantile_avar, kde_density
+from .nonparametric import (Ecdf, KdeModel, _ndtri, empirical_quantile, empirical_quantile_avar,
+                            kde_density)
 
 __all__ = [
     "WeightedCdf",
@@ -90,7 +90,7 @@ class QuantileEstimate:
         if not 0.0 < avar < np.inf:
             raise DegenerateVarianceError(f"plug-in variance {avar} is not positive and finite")
         se = float(np.sqrt(avar / n))
-        z = float(ndtri(0.5 + ci_level / 2.0))
+        z = _ndtri(0.5 + ci_level / 2.0)
         return cls(level, point, se, point - z * se, point + z * se)
 
 

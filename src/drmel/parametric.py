@@ -11,10 +11,13 @@ density-ratio estimators are compared against; :attr:`ParametricFamily.target`
 is the fitted target population.
 
 ``cdf`` and ``density_at_quantile`` write out the expressions that
-``scipy.stats.norm`` and ``scipy.stats.expon`` evaluate, on the ``ndtr``,
-``ndtri`` and ``expm1`` of ``scipy.special``: they keep scipy's bits (the sign
-of a NaN aside), at ±0 and ±inf too, without the start-up cost of importing
-``scipy.stats``.
+``scipy.stats.norm`` and ``scipy.stats.expon`` evaluate: they keep scipy's
+bits (the sign of a NaN aside), at ±0 and ±inf too. A scalar normal quantile
+is :func:`~drmel.nonparametric._ndtri`, a port of the one ``scipy.special``
+evaluates, so fitting and estimating import no scipy module. ``Normal.ppf``
+and the ``cdf`` methods take ``ndtri``, ``ndtr`` and ``expm1`` of
+``scipy.special``, imported on their first call: a run that draws normal
+samples loads scipy then, and a CSV command never does.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expm1, ndtr, ndtri
 
 from .errors import (
     DegenerateSampleError,
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .estimators import QuantileEstimate
 from .fit import TwoSampleData
-from .nonparametric import _norm_pdf
+from .nonparametric import _ndtri, _norm_pdf
 
 __all__ = [
     "Normal",
@@ -69,6 +71,8 @@ class Normal:
         object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0))
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtri
+
         x = ndtri(u)  # mu + sigma * ndtri(u), written into the one array it returns
         x *= self.sigma
         x += self.mu
@@ -78,18 +82,20 @@ class Normal:
         return self.ppf(rng.random(n))
 
     def quantile(self, p: float) -> float:
-        return self.mu + self.sigma * float(ndtri(check_level(p)))
+        return self.mu + self.sigma * _ndtri(check_level(p))
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def density_at_quantile(self, p: float) -> float:
-        return float(_norm_pdf(ndtri(check_level(p)))) / self.sigma
+        return float(_norm_pdf(_ndtri(check_level(p)))) / self.sigma
 
     def quantile_avar(self, p: float, share: float = 1.0) -> float:
         """sigma^2 * (1 + share * z_p^2 / 2), where ``share`` is the target's
         share of the data sigma was fitted on: n1/n for a pooled variance."""
-        z = float(ndtri(check_level(p)))
+        z = _ndtri(check_level(p))
         return square(self.sigma) * (1.0 + share * z**2 / 2.0)
 
 
@@ -116,6 +122,8 @@ class Exponential:
         return -self.mean * math.log1p(-check_level(p))
 
     def cdf(self, x):
+        from scipy.special import expm1
+
         z = np.asarray(x, dtype=float) / self.mean
         # -expm1(-z) on the support z > 0, so 0 below it (-0.0 and -inf too); NaN stays NaN
         return -expm1(-np.where(z <= 0, 0.0, z))

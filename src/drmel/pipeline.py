@@ -13,11 +13,11 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from scipy import special
 
 from .errors import (CsvParseError, EmptyGroupError, InvalidArgumentError, check_integer,
                      check_sequence)
@@ -161,10 +161,11 @@ def ingest_csv(path, spec: ColumnSpec):
     except ValueError:
         values = _parse_stripped(value_cells)
     if spec.transform == "log":
-        # xlogy(1, x) is the C library's log(x), as math.log is; numpy's
-        # SIMD np.log differs from it in the last bit on some inputs. A
-        # nonpositive x gives -inf or nan, so its row is dropped
-        values = special.xlogy(1.0, values)
+        # math.log is the C library's log; numpy's SIMD np.log differs from
+        # it in the last bit on some inputs. A value that is not positive
+        # becomes nan first, and math.log(nan) is nan, so its row is dropped
+        positive = np.where(values > 0, values, math.nan).tolist()
+        values = np.fromiter(map(math.log, positive), float, len(positive))
     keep = np.isfinite(values)
     if keep.all():
         kept = group_cells

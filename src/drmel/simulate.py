@@ -45,8 +45,8 @@ from functools import partial
 import numpy as np
 
 from .basis import BASIS_NAMES, BasisSpec
-from .errors import (DrmError, InvalidArgumentError, check_integer, check_level, check_real,
-                     check_sequence)
+from .errors import (DegenerateSampleError, DrmError, InvalidArgumentError, check_integer,
+                     check_level, check_real, check_sequence)
 from .estimators import EmpiricalModel, FittedDrm, corollary_variance
 from .fit import TwoSampleData
 from .parametric import EXPONENTIAL, FAMILY_TAGS, Exponential, Normal, ParametricFamily, fit_parametric
@@ -302,7 +302,10 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     dies, as one killed for want of memory does, raises :class:`DrmError`.
     When a pool run ends early, by a Ctrl-C or an error, each worker
     finishes the replicate it is on and skips every one it has not begun,
-    so the wait does not grow with the number of replicates.
+    so the wait does not grow with the number of replicates. A row whose
+    scaled errors overflow the float range raises
+    :class:`DegenerateSampleError` naming its method, level and cell; a
+    row is NaN only where a target has no estimate.
     """
     workers = check_integer(workers, "workers", 1)
     shape = (len(cells), reps, len(targets), len(methods), len(levels))
@@ -345,11 +348,17 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
     for (scenario_id, _, n), cell in zip(cells, results):  # cell: (rep, target, method, level)
         for j, p in enumerate(levels):
             for m, (method, _) in enumerate(methods):
-                per_target = [
-                    (*scaled_errors(col[~np.isnan(col)], truth, n), float(np.isnan(col).mean()))
-                    for col, truth in zip(cell[:, :, m, j].T, truths[j])
-                ]
-                agg = [float(np.mean(col)) for col in zip(*per_target)]
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+                    per_target = [
+                        (*scaled_errors(col[~np.isnan(col)], truth, n),
+                         float(np.isnan(col).mean()))
+                        for col, truth in zip(cell[:, :, m, j].T, truths[j])
+                    ]
+                    agg = [float(np.mean(col)) for col in zip(*per_target)]
+                # every target has an estimate, so each measure is finite unless it overflows
+                if all(t[-1] < 1 for t in per_target) and not all(map(math.isfinite, agg)):
+                    raise DegenerateSampleError(
+                        f"the scaled errors of {method} at level {p:g} overflow in {scenario_id}")
                 rows.append(SimulationRow(scenario_id, p, method, *agg))
     return SimulationTable(rows=tuple(rows))
 

@@ -1,10 +1,13 @@
 import dataclasses
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +157,94 @@ def test_kde_grid(data_csv, tmp_path):
     dens = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert np.all(dens >= 0)
     assert dens.max() > 0.1
+
+
+def _one_error_line_and_no_warning(capsys, args):
+    """Runs the command of ``args`` with every warning an error; returns its stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+def test_kde_grid_that_would_overflow_is_one_error_line(tmp_path, capsys):
+    # 3 bandwidths past 1.7e308 is past the float range: without a check,
+    # np.linspace prints three nan,nan rows and inf,0 after two warnings
+    path = tmp_path / "huge.csv"
+    path.write_text("g,v\na,5\na,1\na,1.7e308\nb,1\n")
+    out = tmp_path / "kde.csv"
+    err = _one_error_line_and_no_warning(capsys, [
+        "kde", "--data", path, "--value-col", "v", "--group-col", "g", "--group", "a",
+        "--grid-points", 4, "--out", out])
+    assert err.startswith("error: the KDE grid of group 'a', its range [1, 1.7e+308] ")
+    assert not out.exists()
+
+
+def test_study_whose_scaled_errors_overflow_is_one_error_line(tmp_path, capsys):
+    # errors of order 1e200 square past the float range: without a check the
+    # row reads a scaled_var and scaled_mse of inf with fail_frac 0
+    path = tmp_path / "huge.csv"
+    path.write_text("g,v\na,1\na,2\na,3\na,1e200\nb,1\nb,2\nb,1e200\n")
+    err = _one_error_line_and_no_warning(capsys, [
+        "study", "--data", path, "--value-col", "v", "--group-col", "g", "--base", "a",
+        "--targets", "b", "--n0", 4, "--n", 3, "--reps", 20, "--methods", "empirical",
+        "--levels", "0.95"])
+    assert err == "error: the scaled errors of empirical at level 0.95 overflow in n0=4,n=3\n"
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["0", "-0.0", "1", "-1", "2", "3.5", "1e300", "-1e300", "1e-300", "5e-324",
+                     "1.7e308", "-1.7e308", "nan", "inf", ""]),
+    st.floats(-1e3, 1e3).map(repr),
+)
+_GROUP = st.lists(_CELLS, min_size=1, max_size=40)
+
+
+def _finite_or_failed(command, out):
+    """Whether every number ``command`` printed is finite; a study row whose
+    fail_frac is 1 has no estimate, so its NaNs pass."""
+    for line in out.splitlines()[1:]:
+        numbers = []
+        for cell in line.split(","):
+            try:
+                numbers.append(float(cell))
+            except ValueError:  # a method name, or a part of a study's scenario_id
+                pass
+        if not (command == "study" and numbers[-1] == 1) and not all(map(np.isfinite, numbers)):
+            return False
+    return True
+
+
+@given(a=_GROUP, b=_GROUP, log=st.booleans(), method=st.sampled_from(
+           ["drm", "drm-linear", "parametric-normal", "parametric-normal-common",
+            "parametric-exponential", "empirical"]),
+       points=st.integers(1, 5), n0=st.integers(1, 7), n=st.integers(1, 5))
+@example(a=["5", "1", "1.7e308"], b=["1"], log=False, method="drm", points=4, n0=4, n=3)
+@example(a=["1", "2", "3", "1e200"], b=["1", "2", "1e200"], log=False, method="empirical",
+         points=4, n0=4, n=3)
+def test_every_csv_command_prints_finite_numbers_or_one_error_line(
+        tmp_path_factory, a, b, log, method, points, n0, n):
+    path = tmp_path_factory.getbasetemp() / "two-groups.csv"
+    path.write_text("g,v\n" + "".join(f"{g},{cell}\n" for g, cells in (("a", a), ("b", b))
+                                      for cell in cells))
+    csv = ["--data", path, "--value-col", "v", "--group-col", "g",
+           "--transform", "log" if log else "none"]
+    for args in (["estimate", *csv, "--x0", "a", "--x1", "b", "--method", method],
+                 ["kde", *csv, "--group", "a", "--grid-points", points],
+                 ["study", *csv, "--base", "a", "--targets", "b", "--n0", n0, "--n", n,
+                  "--reps", 5, "--levels", "0.05,0.5,0.95"]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run_cli(args)
+        out, err = out.getvalue(), err.getvalue()
+        errors = [line for line in err.splitlines() if not line.startswith("# dropped ")]
+        if code == 0:
+            assert errors == [] and _finite_or_failed(args[0], out), (args, out)
+        else:
+            assert code == 1 and len(errors) == 1 and errors[0].startswith("error:"), (args, err)
 
 
 def test_study_end_to_end(data_csv, tmp_path):

@@ -1,12 +1,15 @@
-"""The normal and exponential closed forms drmel writes out, against scipy.stats.
+"""The normal and exponential closed forms drmel writes out, against scipy.
 
-drmel does not import ``scipy.stats``; its kernel density, normal CDF and
-density, and exponential CDF are the expressions ``scipy.stats`` evaluates.
-These tests hold them to scipy's bits and return types, and check that
-neither ``import drmel`` nor a CLI command loads ``scipy.stats``.
+``import drmel`` loads no scipy module; its kernel density, normal CDF and
+density, and exponential CDF are the expressions ``scipy.stats`` evaluates,
+and its scalar normal quantile is a port of ``scipy.special.ndtri``. These
+tests hold them to scipy's bits and return types, check that the CSV
+commands run with scipy unimportable, and that normal draws load it where
+they run.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from scipy.special import ndtri
 from scipy.stats import expon, norm
 
 import drmel
+import drmel.simulate
 from drmel import Exponential, KdeModel, Normal, kde_density
 from drmel import nonparametric
 
@@ -128,45 +132,108 @@ def test_kde_density_in_blocks_is_the_single_block_formula(monkeypatch, rng, cel
     assert_same(kde_density(model, grid), kde_reference(sample, model.bandwidth, grid))
 
 
-def test_no_command_imports_scipy_stats(tmp_path):
+def _drmel_env():
+    return {**os.environ, "PYTHONPATH": str(Path(drmel.__file__).resolve().parents[1])}
+
+
+def _near(x, ulps=4):
+    """``x`` and the ``ulps`` floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def test_the_scalar_ndtri_port_is_scipy_ndtri_bit_for_bit():
+    gen = np.random.default_rng(19)
+    # the branch switches: y = exp(-2) and 1 - exp(-2), and x = sqrt(-2 log y) = 8,
+    # which rounding moves some floats above exp(-32)
+    x_below_8 = math.exp(-32)
+    while not math.sqrt(-2.0 * math.log(x_below_8)) < 8.0:
+        x_below_8 = math.nextafter(x_below_8, 1.0)
+    edges = [0.0, 1.0, 0.5, 5e-324]
+    for boundary in (math.exp(-2), 1 - math.exp(-2), math.exp(-32), x_below_8):
+        edges += _near(boundary)
+    ys = np.concatenate([
+        gen.random(100_000),
+        10.0 ** -gen.uniform(0, 300, 20_000),
+        1 - 10.0 ** -gen.uniform(1, 16, 20_000),
+        edges,
+    ])
+    got = np.array([nonparametric._ndtri(float(y)) for y in ys])
+    want = ndtri(ys)
+    assert_same(got, want)
+
+
+def _two_group_csv(path):
+    """A CSV of groups a and b, of values whose logs are positive too, for
+    the exponential family and the linear-log basis."""
     gen = np.random.default_rng(5)
     rows = ["group,value"]
     for group, mu, n in (("a", 0.0, 40), ("b", 0.4, 20)):
-        rows += [f"{group},{v:.6f}" for v in gen.normal(mu, 1.0, n)]
-    data = tmp_path / "data.csv"
-    data.write_text("\n".join(rows) + "\n")
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
-        "generator0": {"dist": "exponential", "mean": 1.0},
-        "generator1": {"dist": "exponential", "mean": 1.5},
-        "n1": 20, "k": 2, "basis": "linear", "levels": [0.5], "reps": 3,
-        "methods": ["drm", "parametric-exponential", "empirical"],
-    }))
+        rows += [f"{group},{v:.6f}" for v in np.exp(3.0 + gen.normal(mu, 1.0, n) / 4)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_csv_commands_run_without_scipy(tmp_path):
+    data = _two_group_csv(tmp_path / "data.csv")
     csv = ["--data", str(data), "--value-col", "value", "--group-col", "group"]
+    methods = ["drm", *drmel.simulate._ESTIMATORS]
     commands = [
-        ["estimate", *csv, "--x0", "a", "--x1", "b", "--method", method,
+        ["estimate", *csv, *transform, "--x0", "a", "--x1", "b", "--method", method,
          "--out", str(tmp_path / "e")]
-        for method in ("drm", "drm-linear", "parametric-normal", "parametric-normal-common",
-                       "empirical")
+        for transform in ([], ["--transform", "log"]) for method in methods
     ] + [
-        ["study", *csv, "--base", "a", "--targets", "b", "--n0", "20", "--n", "10", "--reps", "3",
-         "--levels", "0.5", "--methods",
-         "drm-linear,parametric-normal,parametric-normal-common,empirical",
+        ["study", *csv, "--transform", "log", "--base", "a", "--targets", "b", "--n0", "20",
+         "--n", "10", "--reps", "3", "--levels", "0.5", "--methods", ",".join(methods[1:]),
          "--out", str(tmp_path / "s")],
         ["kde", *csv, "--group", "a", "--grid-points", "9", "--out", str(tmp_path / "k")],
-        ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "m")],
     ]
+    # a None in sys.modules makes every import of scipy and its submodules fail
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None
         import drmel
         import drmel.cli
-        if "scipy.stats" in sys.modules:
-            sys.exit("import drmel loaded scipy.stats")
         for argv in {commands!r}:
-            if drmel.cli.main(argv) != 0 or "scipy.stats" in sys.modules:
-                sys.exit(f"failed or loaded scipy.stats: {{argv}}")
+            if drmel.cli.main(argv) != 0:
+                sys.exit(f"failed: {{argv}}")
     """)
-    src = str(Path(drmel.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+    done = subprocess.run([sys.executable, "-c", script], env=_drmel_env(),
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+# the drmel command of its arguments on a machine of 2 CPUs, so that a pool
+# opens on one core too; it says whether this process loaded scipy
+_CLI_SAYS_SCIPY = """
+import os, sys
+from drmel.cli import main
+os.cpu_count = lambda: 2
+code = main(sys.argv[1:])
+print("scipy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_normal_draws_import_scipy_on_first_use_in_every_process(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "generator0": {"dist": "normal", "mu": 0.0, "sigma": 1.0},
+        "generator1": {"dist": "normal", "mu": 0.5, "sigma": 1.5},
+        "n1": 20, "k": 2, "levels": [0.1, 0.5], "reps": 8,
+        "methods": ["drm", "parametric-normal", "empirical"],
+    }))
+    outs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        done = subprocess.run([sys.executable, "-c", _CLI_SAYS_SCIPY, "simulate", "--scenario",
+                               str(scenario), "--workers", str(workers), "--out", str(out)],
+                              env=_drmel_env(), capture_output=True, text=True, timeout=120)
+        outs[workers] = (done.returncode, done.stderr, out.read_bytes())
+    # the process draws at 1 worker; at 2 only the pool's workers do, after the fork
+    assert outs[1][:2] == (0, "True\n") and outs[2][:2] == (0, "False\n")
+    assert outs[1][2] == outs[2][2]
+    assert outs[1][2].count(b"\n") == 1 + 2 * 3

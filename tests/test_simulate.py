@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from drmel import (
     BasisSpec,
+    DegenerateSampleError,
     DrmError,
     Exponential,
     InvalidArgumentError,
@@ -96,6 +97,16 @@ def test_single_replicate_zero_variance():
     for r in table.rows:
         assert r.scaled_var == 0.0
         assert math.isfinite(r.scaled_bias)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scaled_errors_that_overflow_raise_a_typed_error(workers):
+    # errors of order 1e199 square past the float range, as in a resampling study
+    scenario = small_scenario(generator0=Normal(0.0, 1e200), generator1=Normal(0.0, 1e200),
+                              n1=10, k=1, reps=4, levels=(0.5,), methods=("empirical",))
+    with pytest.raises(DegenerateSampleError,
+                       match=r"^the scaled errors of empirical at level 0.5 overflow in "):
+        run_scenario(scenario, workers=workers)
 
 
 def test_a_sample_pair_that_is_not_valid_data_fails_every_method_of_its_target():
