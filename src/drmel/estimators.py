@@ -84,12 +84,15 @@ class QuantileEstimate:
                ci_level: float) -> "QuantileEstimate":
         """``point`` with standard error sqrt(avar / n) and the normal confidence
         interval of coverage ``ci_level``, a real number strictly between 0 and 1.
-        Raises :class:`DegenerateVarianceError` unless avar is positive and finite:
-        every estimate is built here, so none reports an infinite, zero or NaN error."""
+        Raises :class:`DegenerateVarianceError` unless avar is positive and finite
+        and avar / n does not underflow to 0: every estimate is built here, so
+        none reports an infinite, zero or NaN error."""
         ci_level = check_real(ci_level, "ci_level", 0, 1)
         if not 0.0 < avar < np.inf:
             raise DegenerateVarianceError(f"plug-in variance {avar} is not positive and finite")
         se = float(np.sqrt(avar / n))
+        if se == 0.0:
+            raise DegenerateVarianceError(f"plug-in variance {avar} over n={n} underflows to 0")
         z = _ndtri(0.5 + ci_level / 2.0)
         return cls(level, point, se, point - z * se, point + z * se)
 

@@ -101,8 +101,8 @@ class Ecdf:
     @classmethod
     def from_sample(cls, sample) -> "Ecdf":
         s = np.sort(np.asarray(sample, dtype=float))
-        if s.size < 1:
-            raise InvalidArgumentError("sample must be nonempty")
+        if s.size < 1 or not np.isfinite(s).all():
+            raise InvalidArgumentError("an ECDF sample must be nonempty and finite")
         return cls(sorted_sample=s, n=s.size)
 
     def evaluate(self, x: float) -> float:

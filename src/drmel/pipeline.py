@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -126,6 +127,38 @@ def _split_columns(text: str, spec: ColumnSpec) -> list:
     return [[row[i] if i < len(row) else "" for row in rows] for i in indices]
 
 
+# np.linspace(*_LOG_PROBE): contiguous np.log differs from the C library's
+# log on 18 of these values with numpy 2.4.6's AVX-512 loop
+_LOG_PROBE = (0.5, 2.0, 4096)
+
+
+def _reversed_log(values: np.ndarray) -> np.ndarray:
+    """np.log of ``values`` read backwards into a new array, then read
+    backwards again. numpy's SIMD log loop, which differs from the C
+    library's log in the last bit on some inputs, takes no negatively
+    strided input; its scalar loop calls the C library's log per element.
+    No numpy API promises which loop runs, so :func:`ingest_csv` uses this
+    only where :func:`_reversed_log_is_libm` holds."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(values[::-1])[::-1]
+
+
+def _libm_log(values: np.ndarray) -> np.ndarray:
+    """``math.log``, the C library's log, of each value, and nan for a value
+    that is not positive."""
+    positive = np.where(values > 0, values, math.nan).tolist()
+    return np.fromiter(map(math.log, positive), float, len(positive))
+
+
+@functools.cache
+def _reversed_log_is_libm() -> bool:
+    """Whether :func:`_reversed_log` gives :func:`_libm_log`'s bits on the
+    ``_LOG_PROBE`` values: checked once per process, on the first log
+    transform, in about 0.5 ms."""
+    probe = np.linspace(*_LOG_PROBE)
+    return _reversed_log(probe).tobytes() == _libm_log(probe).tobytes()
+
+
 def ingest_csv(path, spec: ColumnSpec):
     """Read per-group value vectors from a CSV file.
 
@@ -161,11 +194,9 @@ def ingest_csv(path, spec: ColumnSpec):
     except ValueError:
         values = _parse_stripped(value_cells)
     if spec.transform == "log":
-        # math.log is the C library's log; numpy's SIMD np.log differs from
-        # it in the last bit on some inputs. A value that is not positive
-        # becomes nan first, and math.log(nan) is nan, so its row is dropped
-        positive = np.where(values > 0, values, math.nan).tolist()
-        values = np.fromiter(map(math.log, positive), float, len(positive))
+        # the C library's log, whose bits estimates keep; a value that is
+        # not positive becomes -inf or nan, and its row is dropped
+        values = _reversed_log(values) if _reversed_log_is_libm() else _libm_log(values)
     keep = np.isfinite(values)
     if keep.all():
         kept = group_cells
@@ -220,6 +251,31 @@ class FinitePopulation:
         return empirical_quantile(Ecdf.from_sample(self.values), p)
 
 
+def _finite_population(populations: dict, label) -> FinitePopulation:
+    """The group ``label`` of ``populations`` as a :class:`FinitePopulation`
+    of a float array. A group that is missing or empty raises
+    :class:`EmptyGroupError`; one that is not 1-D, not numeric or not finite
+    raises :class:`InvalidArgumentError`. Each message names the group."""
+    if label not in populations:
+        raise EmptyGroupError(f"population {label!r} not found in the data")
+    try:
+        values = np.asarray(populations[label])
+    except ValueError:  # a ragged nest of sequences
+        raise InvalidArgumentError(f"population {label!r} must be 1-D, not ragged") from None
+    if values.dtype.kind not in "iuf":
+        raise InvalidArgumentError(
+            f"population {label!r} must hold real numbers, not {values.dtype} values")
+    if values.ndim != 1:
+        raise InvalidArgumentError(
+            f"population {label!r} must be 1-D, not of shape {values.shape}")
+    if values.size == 0:
+        raise EmptyGroupError(f"population {label!r} is empty")
+    values = values.astype(float, copy=False)
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(f"population {label!r} must be finite")
+    return FinitePopulation(values)
+
+
 def run_resample_study(
     study: ResampleStudy, populations: dict, workers: int = 1
 ) -> SimulationTable:
@@ -227,14 +283,14 @@ def run_resample_study(
 
     Scaled measures use the target sample size n, and each (level, method)
     row averages the per-target aggregates unweighted. Output is
-    deterministic in the seed regardless of worker count.
+    deterministic in the seed regardless of worker count. Each group the
+    study names is checked by :func:`_finite_population` before any
+    replicate runs.
     """
-    for label in (study.base, *study.targets):
-        if label not in populations:
-            raise EmptyGroupError(f"population {label!r} not found in the data")
+    base = _finite_population(populations, study.base)
+    targets = {t: _finite_population(populations, t) for t in study.targets}
     return _run_replicates(
-        study.seed, FinitePopulation(populations[study.base]),
-        {t: FinitePopulation(populations[t]) for t in study.targets},
+        study.seed, base, targets,
         [(f"n0={n0},n={n}", n0, n) for n0 in study.n0_grid for n in study.n_grid], study.reps,
         _resolve_methods(study.methods), study.levels, workers,
     )

@@ -9,6 +9,9 @@ from drmel import BasisSpec, Normal, TwoSampleData
 
 # property tests draw the same examples on every run, and few of them
 settings.register_profile("drmel", derandomize=True, max_examples=50, deadline=None, database=None)
+# the same, but drawn from --hypothesis-seed: pytest -m hypothesis
+# --hypothesis-profile=drmel-seeded --hypothesis-seed=N draws other examples
+settings.register_profile("drmel-seeded", settings.get_profile("drmel"), derandomize=False)
 settings.load_profile("drmel")
 
 

@@ -206,6 +206,22 @@ def test_csv_commands_run_without_scipy(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_the_log_check_runs_on_the_first_log_transform_not_at_import(tmp_path):
+    data = _two_group_csv(tmp_path / "data.csv")
+    script = textwrap.dedent(f"""
+        import drmel, drmel.cli
+        from drmel.pipeline import ColumnSpec, _reversed_log_is_libm, ingest_csv
+        assert _reversed_log_is_libm.cache_info().currsize == 0
+        ingest_csv({str(data)!r}, ColumnSpec("value", "group"))
+        assert _reversed_log_is_libm.cache_info().currsize == 0
+        ingest_csv({str(data)!r}, ColumnSpec("value", "group", transform="log"))
+        assert _reversed_log_is_libm.cache_info().currsize == 1
+    """)
+    done = subprocess.run([sys.executable, "-c", script], env=_drmel_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 # the drmel command of its arguments on a machine of 2 CPUs, so that a pool
 # opens on one core too; it says whether this process loaded scipy
 _CLI_SAYS_SCIPY = """

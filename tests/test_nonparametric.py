@@ -81,6 +81,13 @@ def test_kde_rejects_an_empty_or_nonfinite_sample(sample):
         KdeModel(sample=sample, bandwidth=1.0)
 
 
+@pytest.mark.parametrize("sample", [[], [math.nan, 1.0, 2.0], [math.inf, 1.0], [-math.inf]],
+                         ids=["empty", "nan", "inf", "-inf"])
+def test_ecdf_rejects_an_empty_or_nonfinite_sample(sample):
+    with pytest.raises(InvalidArgumentError, match="nonempty and finite"):
+        Ecdf.from_sample(sample)
+
+
 def test_kde_symmetry():
     model = KdeModel(sample=[-2.0, 2.0], bandwidth=0.7)
     for x in (0.5, 1.0, 3.0):

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -20,6 +21,7 @@ from drmel import (
     ingest_csv,
     run_resample_study,
 )
+from drmel import pipeline
 from drmel.pipeline import FinitePopulation, IngestReport
 
 
@@ -181,6 +183,53 @@ def test_ingest_log_transform_drops_nonpositive(csv_file):
     assert report.rows_in == report.rows_used + report.rows_dropped
 
 
+# logs that numpy's SIMD loop rounds differently from math.log, subnormals,
+# signed zeros, negatives and non-finite cells
+_LOG_EDGE_ROWS = ["a,1.00024", "a,0.9999999999999998", "a,5e-324", "a,1e-310",
+                  "a,2.2250738585072014e-308", "a,-0.0", "a,0", "a,-3", "a,nan", "a,inf",
+                  "b,-inf", "b,1.7976931348623157e308", "b,1.5", "b,-1e-300", "b,2.0", "b,"]
+
+
+def test_ingest_log_fallback_gives_the_fast_paths_bytes(csv_file, monkeypatch):
+    path = csv_file(_LOG_EDGE_ROWS, header="group,value")
+    spec = ColumnSpec("value", "group", transform="log")
+    fast, fast_report = ingest_csv(path, spec)
+    monkeypatch.setattr(pipeline, "_reversed_log_is_libm", lambda: False)
+    slow, slow_report = ingest_csv(path, spec)
+    assert fast_report == slow_report == IngestReport(16, 8, 8)
+    assert list(fast) == list(slow) == ["a", "b"]
+    for label in fast:
+        assert fast[label].tobytes() == slow[label].tobytes()
+
+
+def _libm_logs(values):
+    return np.fromiter(map(math.log, values.tolist()), float, values.size)
+
+
+def test_the_reversed_log_is_math_log_bit_for_bit():
+    if not pipeline._reversed_log_is_libm():
+        pytest.skip("the reversed log does not match libm here, so ingest_csv uses math.log")
+    gen = np.random.default_rng(32)
+    values = np.concatenate([
+        gen.uniform(0, 2, 500_000)[1:],
+        1 + gen.uniform(-1e-3, 1e-3, 300_000),
+        10 ** gen.uniform(-300, 300, 300_000),
+        [5e-324, 1e-310, 2.2250738585072014e-308, 1.00024, 0.9999999999999998,
+         1.7976931348623157e308],
+    ])
+    assert values.size >= 10**6 and (values > 0).all()
+    assert pipeline._reversed_log(values).tobytes() == _libm_logs(values).tobytes()
+
+
+def test_the_log_probe_has_teeth(monkeypatch):
+    probe = np.linspace(*pipeline._LOG_PROBE)
+    if np.log(probe).tobytes() == _libm_logs(probe).tobytes():
+        pytest.skip("contiguous np.log matches libm on the probe here")
+    # a loop that rounds as contiguous np.log does fails the check
+    monkeypatch.setattr(pipeline, "_reversed_log", np.log)
+    assert not pipeline._reversed_log_is_libm.__wrapped__()
+
+
 def test_ingest_missing_cells_dropped(csv_file):
     path = csv_file(["2015,1.0", "2015,", "2016,2.0"])
     pops, report = ingest_csv(path, ColumnSpec("revenue", "year"))
@@ -317,6 +366,60 @@ def test_study_unknown_population():
     )
     with pytest.raises(EmptyGroupError):
         run_resample_study(study, {"t": np.arange(10.0)})
+
+
+def _one_rep_study():
+    return ResampleStudy(base="base", targets=("t",), n0_grid=(10,), n_grid=(5,), levels=(0.5,),
+                         methods=("empirical",), reps=1)
+
+
+@pytest.fixture
+def no_replicates(monkeypatch):
+    """Fails a study that gets as far as its first replicate."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+    monkeypatch.setattr(pipeline, "_run_replicates", fail)
+
+
+def test_study_reads_a_list_population_as_an_array():
+    study = _one_rep_study()
+    base = np.arange(1.0, 21.0)
+    listed = run_resample_study(study, {"base": base.tolist(), "t": [1, 2, 3, 4, 5]})
+    arrays = run_resample_study(study, {"base": base, "t": np.arange(1.0, 6.0)})
+    assert listed.rows == arrays.rows
+
+
+@pytest.mark.parametrize("label", ["base", "t"])
+def test_study_rejects_an_empty_population(no_replicates, label):
+    pops = {"base": np.arange(20.0), "t": np.arange(10.0), label: np.array([])}
+    with pytest.raises(EmptyGroupError, match=f"population '{label}' is empty"):
+        run_resample_study(_one_rep_study(), pops)
+
+
+@pytest.mark.parametrize("values, shape", [(np.ones((3, 2)), "of shape (3, 2)"),
+                                           (np.float64(2.0), "of shape ()"),
+                                           ([[1.0, 2.0], [3.0]], "ragged")],
+                         ids=["2d", "0d", "ragged"])
+def test_study_rejects_a_population_that_is_not_1d(no_replicates, values, shape):
+    pops = {"base": np.arange(20.0), "t": values}
+    message = f"population 't' must be 1-D, not {shape}"
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        run_resample_study(_one_rep_study(), pops)
+
+
+@pytest.mark.parametrize("values", [["1.5", "2.5"], [1.0, None], [True, False]],
+                         ids=["str", "none", "bool"])
+def test_study_rejects_a_population_that_is_not_numeric(no_replicates, values):
+    pops = {"base": values, "t": np.arange(10.0)}
+    with pytest.raises(InvalidArgumentError, match="population 'base' must hold real numbers"):
+        run_resample_study(_one_rep_study(), pops)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_study_rejects_a_population_that_is_not_finite(no_replicates, bad):
+    pops = {"base": np.arange(20.0), "t": np.array([1.0, bad, 3.0])}
+    with pytest.raises(InvalidArgumentError, match="population 't' must be finite"):
+        run_resample_study(_one_rep_study(), pops)
 
 
 def test_study_determinism_across_workers():

@@ -110,6 +110,8 @@ def small_finite_pairs(draw):
 
 @settings(max_examples=300)
 @example(pair=(TINY_X0, TINY_X1), name="drm-linear", ci_level=0.9)
+# a positive plug-in variance whose quotient by n underflows to 0
+@example(pair=([4e-160], [4e-160] * 6), name="parametric-exponential", ci_level=0.5)
 @given(pair=small_finite_pairs(), name=st.sampled_from(list(_ESTIMATORS)),
        ci_level=st.sampled_from([0.5, 0.9, 0.95]))
 def test_every_estimate_is_finite_or_a_typed_error(pair, name, ci_level):
