@@ -20,18 +20,20 @@ taken only there; the kernel and the Hessian have no case for theta = 0.
 
 Every fit evaluates its basis into a workspace of its own and writes every
 Newton step there, so the loop allocates no row of n. The workspace is one
-block: the d basis rows, the (L, w) rows of the line search's candidate and
-of the accepted point, swapped when a step is accepted, two scratch rows (the
-second also holds the Hessian's weights) and the product block, d + 6 +
-d(d - 1)/2 rows of n floats, and the kernel's boolean mask, one row of n
-bytes. The block is freed when the fit ends; a returned :class:`DrmFit`
-owns its arrays, so no later fit touches them. What depends on the shape
-(n0, n1, d) alone is computed once per shape, kept for the last 64 shapes
-and shared read-only by every fit, in any thread: the place of each Gram
-entry among the row sums, the index pairs of the product block, and the
-kernel at theta = 0, where L and w are one value each. A fit keeps no other
-state, so it computes the same bits whatever ran before it. The ridged
-system and the trace it needs are built only for a ridged step.
+block: the d basis rows, two scratch rows (the second also holds the
+Hessian's weights) and the product block, d + 2 + d(d - 1)/2 rows of n
+floats, and the kernel's boolean mask, one row of n bytes. Beside it the fit
+keeps one (L, w) pair of rows, which the line search writes every candidate
+into; a refused candidate's rows are never read. When the fit ends the pair
+becomes the returned masses in place, exp(-L) and w / n1, and the block is
+freed: a returned :class:`DrmFit` owns its arrays, so no later fit touches
+them. What depends on the shape (n0, n1, d) alone is computed once per
+shape, kept for the last 64 shapes and shared read-only by every fit, in any
+thread: the place of each Gram entry among the row sums, the index pairs of
+the product block, and the kernel at theta = 0, where L and w are one value
+each. A fit keeps no other state, so it computes the same bits whatever ran
+before it. The ridged system and the trace it needs are built only for a
+ridged step.
 
 A Gram matrix q'q with condition number above ``MAX_CONDITION`` is rejected
 as singular. When the Newton system is singular or gives no ascent, the step
@@ -188,25 +190,23 @@ def _shared(n0: int, n1: int, d: int) -> tuple:
 
 
 class _Workspace:
-    """What a fit of n0 + n1 points on a basis of dimension d writes and reads:
-    one block of d + 6 + d(d - 1)/2 rows of n floats and a row of n bytes,
-    with views of them by role. ``basis`` is the block's first d rows, which
-    the fit evaluates its basis into, and ``rows`` the rest.
+    """What a fit of n0 + n1 points on a basis of dimension d reads and
+    writes besides its (L, w) pair: one block of d + 2 + d(d - 1)/2 rows of
+    n floats and a row of n bytes, with views of them by role. ``basis`` is
+    the block's first d rows, which the fit evaluates its basis into, and
+    ``rows`` the rest.
 
-    ``spare`` and ``held`` are the (L, w) rows of the line search's candidate
-    and of the accepted point, swapped when a step is accepted; ``scratch``
-    is the kernel's two scratch rows and its mask; ``s`` (the second scratch
-    row) takes the Hessian's weights; ``block`` is the C-ordered block of the
-    products q_i q_j; ``place``, ``products`` and ``zero``, the kernel at
-    theta = 0, are :func:`_shared` of the shape."""
+    ``scratch`` is the kernel's two scratch rows and its mask; ``s`` (the
+    second scratch row) takes the Hessian's weights; ``block`` is the
+    C-ordered block of the products q_i q_j; ``place``, ``products`` and
+    ``zero``, the kernel at theta = 0, are :func:`_shared` of the shape."""
 
     def __init__(self, n0: int, n1: int, d: int):
         n = n0 + n1
-        block = np.empty((d + 6 + d * (d - 1) // 2, n))
+        block = np.empty((d + 2 + d * (d - 1) // 2, n))
         self.basis, self.rows = block[:d], block[d:]
-        self.spare, self.held = tuple(self.rows[0:2]), tuple(self.rows[2:4])
-        self.scratch = (self.rows[4], self.rows[5], np.empty(n, dtype=bool))
-        self.s, self.block = self.rows[5], self.rows[6:]
+        self.scratch = (self.rows[0], self.rows[1], np.empty(n, dtype=bool))
+        self.s, self.block = self.rows[1], self.rows[2:]
         self.place, self.products, self.zero = _shared(n0, n1, d)
 
 
@@ -271,7 +271,7 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
     ws = _Workspace(n0, n1, d)
     q = evaluate_matrix(spec, data.pooled(), out=ws.basis)
     qT = q.T
-    spare, held = ws.spare, ws.held
+    pair = np.empty(data.n), np.empty(data.n)  # (L, w) of every candidate; the returned masses
     gram = _moments(qT, ws)  # not finite when the basis overflows: then as good as singular
     cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.inf
     if cond > MAX_CONDITION:
@@ -332,14 +332,15 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
         while t >= 1e-14:
             dx = t * step
             cand = theta + dx
-            cand_parts = _kernel(q, cand, n0, n1, spare + ws.scratch)
+            cand_parts = _kernel(q, cand, n0, n1, pair + ws.scratch)
             if cand_parts[0] >= val + ARMIJO * t * slope - noise:
                 theta, (val, log_den, w) = cand, cand_parts
-                spare, held = held, spare
                 grad = q1_sum - qT @ w
                 break
             t *= 0.5
-        # an exhausted search keeps theta; either way the next gradient test decides
+        # an exhausted search keeps theta and the gradient but leaves the last
+        # refused candidate in the pair; that gradient failed its test, so the
+        # next test fails again and the loop raises before a row is read
         stalled = t < 1e-14 or max(map(abs, dx.tolist())) <= TOL_STEP
 
     # l(theta) < -n0 log n0 - n1 log n1, and only theta -> infinity on samples
@@ -352,12 +353,14 @@ def fit_mele(data: TwoSampleData, spec: BasisSpec) -> DrmFit:
             gradient_norm=grad_norm,
         )
 
-    weights = np.negative(log_den)
+    # in place: log_den and w are the pair's rows, or the read-only rows of
+    # theta = 0 when the fit converged there without a step
+    weights, tilted = np.negative(log_den, out=pair[0]), np.divide(w, n1, out=pair[1])
     return DrmFit(
         theta_hat=theta,
         weights=np.exp(weights, out=weights),
         log_el_at_max=val,
         iterations=it,
         final_gradient_norm=grad_norm,
-        tilted_weights=w / n1,
+        tilted_weights=tilted,
     )

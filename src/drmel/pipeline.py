@@ -137,8 +137,10 @@ def _reversed_log(values: np.ndarray) -> np.ndarray:
     backwards again. numpy's SIMD log loop, which differs from the C
     library's log in the last bit on some inputs, takes no negatively
     strided input; its scalar loop calls the C library's log per element.
-    No numpy API promises which loop runs, so :func:`ingest_csv` uses this
-    only where :func:`_reversed_log_is_libm` holds."""
+    ``values`` must not be negatively strided itself: reversing such a view
+    makes it contiguous again, and numpy then takes its SIMD loop. No numpy
+    API promises which loop runs, so :func:`ingest_csv` uses this only where
+    :func:`_reversed_log_is_libm` holds."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(values[::-1])[::-1]
 

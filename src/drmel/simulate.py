@@ -33,12 +33,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
 import os
 import pickle
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -330,6 +327,10 @@ def _run_replicates(seed: int, base, targets: dict, cells, reps: int, methods, l
             raise InvalidArgumentError(
                 f"cannot send the run to worker processes ({exc}); use workers=1"
             ) from None
+        import multiprocessing  # the pool machinery loads only when a pool opens
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         stop = multiprocessing.Event()  # set on every way out of the run
         pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(blob, stop))
         try:

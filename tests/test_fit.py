@@ -545,7 +545,7 @@ def test_a_fit_keeps_its_arrays_through_later_fits_of_its_size(n0, monkeypatch):
     first = fit_mele(table1_data(0, n0), spec)
     kept = fit_bytes(first)
     assert fit_mele(table1_data(1, n0), spec).iterations == 3
-    # a fit that raises after writing both (L, w) row pairs
+    # a fit that raises after writing its (L, w) pair
     monkeypatch.setattr("drmel.fit.MAX_ITER", 2)
     with pytest.raises(NonConvergenceError, match="after 2 iterations"):
         fit_mele(table1_data(2, n0), spec)
@@ -597,8 +597,8 @@ def test_a_fit_after_a_fit_of_another_size_matches_a_fresh_fit(rng):
 
 def test_an_exhausted_line_search_keeps_the_accepted_masses(monkeypatch):
     # After one accepted step every candidate is refused, so the search runs
-    # out; the gradient test then reads the masses of the accepted point, not
-    # those of the last refused candidate, which were written meanwhile.
+    # out; the gradient test then reads the gradient of the accepted point,
+    # not the masses of the last refused candidate, which overwrote its own.
     import drmel.fit
 
     kernel, candidates = drmel.fit._kernel, []
@@ -637,18 +637,31 @@ def test_a_warm_fit_allocates_no_row_inside_the_newton_loop(n0, monkeypatch):
     data, spec = table1_data(0, n0), BasisSpec.quadratic()
     row, d = 8 * data.n, spec.dimension
     steps = fit_mele(data, spec).iterations - 1  # warms the shared values of this shape
-    # the fit allocates one block of the basis and Newton rows, and the mask,
-    # and the two returned mass vectors
-    block = (d + 6 + d * (d - 1) // 2) * row + data.n
-    assert traced_peak(lambda: fit_mele(data, spec)) <= block + 2 * row + 64 * 1024
+    # the fit allocates one block of the basis, scratch and product rows, the
+    # mask, and the (L, w) pair that becomes the returned masses
+    allocated = (d + 2 + d * (d - 1) // 2 + 2) * row + data.n
+    assert traced_peak(lambda: fit_mele(data, spec)) <= allocated + 64 * 1024
 
-    # a fit stopped a step short returns no masses
+    # a fit stopped a step short allocates no more
     def stopped_fit():
         with pytest.raises(NonConvergenceError, match=f"after {steps} iterations"):
             fit_mele(data, spec)
 
     monkeypatch.setattr("drmel.fit.MAX_ITER", steps)
-    assert traced_peak(stopped_fit) <= block + 64 * 1024
+    assert traced_peak(stopped_fit) <= allocated + 64 * 1024
+
+
+def test_a_table1_fit_peaks_below_11_floats_per_row_and_returns_masses_it_owns():
+    # the block's 8 rows, the mask's eighth and the (L, w) pair: 10.13 floats
+    # per row, where a pair per line-search role and two mass vectors made 14.13
+    data, spec = table1_data(0), BasisSpec.quadratic()
+    fit_mele(data, spec)  # warms the shared values of this shape
+    fits = []
+    assert traced_peak(lambda: fits.append(fit_mele(data, spec))) <= 11 * 8 * data.n
+    fits.append(fit_mele(table1_data(1), spec))
+    masses = [getattr(fit, name) for fit in fits for name in ("weights", "tilted_weights")]
+    assert all(a.flags.owndata for a in masses)
+    assert not any(np.may_share_memory(a, b) for i, a in enumerate(masses) for b in masses[i + 1:])
 
 
 def test_a_large_fit_changes_no_bit_cold_or_between_smaller_fits():

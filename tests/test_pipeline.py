@@ -449,7 +449,7 @@ def test_study_grid_runs_in_one_pool(monkeypatch):
             opened.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(drmel.simulate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: 2)  # a pool opens on one core too
     pops = synthetic_populations(n_base=400, n_target=200)
     study = ResampleStudy(

@@ -1,11 +1,17 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import drmel
 from drmel import (
     BasisSpec,
     DegenerateSampleError,
@@ -187,7 +193,7 @@ def test_pool_is_sized_by_the_replicates(monkeypatch):
             requested.append(args[0] if args else kwargs.get("max_workers"))
             raise RuntimeError("no pool in this test")
 
-    monkeypatch.setattr(drmel.simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: 3)
     for reps in (2, 5):
         with pytest.raises(RuntimeError, match="no pool"):
@@ -196,6 +202,30 @@ def test_pool_is_sized_by_the_replicates(monkeypatch):
     monkeypatch.setattr(drmel.simulate.os, "cpu_count", lambda: None)  # unknown: one worker
     run_scenario(small_scenario(reps=5), workers=64)
     assert requested == [2, 3]
+
+
+def test_the_pool_machinery_loads_only_when_a_pool_opens():
+    # a fresh interpreter, on a machine of 2 CPUs so that a pool opens on one core too
+    script = textwrap.dedent("""
+        import os, sys
+        import drmel.cli
+        from drmel import BasisSpec, Normal, Scenario, run_scenario
+
+        def loaded():
+            return [name in sys.modules for name in ("multiprocessing", "concurrent.futures")]
+
+        os.cpu_count = lambda: 2
+        print(loaded())
+        scenario = Scenario(generator0=Normal(0.0, 1.0), generator1=Normal(0.5, 1.0), n1=20, k=2,
+                            basis=BasisSpec.linear(), levels=(0.5,), reps=4, seed=1)
+        run_scenario(scenario, workers=2)
+        print(loaded())
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(drmel.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split("\n") == ["[False, False]", "[True, True]", ""]
 
 
 def test_scenario_validation():
