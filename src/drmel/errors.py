@@ -1,9 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule for each
+kind of argument: a real number (:func:`check_real`), a whole number
+(:func:`check_integer`), a sequence (:func:`check_sequence`) and a sample
+(:func:`check_sample`)."""
 
 import contextlib
 import math
 import numbers
 from collections.abc import Mapping, Set
+
+import numpy as np
 
 
 class DrmError(Exception):
@@ -95,6 +100,30 @@ def check_integer(value, name: str, low=None) -> int:
     raise InvalidArgumentError(f"{name} must be a whole number{bound}, got {value!r}")
 
 
+def check_sample(values, name: str) -> np.ndarray:
+    """``values`` as a flat float array: the one rule for a sample.
+
+    A nest of any shape is read flattened, a 0-d value as one point. A
+    ragged nest, a dtype other than int, uint or float (strings, None,
+    bools, Decimals, ints beyond numpy's) and a NaN or an infinity raise
+    :class:`InvalidArgumentError` naming ``name``:
+    ``population 't' must be finite``; an empty sample raises
+    :class:`EmptyGroupError`: ``x0 is empty``.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nest of sequences
+        raise InvalidArgumentError(f"{name} must not be ragged") from None
+    if array.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must hold real numbers, not {array.dtype} values")
+    if array.size == 0:
+        raise EmptyGroupError(f"{name} is empty")
+    array = np.ravel(array).astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise InvalidArgumentError(f"{name} must be finite")
+    return array
+
+
 def square(x) -> float:
     """``x**2`` by C ``pow``, whose bits the variances keep, or inf where it
     overflows, about 1.3e154 and up, where ``**`` raises OverflowError."""
@@ -142,5 +171,6 @@ class CsvParseError(DrmError):
         self.row = row
 
 
-class EmptyGroupError(DrmError):
-    """A requested population/group has no usable rows."""
+class EmptyGroupError(InvalidArgumentError):
+    """A sample, population or group has no values, or a requested group is
+    not in the data."""

@@ -21,6 +21,7 @@ import numpy as np
 from .basis import BasisSpec, evaluate_matrix
 from .errors import (
     DegenerateVarianceError,
+    InvalidArgumentError,
     SingularMomentError,
     check_density,
     check_level,
@@ -57,10 +58,13 @@ class WeightedCdf:
 
     @classmethod
     def from_points(cls, points: np.ndarray, mass: np.ndarray) -> "WeightedCdf":
+        points, mass = np.asarray(points, dtype=float), np.asarray(mass, dtype=float)
+        if points.shape != mass.shape:
+            raise InvalidArgumentError(
+                f"points and masses differ in length: {points.size} and {mass.size}")
         order = np.argsort(points, kind="stable")
-        support = np.asarray(points, dtype=float)[order]
-        mass = np.asarray(mass, dtype=float)[order]
-        return cls(support=support, mass=mass, cumulative=np.cumsum(mass))
+        mass = mass[order]
+        return cls(support=points[order], mass=mass, cumulative=np.cumsum(mass))
 
     def evaluate(self, x: float) -> float:
         """Total mass at or below x."""

@@ -60,7 +60,7 @@ from typing import ClassVar
 import numpy as np
 
 from .basis import BasisSpec, evaluate_matrix
-from .errors import InvalidArgumentError, NonConvergenceError, SingularBasisError
+from .errors import InvalidArgumentError, NonConvergenceError, SingularBasisError, check_sample
 
 __all__ = [
     "TwoSampleData",
@@ -76,6 +76,7 @@ __all__ = [
 class TwoSampleData:
     """Immutable pair of samples: x0 from the base population, x1 from the target.
 
+    Each is read by :func:`~drmel.errors.check_sample`, flattened to floats.
     Both are read-only views into one private copy of the pooled sample, so
     the caller's arrays stay writeable and a later write to them changes
     nothing here. Each sample is stored in ascending order, not in the
@@ -90,13 +91,8 @@ class TwoSampleData:
     _pooled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x0 = np.ravel(np.asarray(self.x0, dtype=float))
-        x1 = np.ravel(np.asarray(self.x1, dtype=float))
-        if x0.size < 1 or x1.size < 1:
-            raise InvalidArgumentError("both samples must be nonempty")
+        x0, x1 = check_sample(self.x0, "x0"), check_sample(self.x1, "x1")
         pooled = np.concatenate([x0, x1])
-        if not np.isfinite(pooled).all():
-            raise InvalidArgumentError("samples must contain only finite values")
         pooled[:x0.size].sort()
         pooled[x0.size:].sort()
         pooled.setflags(write=False)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSampleError, InvalidArgumentError, check_density, check_level,
-                     check_real)
+from .errors import (DegenerateSampleError, check_density, check_level, check_real,
+                     check_sample)
 
 __all__ = [
     "Ecdf",
@@ -100,9 +100,7 @@ class Ecdf:
 
     @classmethod
     def from_sample(cls, sample) -> "Ecdf":
-        s = np.sort(np.asarray(sample, dtype=float))
-        if s.size < 1 or not np.isfinite(s).all():
-            raise InvalidArgumentError("an ECDF sample must be nonempty and finite")
+        s = np.sort(check_sample(sample, "sample"))
         return cls(sorted_sample=s, n=s.size)
 
     def evaluate(self, x: float) -> float:
@@ -131,9 +129,7 @@ class KdeModel:
         # from the smallest normal float up, dividing a kernel value by it stays finite
         object.__setattr__(self, "bandwidth", check_real(self.bandwidth, "bandwidth",
                                                          sys.float_info.min, closed=True))
-        object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
-        if self.sample.size < 1 or not np.isfinite(self.sample).all():
-            raise InvalidArgumentError("a KDE sample must be nonempty and finite")
+        object.__setattr__(self, "sample", check_sample(self.sample, "sample"))
 
     @classmethod
     def silverman(cls, sample) -> "KdeModel":
@@ -167,11 +163,9 @@ def silverman_bandwidth(sample) -> float:
 
     sd uses divisor n-1; the IQR uses type-1 sample quantiles.
     """
-    s = np.asarray(sample, dtype=float)
+    s = check_sample(sample, "sample")
     if s.size < 2:
         raise DegenerateSampleError("need at least two points for a bandwidth")
-    if not np.isfinite(s).all():
-        raise InvalidArgumentError("a bandwidth sample must be finite")
     with np.errstate(over="ignore"):  # an sd that overflows is caught below
         sd = float(np.std(s, ddof=1))
     ecdf = Ecdf.from_sample(s)

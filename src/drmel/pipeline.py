@@ -21,7 +21,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import (CsvParseError, EmptyGroupError, InvalidArgumentError, check_integer,
-                     check_sequence)
+                     check_sample, check_sequence)
 from .nonparametric import Ecdf, empirical_quantile
 from .simulate import SimulationTable, _check_run, _resolve_methods, _run_replicates
 
@@ -232,6 +232,9 @@ class ResampleStudy:
     def __post_init__(self):
         _check_run(self)
         object.__setattr__(self, "targets", check_sequence(self.targets, "targets"))
+        for i, target in enumerate(self.targets):
+            if target in self.targets[:i]:  # the study keys its targets by label
+                raise InvalidArgumentError(f"target {target!r} is repeated")
         for name in ("n0_grid", "n_grid"):
             sizes = check_sequence(getattr(self, name), name)
             object.__setattr__(self, name, tuple(check_integer(v, name, 1) for v in sizes))
@@ -255,27 +258,11 @@ class FinitePopulation:
 
 def _finite_population(populations: dict, label) -> FinitePopulation:
     """The group ``label`` of ``populations`` as a :class:`FinitePopulation`
-    of a float array. A group that is missing or empty raises
-    :class:`EmptyGroupError`; one that is not 1-D, not numeric or not finite
-    raises :class:`InvalidArgumentError`. Each message names the group."""
+    of :func:`~drmel.errors.check_sample`'s flat float array, whose errors
+    name the group. A missing group raises :class:`EmptyGroupError`."""
     if label not in populations:
         raise EmptyGroupError(f"population {label!r} not found in the data")
-    try:
-        values = np.asarray(populations[label])
-    except ValueError:  # a ragged nest of sequences
-        raise InvalidArgumentError(f"population {label!r} must be 1-D, not ragged") from None
-    if values.dtype.kind not in "iuf":
-        raise InvalidArgumentError(
-            f"population {label!r} must hold real numbers, not {values.dtype} values")
-    if values.ndim != 1:
-        raise InvalidArgumentError(
-            f"population {label!r} must be 1-D, not of shape {values.shape}")
-    if values.size == 0:
-        raise EmptyGroupError(f"population {label!r} is empty")
-    values = values.astype(float, copy=False)
-    if not np.isfinite(values).all():
-        raise InvalidArgumentError(f"population {label!r} must be finite")
-    return FinitePopulation(values)
+    return FinitePopulation(check_sample(populations[label], f"population {label!r}"))
 
 
 def run_resample_study(

@@ -286,6 +286,14 @@ def test_study_has_no_basis_flag(data_csv, capsys):
     assert "unrecognized arguments: --basis linear" in capsys.readouterr().err
 
 
+def test_study_rejects_a_repeated_target(data_csv, capsys):
+    code = run_cli(["study", "--data", data_csv, "--value-col", "revenue", "--group-col", "year",
+                    "--base", "2015", "--targets", "2016,2016", "--n0", 300, "--n", 60,
+                    "--reps", 2])
+    assert code == 1
+    assert capsys.readouterr().err == "error: target '2016' is repeated\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--n", 0), ("--n", -3), ("--n0", 0)])
 def test_study_rejects_sample_sizes_below_one(data_csv, capsys, flag, value):
     args = [

@@ -83,6 +83,13 @@ def test_drm_quantile_examples():
         drm_quantile(cdf, 0.0)
 
 
+@pytest.mark.parametrize("points, mass", [([1.0], [0.5, 0.5]), ([1.0, 2.0], [1.0])],
+                         ids=["more-masses", "fewer-masses"])
+def test_a_cdf_needs_one_mass_per_point(points, mass):
+    with pytest.raises(InvalidArgumentError, match="points and masses differ in length"):
+        WeightedCdf.from_points(points, mass)
+
+
 def test_quantile_inf_characterization(rng):
     for _ in range(20):
         data = random_two_sample(rng)

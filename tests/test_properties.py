@@ -1,13 +1,18 @@
-"""Property tests of the fitter, under the derandomized profile of conftest."""
+"""Property tests of the fitter and of the sample rule, under the
+derandomized profile of conftest."""
 
+import contextlib
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from drmel import BasisSpec, DrmError, FittedDrm, TwoSampleData, drm_quantile_estimate, fit_mele
+from drmel import (BasisSpec, DrmError, Ecdf, FittedDrm, InvalidArgumentError, KdeModel,
+                   TwoSampleData, drm_quantile_estimate, fit_mele, silverman_bandwidth)
+from drmel.pipeline import _finite_population
 from drmel.simulate import _ESTIMATORS
 
 BASES = [BasisSpec.linear(), BasisSpec.quadratic(), BasisSpec.linear_log()]
@@ -129,3 +134,86 @@ def test_every_estimate_is_finite_or_a_typed_error(pair, name, ci_level):
                 continue
             assert est.std_error > 0
             assert all(map(math.isfinite, (est.point, est.std_error, est.ci_low, est.ci_high)))
+
+
+SAMPLE_CELLS = (st.floats(-1e6, 1e6), st.integers(-5, 5),
+                st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(), st.integers(),
+                st.booleans(), st.text(max_size=2), st.none())
+
+
+@st.composite
+def samples(draw):
+    """One cell, a list, a 2-D nest or a ragged nest of cells, empty ones
+    among them, as nested lists or, half the time, as an array. The cells of
+    a sample come from one or two of ``SAMPLE_CELLS``: floats (NaN and the
+    infinities among them), ints of any size, bools, strings and None."""
+    cell = st.one_of(*draw(st.lists(st.sampled_from(SAMPLE_CELLS), min_size=1, max_size=2)))
+    shape = draw(st.sampled_from(["0d", "1d", "2d", "ragged"]))
+    if shape == "0d":
+        x = draw(cell)
+    elif shape == "1d":
+        x = draw(st.lists(cell, max_size=6))
+    else:
+        rows = draw(st.integers(0 if shape == "2d" else 2, 3))
+        widths = [draw(st.integers(0, 3))] * rows
+        if shape == "ragged":
+            widths[-1] = draw(st.integers(0, 3).filter(lambda w: w != widths[0]))
+        x = [[draw(cell) for _ in range(w)] for w in widths]
+    if draw(st.booleans()):
+        with contextlib.suppress(ValueError):  # a ragged nest has no array
+            x = np.asarray(x)
+    return x
+
+
+def flat_sample(x):
+    """``np.ravel(np.asarray(x, float))`` when ``x`` is a nonempty, finite
+    array of ints, uints or floats, else None."""
+    try:
+        kind = np.asarray(x).dtype.kind
+    except ValueError:  # a ragged nest
+        return None
+    flat = np.ravel(np.asarray(x, dtype=float)) if kind in "iuf" else np.array([])
+    return flat if flat.size and np.isfinite(flat).all() else None
+
+
+# the sample each entry point keeps, and whether it keeps it in ascending order
+KEPT_SAMPLE = {
+    "TwoSampleData": (lambda x: TwoSampleData(x0=x, x1=x).x1, True),
+    "Ecdf.from_sample": (lambda x: Ecdf.from_sample(x).sorted_sample, True),
+    "KdeModel": (lambda x: KdeModel(sample=x, bandwidth=1.0).sample, False),
+    "run_resample_study": (lambda x: _finite_population({"t": x}, "t").values, False),
+}
+
+
+def bandwidth_or_error(sample):
+    try:
+        return silverman_bandwidth(sample)
+    except DrmError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+# inputs that once escaped an entry point as a raw numpy error, a kept 2-D
+# array or a bandwidth computed from strings
+@example(x=[[1, 5], [3, 4]])
+@example(x=3.0)
+@example(x=[[1.0, 2.0], [3.0, 5.0]])
+@example(x=[[1.0, 2.0], [3.0, 4.0]])
+@example(x=["a"])
+@example(x=["1", "2"])
+@given(x=samples())
+def test_every_entry_point_keeps_a_sample_flat_and_finite_or_raises_a_typed_error(x):
+    flat = flat_sample(x)
+    for name, (keep, ascending) in KEPT_SAMPLE.items():
+        if flat is None:
+            with pytest.raises(InvalidArgumentError):
+                keep(x)
+            continue
+        kept = keep(x)
+        assert kept.dtype == np.float64 and kept.ndim == 1, name
+        np.testing.assert_array_equal(kept, np.sort(flat) if ascending else flat, err_msg=name)
+    if flat is None:
+        with pytest.raises(InvalidArgumentError):
+            silverman_bandwidth(x)
+    else:
+        assert bandwidth_or_error(x) == bandwidth_or_error(flat)

@@ -206,6 +206,8 @@ REAL_ARGUMENTS = [
          DegenerateSampleError, "mean overflows"),
         (lambda: ColumnSpec("v", "g", "sqrt"), InvalidArgumentError, "unknown transform 'sqrt'"),
         (lambda: _study(targets=()), InvalidArgumentError, "at least one target"),
+        # a study keys its targets by label, so a repeated one would run once
+        (lambda: _study(targets=("b", "c", "b")), InvalidArgumentError, "target 'b' is repeated"),
         (lambda: _scenario_with(basis="linear"), InvalidArgumentError,
          "basis must be a BasisSpec, got 'linear'"),
         # a real-valued setting is a real number other than a bool
@@ -261,7 +263,7 @@ REAL_ARGUMENTS = [
          "scenario-levels-a-number", "study-n0-grid-a-number", "study-n-grid-a-string",
          "scenario-level-a-string", "level-a-string", "named-basis-with-transforms",
          "unknown-family-tag", "overflowing-normal-mean", "unknown-transform",
-         "study-without-targets", "scenario-basis-a-name", "k-a-string", "k-true",
+         "study-without-targets", "study-repeated-target", "scenario-basis-a-name", "k-a-string", "k-true",
          "mu-a-string", "mu-true", "mean-a-string", "ci-level-a-string",
          "scenario-id-none", "study-targets-a-set", "study-methods-a-frozenset",
          "scenario-methods-a-dict", "scenario-levels-a-set", "k-grid-a-string", "k-grid-true",
