@@ -41,10 +41,14 @@ def _parse_levels(text: str):
 
 
 def _load(args, *labels):
-    """The groups of the CSV named by ``args``; each of ``labels`` must be one."""
+    """The groups of the CSV named by ``args``; each of ``labels``, the
+    groups the command reads, must be one with a usable row."""
     spec = ColumnSpec(args.value_col, args.group_col, args.transform)
     populations, report = ingest_csv(args.data, spec)
     for label in labels:
+        if label in report.dropped_groups:
+            raise EmptyGroupError(f"group {label!r} in {args.data} has no usable rows: "
+                                  "every one of its rows was dropped")
         if label not in populations:
             raise EmptyGroupError(f"group {label!r} not found in {args.data}")
     if report.rows_dropped:
@@ -155,7 +159,6 @@ def _cmd_kde(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    populations = _load(args)
     study = ResampleStudy(
         base=args.base,
         targets=args.targets.split(","),
@@ -165,6 +168,7 @@ def _cmd_study(args) -> int:
         **{key: _parse_levels(v) if key == "levels" else v
            for key, v in vars(args).items() if key in ("levels", "methods", "reps", "seed")},
     )
+    populations = _load(args, study.base, *study.targets)
     table = run_resample_study(study, populations, workers=args.workers)
     with _output(args.out) as out:
         table.to_csv(out, include_abs_bias=True)

@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import compress
 
@@ -50,6 +51,9 @@ class IngestReport:
     rows_in: int
     rows_used: int
     rows_dropped: int
+    # the labels of the groups whose every row was dropped, in order of
+    # each one's first row; the populations leave them out
+    dropped_groups: tuple = ()
 
 
 class _GroupCodes(dict):
@@ -75,13 +79,14 @@ def _column_index(header, name: str) -> int:
     return found[-1]
 
 
-def _parse_stripped(value_cells: list) -> np.ndarray:
+def _parse_stripped(value_cells: list, first_row: int) -> np.ndarray:
     """The values of cells that float() does not all accept as they are: each
     cell stripped and read by float(), an empty one as nan, so that its row is
     dropped and counted. The first cell that still does not parse raises
-    :class:`CsvParseError` with its row number."""
+    :class:`CsvParseError` with its row number, the cells' rows being
+    numbered from ``first_row``."""
     values = []
-    for row, cell in enumerate(value_cells, 2):  # row 1 is the header
+    for row, cell in enumerate(value_cells, first_row):
         text = cell.strip()
         try:
             values.append(float(text or "nan"))
@@ -91,40 +96,83 @@ def _parse_stripped(value_cells: list) -> np.ndarray:
     return np.array(values)
 
 
-def _split_columns(text: str, spec: ColumnSpec) -> list:
-    """The value cells and the group cells of the nonblank data rows of ``text``;
-    a cell may carry whitespace around it, which the caller strips.
+# about this many characters of a file's text are split and parsed at a
+# time; blocks of 32 and 64 KiB read the benchmark CSV equally fast
+_BLOCK = 1 << 15
+_LINE_END = re.compile(r"\r\n?|\n")
 
-    A regular file has more than one header field, no quote character,
-    ``\\n`` or ``\\r\\n`` line ends and the header's field count on every
-    line, so no blank line but at its end. It is split by one ``str.split``
-    over its text, with a comma put before each line break, so the header's
-    cells come first and a row's first cell starts with the line break before
-    it. Any other file, a one-field file among them, is read by
-    ``csv.reader``, which skips blank lines.
-    """
-    body = text.replace("\r\n", "\n") if "\r" in text else text
-    joined = body.replace("\n", ",\n")
-    cells = joined.split(",")
-    newline = body.find("\n")
-    step = body.count(",", 0, newline if newline >= 0 else len(body)) + 1
-    end = len(cells)
-    while cells[end - 1] == "\n":  # the end of the last line, or a blank line after it
-        end -= 1
-    # a data row per line break, but for the blank lines at the end
-    n = len(joined) - len(body) - (len(cells) - end)
-    names = (spec.value_column, spec.group_column)
-    # the n cells that start a row fall every ``step`` cells exactly when
-    # every row has ``step`` fields
-    regular = step > 1 and '"' not in body and "\r" not in body and end - step == step * n
-    if regular and "".join(cells[step:end:step]).count("\n") == n:
-        header = cells[:step]
-        return [cells[step + _column_index(header, name):end:step] for name in names]
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    indices = [_column_index(header, name) for name in names]
-    rows = list(filter(None, reader))
+
+def _cells(rows: list, indices: list) -> list:
+    """The cells at ``indices`` of each of ``rows``; a short row reads its
+    missing cells as empty."""
     return [[row[i] if i < len(row) else "" for row in rows] for i in indices]
+
+
+def _split_lines(lines: str, width: int, indices: list) -> list:
+    """The cells at ``indices`` of the nonblank rows of ``lines``, whole lines
+    of a file without a quote character whose header has ``width`` fields; a
+    cell may carry whitespace around it, which the caller strips.
+
+    Lines with ``\\n`` or ``\\r\\n`` ends, more than one field and the
+    header's field count each, so no blank line but at their end, are split
+    by one ``str.split``, with a comma put after each line break, so that a
+    row's last cell ends with the line break after it. Any other lines are
+    read by ``csv.reader``, which skips blank lines; in a one-field file a
+    blank line would split as a row of one empty cell. Without a quote
+    character both give the same cells.
+    """
+    body = lines.replace("\r\n", "\n") if "\r" in lines else lines
+    body = body.rstrip("\n")  # the last line break, and the blank lines before it
+    joined = body.replace("\n", "\n,")
+    cells = joined.split(",")
+    breaks = len(joined) - len(body)
+    # the line breaks end every width-th cell exactly when each of the
+    # breaks + 1 lines has width fields
+    if (width > 1 and "\r" not in body and len(cells) == width * (breaks + 1)
+            and "".join(cells[width - 1::width]).count("\n") == breaks):
+        return [cells[i::width] for i in indices]
+    return _cells(list(filter(None, csv.reader(io.StringIO(lines, newline="")))), indices)
+
+
+def _split_columns(text: str, names: tuple):
+    """The cells of the columns ``names`` of the nonblank data rows of
+    ``text``, yielded one block of rows at a time as a list of each column's
+    cells.
+
+    A file without a quote character has a row on each line. After its
+    header line, its text is cut into blocks of whole lines, each running to
+    the first ``\\n`` at least ``_BLOCK`` characters on, and each block is
+    split by :func:`_split_lines`. A file with a quote character, where a
+    quoted cell may span lines, is read by one ``csv.reader`` over its whole
+    text, and its rows are taken in blocks of about ``_BLOCK`` characters.
+
+    Each cell is a Python string, and the cells of a file of short rows take
+    about 200 bytes a row, 9 times its size. Beside the text (and the
+    reader's own copy of it, for a file with a quote character), this holds
+    the cells of one block at a time: about 0.3 MB for a block of two-column
+    rows, whatever the size of the file.
+    """
+    if '"' in text:
+        stream = io.StringIO(text, newline="")
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        indices = [_column_index(header, name) for name in names]
+        rows, end = [], stream.tell() + _BLOCK
+        for row in filter(None, reader):
+            rows.append(row)
+            if stream.tell() >= end:
+                yield _cells(rows, indices)
+                rows, end = [], stream.tell() + _BLOCK
+        yield _cells(rows, indices)
+        return
+    line_end = _LINE_END.search(text)
+    header_end, start = line_end.span() if line_end else (len(text), len(text))
+    header = text[:header_end].split(",") if header_end else []  # csv.reader's [] for ""
+    indices = [_column_index(header, name) for name in names]
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)  # find gives -1 for none
+        yield _split_lines(text[start:end], len(header), indices)
+        start = end
 
 
 # np.linspace(*_LOG_PROBE): contiguous np.log differs from the C library's
@@ -174,47 +222,58 @@ def ingest_csv(path, spec: ColumnSpec):
     cell raises :class:`CsvParseError` with its row number.
 
     Returns (populations, report) where populations maps group label to a
-    float array, in order of each label's first kept row.
+    float array, in order of each label's first kept row; the report names
+    the groups whose every row was dropped.
+
+    The rows are split, parsed and coded in blocks (:func:`_split_columns`),
+    and only each block's values and group codes, 16 bytes a row, are kept
+    from one block to the next. So the most a call holds is the file's
+    bytes and their text while the text is decoded: about twice the size of
+    a file without quote characters, whose text has one byte a character.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = raw[start:].decode("utf-8")
+        text = str(memoryview(raw)[start:], "utf-8")
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path} is not UTF-8: invalid byte at offset {start + exc.start}"
                             ) from None
     del raw
-    value_cells, group_cells = _split_columns(text, spec)
-    rows_in = len(value_cells)
-    try:
-        # numpy converts each str with float(), which ignores the whitespace
-        # around a number; str.strip also removes U+001C-U+001F, which
-        # float() rejects, so such a cell is read again stripped, as an
-        # empty cell is
-        values = np.array(value_cells, dtype=float)
-    except ValueError:
-        values = _parse_stripped(value_cells)
-    if spec.transform == "log":
-        # the C library's log, whose bits estimates keep; a value that is
-        # not positive becomes -inf or nan, and its row is dropped
-        values = _reversed_log(values) if _reversed_log_is_libm() else _libm_log(values)
-    keep = np.isfinite(values)
-    if keep.all():
-        kept = group_cells
-    else:
-        kept = list(compress(group_cells, keep.tolist()))
-        values = values[keep]
-    if not kept:
-        raise EmptyGroupError("no usable rows in any group")
     codes = _GroupCodes()
-    group = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
+    rows_in, values, groups, dropped = 0, [], [], {}
+    for value_cells, group_cells in _split_columns(text, (spec.value_column, spec.group_column)):
+        try:
+            # numpy converts each str with float(), which ignores the
+            # whitespace around a number; str.strip also removes
+            # U+001C-U+001F, which float() rejects, so such a cell is read
+            # again stripped, as an empty cell is
+            block = np.array(value_cells, dtype=float)
+        except ValueError:
+            block = _parse_stripped(value_cells, rows_in + 2)  # row 1 is the header
+        rows_in += len(value_cells)
+        if spec.transform == "log":
+            # the C library's log, whose bits estimates keep; a value that is
+            # not positive becomes -inf or nan, and its row is dropped
+            block = _reversed_log(block) if _reversed_log_is_libm() else _libm_log(block)
+        keep = np.isfinite(block)
+        if not keep.all():
+            dropped.update(dict.fromkeys(map(str.strip, compress(group_cells, (~keep).tolist()))))
+            group_cells = list(compress(group_cells, keep.tolist()))
+            block = block[keep]
+        values.append(block)
+        groups.append(np.fromiter(map(codes.__getitem__, group_cells), np.intp, len(group_cells)))
+    del text
+    if not codes.labels:
+        raise EmptyGroupError("no usable rows in any group")
+    values, groups = np.concatenate(values), np.concatenate(groups)
     # numpy's stable sort is a radix sort on 8- and 16-bit keys
-    keys = group.astype(np.min_scalar_type(len(codes.labels)))
+    keys = groups.astype(np.min_scalar_type(len(codes.labels)))
     grouped = values[np.argsort(keys, kind="stable")]
     populations = dict(zip(codes.labels,
-                           np.split(grouped, np.cumsum(np.bincount(group))[:-1])))
-    return populations, IngestReport(rows_in, len(kept), rows_in - len(kept))
+                           np.split(grouped, np.cumsum(np.bincount(groups))[:-1])))
+    return populations, IngestReport(rows_in, groups.size, rows_in - groups.size,
+                                     tuple(g for g in dropped if g not in codes.labels))
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,28 @@ def test_estimate_unknown_group_fails(data_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# every row of group a and of group c is dropped; group z is absent
+@pytest.mark.parametrize("label, args", [
+    (label, args) for label in ("a", "c", "z") for args in (
+        ["estimate", "--x0", label, "--x1", "b"],
+        ["kde", "--group", label],
+        ["study", "--base", "b", "--targets", label, "--n0", 5, "--n", 2, "--reps", 2],
+    )
+], ids=[f"{label}-{command}" for label in ("a", "c", "z") for command in ("estimate", "kde", "study")])
+def test_a_group_without_usable_rows_is_named_the_same_in_every_command(tmp_path, capsys, label,
+                                                                        args):
+    path = tmp_path / "drop.csv"
+    path.write_text("group,value\na,nan\nb,1\nb,2\nc,inf\n")
+    assert run_cli([args[0], "--data", path, "--value-col", "value", "--group-col", "group",
+                    *args[1:]]) == 1
+    if label == "z":
+        expected = f"error: group 'z' not found in {path}\n"
+    else:
+        expected = (f"error: group {label!r} in {path} has no usable rows: "
+                    "every one of its rows was dropped\n")
+    assert capsys.readouterr().err == expected
+
+
 @pytest.fixture
 def scenario_json(tmp_path):
     path = tmp_path / "scenario.json"

@@ -1,11 +1,12 @@
 import codecs
 import csv
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drmel import (
@@ -154,8 +155,23 @@ def _ingest_outcome(ingest, path, spec):
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
-@given(text=csv_texts(), bom=st.booleans(), transform=st.sampled_from(["none", "log"]))
-def test_ingest_matches_the_row_loop(tmp_path, text, bom, transform):
+@given(text=csv_texts(), bom=st.booleans(), transform=st.sampled_from(["none", "log"]),
+       block=st.sampled_from([1, 2, 5, 16, 40, pipeline._BLOCK]))
+@example(text="v,g\n1,a\n\n2,b\n", bom=False, transform="none", block=5
+         ).via("a blank line ends the first block")
+@example(text='v,g\n1,a\n2,"b\nc"\n3,a\n', bom=False, transform="none", block=1
+         ).via("the first quote comes after the first block")
+@example(text="v,g\n1,a\n\n2,a\n,b\nx,b\n", bom=False, transform="none", block=4
+         ).via("a malformed cell in the third block, on row 5")
+@example(text="v,g\n1,a\n\n2,a\n,b\nx,b\n", bom=False, transform="log", block=1
+         ).via("a malformed cell in the fourth block, on row 5")
+@example(text="v,g\r\n", bom=True, transform="none", block=1).via("a header-only file")
+@example(text="v,g", bom=False, transform="none", block=1).via("a header without a line end")
+@example(text="v,x\n1,a\n", bom=False, transform="none", block=1).via("a missing column")
+@example(text="g,v\r1,a\r\n2,b\r", bom=False, transform="none", block=1
+         ).via("lone carriage returns end lines")
+def test_ingest_matches_the_row_loop(tmp_path, monkeypatch, text, bom, transform, block):
+    monkeypatch.setattr(pipeline, "_BLOCK", block)
     path = tmp_path / "generated.csv"
     path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
     spec = ColumnSpec("v", "g", transform)
@@ -309,13 +325,32 @@ def test_ingest_orders_labels_by_their_first_kept_row(csv_file, dropped, transfo
     read = math.log if transform == "log" else float
     np.testing.assert_array_equal(pops["2015"], [read(1.0), read(4.0)])
     np.testing.assert_array_equal(pops["2016"], [read(2.0)])
-    assert report == IngestReport(len(rows), 3, len(rows) - 3)
+    assert report == IngestReport(len(rows), 3, len(rows) - 3,
+                                  () if dropped is None else ("2017",))
 
 
 def test_ingest_duplicate_header_reads_last_column(csv_file):
     path = csv_file(["2015,1.0,2.0"], header="year,revenue,revenue")
     pops, _ = ingest_csv(path, ColumnSpec("revenue", "year"))
     np.testing.assert_array_equal(pops["2015"], [2.0])
+
+
+def test_ingest_holds_at_most_three_times_the_file_size(tmp_path):
+    # a whole file's cells as strings take about 200 bytes a row, 9 times
+    # this file's size; its bytes and their text take twice it
+    gen = np.random.default_rng(12)
+    labels = np.array(["base", "t1", "t2"])[gen.choice(3, 200_000, p=[0.8, 0.1, 0.1])].tolist()
+    values = np.exp(gen.normal(10.0, 0.5, len(labels))).tolist()
+    path = tmp_path / "large.csv"
+    path.write_text("group,value\n" + "".join(f"{g},{v!r}\n" for g, v in zip(labels, values)))
+    tracemalloc.start()
+    try:
+        pops, report = ingest_csv(path, ColumnSpec("value", "group", "log"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows_used == len(labels) and sorted(pops) == ["base", "t1", "t2"]
+    assert peak <= 3 * path.stat().st_size
 
 
 def synthetic_populations(seed=5, n_base=4000, n_target=1500):
